@@ -42,6 +42,7 @@ from .pipeline import RunConfig, cluster_and_label, run_pipeline
 from .report import (
     composition,
     interaction_totals,
+    read_labels_csv,
     upset_counts,
     write_composition_csv,
     write_labels_csv,
@@ -241,13 +242,7 @@ def analyze(metrics_path: str, labels_path: str, output_path: str):
     from .pipeline import _stats_block
 
     vectors = read_metrics_csv(metrics_path)
-    labels_by_key: dict[tuple[str, str], int] = {}
-    with Path(labels_path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
-            raise DataValidationError(f"{labels_path}: unexpected labels header")
-        for row in reader:
-            labels_by_key[(row["repo"], row["login"])] = int(row["cluster"])
+    labels_by_key = read_labels_csv(labels_path)
     try:
         raw = [labels_by_key[(str(v.repo), v.login)] for v in vectors]
     except KeyError as exc:
@@ -292,14 +287,7 @@ def report(archive_path: str, labels_path: str | None, output_dir: str):
     write_totals_csv(interaction_totals(individuals), out / "totals.csv")
     write_upset_json(upset_counts(individuals), out / "upset.json")
 
-    labels_by_key: dict[tuple[str, str], int] = {}
-    if labels_path:
-        with Path(labels_path).open("r", newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
-                raise DataValidationError(f"{labels_path}: unexpected labels header")
-            for row in reader:
-                labels_by_key[(row["repo"], row["login"])] = int(row["cluster"])
+    labels_by_key = read_labels_csv(labels_path) if labels_path else {}
     pairs = [
         (ind, labels_by_key.get((str(ind.repo), ind.login), 0))
         for ind in individuals

@@ -1,10 +1,20 @@
 """Agglomerative hierarchical clustering with Ward linkage.
 
 The merge loop runs the Lance-Williams recurrence on squared Euclidean
-distances over an updateable dissimilarity matrix. Reported merge heights are
-the square roots of the recurrence values, so two singleton points merge at
-their plain Euclidean distance. Ties on the merge dissimilarity break toward
-the lowest (i, j) pair for cross-platform determinism.
+distances over an updateable n*n dissimilarity matrix. Reported merge heights
+are the square roots of the recurrence values, so two singleton points merge
+at their plain Euclidean distance.
+
+A vector nn caches, for every cluster slot, the smallest entry of its row
+(inf once the slot is merged away). Each merge takes the global minimum from
+nn in O(n), then refreshes nn in O(n): a row whose minimum sat in one of the
+two merged columns and grew is rescanned, every other row takes the minimum
+of its cached value and its one new entry. This is the "generic" algorithm of
+Muellner (2011, arXiv:1109.2378); it merges in the same order and with the
+same arithmetic as a full scan of the matrix, so typical time is O(n^2) and
+memory is O(n^2), with no n*n*d difference tensor. Ties on the merge
+dissimilarity break toward the lexicographically lowest (a, b) node-id pair
+for cross-platform determinism.
 """
 
 from __future__ import annotations
@@ -57,6 +67,25 @@ def _validate_rows(vectors) -> np.ndarray:
     return rows
 
 
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _squared_distances(rows: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, built a block of rows at a time.
+
+    Each block runs the same einsum over its own difference tensor, so every
+    entry equals the one a single n*n*d tensor would give, bit for bit, while
+    the temporary stays near _BLOCK_ELEMENTS floats.
+    """
+    n, d = rows.shape
+    d2 = np.empty((n, n))
+    step = max(1, _BLOCK_ELEMENTS // max(n * d, 1))
+    for start in range(0, n, step):
+        diff = rows[start:start + step, None, :] - rows[None, :, :]
+        d2[start:start + step] = np.einsum("ijk,ijk->ij", diff, diff)
+    return d2
+
+
 def agglomerate(vectors) -> Dendrogram:
     """Build the full Ward merge tree for the given rows."""
     rows = _validate_rows(vectors)
@@ -67,57 +96,60 @@ def agglomerate(vectors) -> Dendrogram:
         return Dendrogram(n_leaves=1, merges=())
 
     # squared Euclidean distances between current clusters; inf marks inactive
-    diff = rows[:, None, :] - rows[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
+    work = _squared_distances(rows)
+    if not np.all(np.isfinite(work)):
+        raise DataValidationError("squared distances overflow; rescale the rows")
+    np.fill_diagonal(work, np.inf)
+    nn = work.min(axis=1)  # nn[s]: smallest entry of row s, inf once s is merged
 
-    # Ward objective between singletons is d2/2 * 2 = ... use the classical
-    # convention where reported height^2 follows Lance-Williams on squared
-    # distances, which for singletons is the squared Euclidean distance.
     size = np.ones(n)
     node_id = np.arange(n)
     active = np.ones(n, dtype=bool)
     merges: list[tuple[int, int, float, int]] = []
 
-    work = d2.copy()
     for step in range(n - 1):
-        min_val = float(np.min(work))
-        # break exact ties toward the lexicographically lowest node-id pair
-        cand = np.argwhere(work == min_val)
-        best_pair = None
-        best_key = None
-        for ci, cj in cand:
-            if ci >= cj:
-                continue
-            a, b = int(node_id[ci]), int(node_id[cj])
-            key = (min(a, b), max(a, b))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (int(ci), int(cj))
-        i, j = best_pair
-        height = math.sqrt(max(min_val, 0.0))
-        a, b = best_key
+        min_val = nn.min()
+        # every slot pair at min_val has both rows' cached minimum at min_val;
+        # exact ties break toward the lexicographically lowest node-id pair
+        tied = np.flatnonzero(nn == min_val)
+        rs, cs = np.nonzero(work[tied] == min_val)
+        ci, cj = tied[rs], cs
+        upper = ci < cj
+        ci, cj = ci[upper], cj[upper]
+        a_ids, b_ids = node_id[ci], node_id[cj]
+        lo, hi = np.minimum(a_ids, b_ids), np.maximum(a_ids, b_ids)
+        best = int(np.argmin(lo * (2 * n) + hi))
+        i, j = int(ci[best]), int(cj[best])
+        a, b = int(lo[best]), int(hi[best])
+        height = math.sqrt(max(float(min_val), 0.0))
         new_size = int(size[i] + size[j])
         merges.append((a, b, height, new_size))
 
         ni, nj = size[i], size[j]
         dij = work[i, j]
         # Lance-Williams update for Ward, merged cluster kept in slot i
-        mask = active.copy()
-        mask[i] = False
-        mask[j] = False
-        nm = size[mask]
-        new = ((ni + nm) * work[i, mask] + (nj + nm) * work[j, mask] - nm * dij) / (
-            ni + nj + nm
-        )
-        work[i, mask] = new
-        work[mask, i] = new
         active[j] = False
+        others = np.flatnonzero(active)
+        others = others[others != i]
+        nm = size[others]
+        wi, wj = work[i, others], work[j, others]
+        new = ((ni + nm) * wi + (nj + nm) * wj - nm * dij) / (ni + nj + nm)
+        work[i, others] = new
+        work[others, i] = new
         work[j, :] = np.inf
         work[:, j] = np.inf
-        work[i, i] = np.inf
         size[i] = ni + nj
         node_id[i] = n + step
+
+        # a row's minimum can only grow if it sat in column i or j; only those
+        # rows are rescanned, every other row keeps min(old minimum, new entry)
+        old = nn[others]
+        grown = ((wi == old) | (wj == old)) & (new > old)
+        nn[others] = np.minimum(old, new)
+        stale = others[grown]
+        nn[stale] = work[stale].min(axis=1)
+        nn[i] = work[i].min()
+        nn[j] = np.inf
 
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 

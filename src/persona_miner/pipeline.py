@@ -237,13 +237,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             kept = [i for i in repo_individuals if not i.is_bot_flagged]
             if len(kept) != len(repo_individuals):
                 # totals must reflect the kept population only
+                bots = frozenset(i.login for i in repo_individuals if i.is_bot_flagged)
                 filtered = InteractionSet(
                     repo=iset.repo,
-                    events=tuple(
-                        ev for ev in iset.events
-                        if not any(ev.actor == b.login for b in repo_individuals
-                                   if b.is_bot_flagged)
-                    ),
+                    events=tuple(ev for ev in iset.events if ev.actor not in bots),
                     fetched_at=iset.fetched_at,
                     incomplete=iset.incomplete,
                 )

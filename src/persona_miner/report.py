@@ -139,3 +139,15 @@ def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
         writer.writerow(["repo", "login", "cluster", "subcluster"])
         for repo, login, cluster, sub in rows:
             writer.writerow([str(repo), login, cluster, sub])
+
+
+def read_labels_csv(path: Union[str, Path]) -> dict[tuple[str, str], int]:
+    """Map (repo, login) to the cluster column of a labels file."""
+    labels: dict[tuple[str, str], int] = {}
+    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
+            raise DataValidationError(f"{path}: unexpected labels header")
+        for row in reader:
+            labels[(row["repo"], row["login"])] = int(row["cluster"])
+    return labels

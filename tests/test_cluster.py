@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, linkage
 
+from persona_miner import cluster as cluster_module
 from persona_miner.cluster import (
     ClusterLabels,
+    Dendrogram,
     agglomerate,
     ch_index,
     cut,
@@ -48,6 +51,57 @@ def naive_ward(rows):
     return merges
 
 
+def _reference_ward(rows):
+    """Reference for bit-exact checks: the O(n^3) full-scan Lance-Williams loop.
+
+    Every step scans the whole matrix for its minimum. agglomerate must give
+    the same merges, compared with ==, because it runs the same recurrence in
+    the same order and only caches the row minima.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[0]
+    diff = rows[:, None, :] - rows[None, :, :]
+    work = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(work, np.inf)
+    size = np.ones(n)
+    node_id = np.arange(n)
+    active = np.ones(n, dtype=bool)
+    merges = []
+    for step in range(n - 1):
+        min_val = float(np.min(work))
+        best_pair = None
+        best_key = None
+        for ci, cj in np.argwhere(work == min_val):
+            if ci >= cj:
+                continue
+            a, b = int(node_id[ci]), int(node_id[cj])
+            key = (min(a, b), max(a, b))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_pair = (int(ci), int(cj))
+        i, j = best_pair
+        a, b = best_key
+        merges.append((a, b, math.sqrt(max(min_val, 0.0)), int(size[i] + size[j])))
+        ni, nj = size[i], size[j]
+        dij = work[i, j]
+        mask = active.copy()
+        mask[i] = False
+        mask[j] = False
+        nm = size[mask]
+        new = ((ni + nm) * work[i, mask] + (nj + nm) * work[j, mask] - nm * dij) / (
+            ni + nj + nm
+        )
+        work[i, mask] = new
+        work[mask, i] = new
+        active[j] = False
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        work[i, i] = np.inf
+        size[i] = ni + nj
+        node_id[i] = n + step
+    return tuple(merges)
+
+
 def test_single_point():
     dendro = agglomerate([[1.0, 2.0]])
     assert dendro.n_leaves == 1
@@ -80,6 +134,78 @@ def test_matches_naive_oracle_on_random_inputs():
             assert got[0] == want[0] and got[1] == want[1]
             assert abs(got[2] - want[2]) < 1e-9
             assert got[3] == want[3]
+
+
+def _reference_inputs(family, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 81))
+    d = int(rng.integers(1, 7))
+    if family == "normal":
+        return rng.normal(size=(n, d))
+    if family == "lattice":
+        return rng.integers(-2, 3, size=(n, d)).astype(float)
+    if family == "grid25":
+        return np.round(rng.uniform(0.0, 100.0, size=(n, d)) / 25.0) * 25.0
+    return np.tile(rng.normal(size=(1, d)), (n, 1))  # all identical
+
+
+@pytest.mark.parametrize("family", ["normal", "lattice", "grid25", "identical"])
+def test_matches_reference_bit_for_bit(family):
+    for seed in range(25):
+        rows = _reference_inputs(family, seed)
+        assert agglomerate(rows).merges == _reference_ward(rows)
+
+
+def test_nearest_neighbour_ties_in_different_columns():
+    # row 1 has two nearest neighbours at distance 1 (columns 0 and 2), row 4
+    # has one (column 3) at the same distance: the lowest pair (0, 1) goes first
+    rows = [[0.0], [1.0], [2.0], [10.0], [11.0]]
+    merges = agglomerate(rows).merges
+    assert merges == _reference_ward(rows)
+    assert [m[:2] for m in merges[:2]] == [(0, 1), (3, 4)]
+    # mirrored, the same distances sit in other columns; ids still decide
+    mirrored = [[11.0], [10.0], [2.0], [1.0], [0.0]]
+    merges = agglomerate(mirrored).merges
+    assert merges == _reference_ward(mirrored)
+    assert [m[:2] for m in merges[:2]] == [(0, 1), (2, 3)]
+
+
+def test_overflowing_distances_rejected():
+    with pytest.raises(DataValidationError):
+        agglomerate([[1e200], [-1e200]])
+
+
+def _first_appearance(labels):
+    order = {}
+    return tuple(order.setdefault(lab, len(order)) for lab in labels)
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_matches_scipy_ward(n):
+    rows = np.random.default_rng(n).normal(size=(n, 10))
+    dendro = agglomerate(rows)
+    linked = linkage(rows, method="ward")
+    heights = np.sort([m[2] for m in dendro.merges])
+    np.testing.assert_allclose(heights, linked[:, 2], rtol=1e-9, atol=0.0)
+    for k in range(2, 11):
+        expected = _first_appearance(fcluster(linked, t=k, criterion="maxclust"))
+        assert cut(dendro, k).labels == expected
+
+
+def test_subcluster_same_as_with_reference_ward(monkeypatch):
+    rng = np.random.default_rng(11)
+    rows = _blobs(rng, [(0.0, 0.0, 0.0), (8.0, 0.0, 0.0), (0.0, 8.0, 0.0)],
+                  n_per=40, sd=1.5)
+    parent = ClusterLabels(labels=(0,) * 80 + (1,) * 40, k=2)
+    fast = subcluster(rows, parent, parent_id=0)
+    monkeypatch.setattr(
+        cluster_module, "agglomerate",
+        lambda vectors: Dendrogram(n_leaves=len(vectors),
+                                   merges=_reference_ward(vectors)),
+    )
+    slow = subcluster(rows, parent, parent_id=0)
+    assert fast.splittable and slow.splittable
+    assert (fast.labels, fast.k, fast.scores) == (slow.labels, slow.k, slow.scores)
 
 
 def test_heights_monotone_nondecreasing():

@@ -10,6 +10,7 @@ from persona_miner.report import (
     UpSetTable,
     composition,
     interaction_totals,
+    read_labels_csv,
     upset_counts,
     write_composition_csv,
     write_labels_csv,
@@ -129,6 +130,14 @@ def test_labels_csv(tmp_path):
     write_labels_csv([(RepoSlug("org", "x"), "ada", 2, 0)], out)
     lines = out.read_text().splitlines()
     assert lines == ["repo,login,cluster,subcluster", "org/x,ada,2,0"]
+    assert read_labels_csv(out) == {("org/x", "ada"): 2}
+
+
+def test_read_labels_csv_rejects_other_header(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("repo,login,cluster\norg/x,ada,2\n", "utf-8")
+    with pytest.raises(DataValidationError, match="unexpected labels header"):
+        read_labels_csv(path)
 
 
 def test_emission_is_byte_stable(tmp_path):
