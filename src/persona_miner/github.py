@@ -69,8 +69,6 @@ class GitHubClient:
         while True:
             params["page"] = page
             resp = self.transport.get(url, params=params)
-            if resp.status >= 500:
-                raise RetryableFetchError(f"HTTP {resp.status} from {url}")
             if resp.status >= 400:
                 raise RetryableFetchError(f"HTTP {resp.status} from {url}")
             items = resp.body or []

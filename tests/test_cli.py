@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import persona_miner
 from persona_miner.cli import main
 
 
@@ -23,6 +27,16 @@ def test_help_lists_subcommands(runner):
     for cmd in ("fetch", "filter", "metrics", "classify", "cluster", "analyze",
                 "assign", "report", "simulate", "run"):
         assert cmd in result.output
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(persona_miner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, persona_miner.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_metrics_subcommand(runner, fixture_archive_path, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from persona_miner import stats
 from persona_miner.errors import DataValidationError
 from persona_miner.stats import (
     f_sf,
@@ -164,9 +165,38 @@ def test_studentized_range_cdf_matches_scipy():
 
 
 def test_studentized_range_cdf_monotone_in_q():
-    values = [studentized_range_cdf(q, 3, 12) for q in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    assert values == sorted(values)
+    for k, df in [(2, 2), (3, 12), (20, 99999)]:
+        values = np.array([studentized_range_cdf(float(q), k, df)
+                           for q in np.linspace(0.01, 12.0, 600)])
+        assert np.all(np.diff(values) >= 0.0), (k, df)
+        assert values[0] >= 0.0 and values[-1] <= 1.0
     assert studentized_range_cdf(0.0, 3, 12) == 0.0
+
+
+# scipy switches to its asymptotic form at df >= 1e5, so the grid stops below
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 20])
+def test_studentized_range_cdf_oracle_grid(k):
+    qs = np.geomspace(0.05, 20.0, 10)
+    for df in (2, 3, 5, 10, 60, 490, 5000, 20000, 99999):
+        expected = scipy.stats.studentized_range.cdf(qs, k, df)
+        got = [studentized_range_cdf(float(q), k, df) for q in qs]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9,
+                                   err_msg=f"k={k} df={df}")
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_tukey_calls_range_cdf_once_per_pair(monkeypatch, k):
+    calls = []
+
+    def counting(q, k_, df):
+        calls.append((k_, df))
+        return 0.5
+
+    monkeypatch.setattr(stats, "studentized_range_cdf", counting)
+    groups = [[float(g), g + 1.0, g + 3.0] for g in range(k)]
+    result = tukey_hsd(groups)
+    assert len(calls) == math.comb(k, 2) == len(result.pairs)
+    assert set(calls) == {(k, 2 * k)}
 
 
 def test_tukey_far_outlier_rejects_exactly_two_pairs():
