@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -20,7 +19,7 @@ import numpy as np
 
 from .archive import load_archive, save_archive
 from .cluster import agglomerate, cut, select_k
-from .commit_classify import classify_commit, write_classification_csv
+from .commit_classify import classify_archive, write_classification_csv
 from .errors import (
     ArchiveFormatError,
     ConfigError,
@@ -30,15 +29,10 @@ from .errors import (
     RetryableFetchError,
 )
 from .github import GitHubClient
-from .metrics import (
-    assemble_metric_vectors,
-    build_repo_individuals,
-    read_metrics_csv,
-    write_metrics_csv,
-)
-from .models import InteractionKind, RepoSlug, parse_utc
+from .metrics import metric_table, read_metrics_csv, write_metrics_csv
+from .models import RepoSlug, parse_utc
 from .personas import assign_persona, load_profiles, write_personas_csv
-from .pipeline import RunConfig, cluster_and_label, run_pipeline
+from .pipeline import RunConfig, run_pipeline
 from .report import (
     composition,
     interaction_totals,
@@ -179,13 +173,8 @@ def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str
 @_guard
 def metrics(archive_path: str, output_path: str, exclude_bots: bool):
     """Compute the ten-feature metric table from an archive."""
-    vectors = []
-    for iset in sorted(load_archive(archive_path), key=lambda s: str(s.repo)):
-        individuals, totals = build_repo_individuals(iset)
-        repo_vectors = assemble_metric_vectors(individuals, totals)
-        if exclude_bots:
-            repo_vectors = [v for v in repo_vectors if not v.is_bot_flagged]
-        vectors.extend(repo_vectors)
+    _individuals, vectors = metric_table(load_archive(archive_path),
+                                         exclude_bots=exclude_bots)
     write_metrics_csv(vectors, output_path)
     click.echo(f"wrote {len(vectors)} metric rows to {output_path}")
 
@@ -196,11 +185,7 @@ def metrics(archive_path: str, output_path: str, exclude_bots: bool):
 @_guard
 def classify(archive_path: str, output_path: str):
     """Classify commits by message, size, and changed-file types."""
-    rows = []
-    for iset in sorted(load_archive(archive_path), key=lambda s: str(s.repo)):
-        for ev in iset.events:
-            if ev.kind == InteractionKind.COMMIT_CREATED:
-                rows.append(classify_commit(ev.subject_id, str(iset.repo), ev.payload))
+    rows = classify_archive(load_archive(archive_path))
     write_classification_csv(rows, output_path)
     click.echo(f"classified {len(rows)} commits")
 
@@ -239,7 +224,7 @@ def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
 def analyze(metrics_path: str, labels_path: str, output_path: str):
     """Validate a clustering: PCA, feature importance, per-feature ANOVA/Tukey."""
     from .cluster import ClusterLabels
-    from .pipeline import _stats_block
+    from .pipeline import stats_block
 
     vectors = read_metrics_csv(metrics_path)
     labels_by_key = read_labels_csv(labels_path)
@@ -249,7 +234,7 @@ def analyze(metrics_path: str, labels_path: str, output_path: str):
         raise DataValidationError(f"no cluster label for individual {exc}") from exc
     k = (max(raw) + 1) if raw else 0
     initial = ClusterLabels(labels=tuple(raw), k=k)
-    block = _stats_block(vectors, initial)
+    block = stats_block(vectors, initial)
     obj = {"format": "persona-miner-stats", "version": 1, **block}
     Path(output_path).write_text(
         json.dumps(obj, indent=2, sort_keys=True) + "\n", "utf-8"
@@ -280,10 +265,7 @@ def report(archive_path: str, labels_path: str | None, output_dir: str):
     """Emit totals, UpSet counts, and composition from an archive."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    individuals = []
-    for iset in sorted(load_archive(archive_path), key=lambda s: str(s.repo)):
-        repo_individuals, _totals = build_repo_individuals(iset)
-        individuals.extend(repo_individuals)
+    individuals, _vectors = metric_table(load_archive(archive_path))
     write_totals_csv(interaction_totals(individuals), out / "totals.csv")
     write_upset_json(upset_counts(individuals), out / "upset.json")
 
@@ -326,16 +308,13 @@ def simulate(specs_path: str | None, count: int, noise_sd: float, seed: int,
 @click.option("--config", "config_path", type=click.Path(),
               help="JSON run configuration file.")
 @click.option("--archive", "archive_path", type=click.Path())
-@click.option("--seed", type=int)
-@click.option("--fraction", type=float)
+@click.option("--seed", type=int, help="Recorded in the run manifest.")
 @click.option("--output-dir", type=click.Path())
 @click.option("--exclude-bots", is_flag=True, default=None)
-@click.option("--reference-date")
 @click.option("--k-max", type=int)
 @_guard
 def run(config_path: str | None, archive_path: str | None, seed: int | None,
-        fraction: float | None, output_dir: str | None,
-        exclude_bots: bool | None, reference_date: str | None, k_max: int | None):
+        output_dir: str | None, exclude_bots: bool | None, k_max: int | None):
     """Run the full pipeline: metrics, clustering, stats, personas, reports."""
     base: dict = {}
     if config_path:
@@ -348,10 +327,8 @@ def run(config_path: str | None, archive_path: str | None, seed: int | None,
     overrides = {
         "archive_path": archive_path,
         "seed": seed,
-        "fraction": fraction,
         "output_dir": output_dir,
         "exclude_bots": exclude_bots,
-        "reference_date": reference_date,
         "k_max": k_max,
     }
     for key, value in overrides.items():

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import ConfigError, DataValidationError
-from .models import CommitPayload
+from .models import CommitPayload, InteractionKind, InteractionSet
 
 
 class DevelopmentType(str, Enum):
@@ -196,6 +196,16 @@ def classify_commit(sha: str, repo: str, payload: Optional[CommitPayload],
         size_class=classify_size(len(files), thresholds) if files else None,
         activity_type=classify_files(files, rules),
     )
+
+
+def classify_archive(sets: Iterable[InteractionSet]) -> list[CommitClassification]:
+    """Classify every created commit, repo by repo in repo order."""
+    return [
+        classify_commit(ev.subject_id, str(iset.repo), ev.payload)
+        for iset in sorted(sets, key=lambda s: str(s.repo))
+        for ev in iset.events
+        if ev.kind == InteractionKind.COMMIT_CREATED
+    ]
 
 
 def write_classification_csv(rows: list[CommitClassification],

@@ -145,14 +145,18 @@ def build_repo_individuals(
         )
         for login in sorted(counts)
     ]
-    totals = {k: sum(c[k] for c in counts.values()) for k in ALL_KINDS}
-    repo_totals = RepoTotals(
-        repo=iset.repo,
+    return individuals, repo_totals(iset.repo, individuals)
+
+
+def repo_totals(repo: RepoSlug, individuals: list[RepoIndividual]) -> RepoTotals:
+    """Sum the individuals' counts and interaction days into repo totals."""
+    totals = {k: sum(i.counts[k] for i in individuals) for k in ALL_KINDS}
+    return RepoTotals(
+        repo=repo,
         totals=totals,
         sum_interactions=sum(totals.values()),
-        sum_individual_interaction_days=sum(len(d) for d in dates.values()),
+        sum_individual_interaction_days=sum(i.n_interaction_days for i in individuals),
     )
-    return individuals, repo_totals
 
 
 def compute_rc(individual_count: int, repo_total: int) -> float:
@@ -230,6 +234,28 @@ def assemble_metric_vectors(individuals: list[RepoIndividual],
             is_bot_flagged=ind.is_bot_flagged,
         ))
     return vectors
+
+
+def metric_table(
+    sets: Iterable[InteractionSet],
+    exclude_bots: bool = False,
+    bot_deny_list: frozenset[str] = frozenset(),
+) -> tuple[list[RepoIndividual], list[MetricVector]]:
+    """Tally every repo, in repo order, into individuals and metric vectors.
+
+    With ``exclude_bots`` the flagged individuals are dropped before the repo
+    totals are taken, so every percentage is a share of the kept population.
+    """
+    individuals: list[RepoIndividual] = []
+    vectors: list[MetricVector] = []
+    for iset in sorted(sets, key=lambda s: str(s.repo)):
+        repo_individuals, totals = build_repo_individuals(iset, bot_deny_list)
+        if exclude_bots:
+            repo_individuals = [i for i in repo_individuals if not i.is_bot_flagged]
+            totals = repo_totals(iset.repo, repo_individuals)
+        individuals.extend(repo_individuals)
+        vectors.extend(assemble_metric_vectors(repo_individuals, totals))
+    return individuals, vectors
 
 
 METRICS_CSV_COLUMNS: tuple[str, ...] = FEATURE_NAMES + ("repo", "login", "uit", "is_bot")

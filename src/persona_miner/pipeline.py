@@ -13,24 +13,16 @@ import logging
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .archive import load_archive
-from .cluster import ClusterLabels, agglomerate, cut, select_k, subcluster
-from .commit_classify import classify_commit, write_classification_csv
+from .cluster import ClusterLabels, Dendrogram, agglomerate, cut, select_k, subcluster
+from .commit_classify import classify_archive, write_classification_csv
 from .errors import DataValidationError
-from .metrics import (
-    FEATURE_NAMES,
-    MetricVector,
-    RepoIndividual,
-    assemble_metric_vectors,
-    build_repo_individuals,
-    write_metrics_csv,
-)
-from .models import InteractionKind, InteractionSet
+from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
 from .personas import (
     DEFAULT_UNMATCHED_DISTANCE,
     PersonaAssignment,
@@ -55,25 +47,20 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig:
-    archive_path: Optional[str] = None  # offline source; exactly one source
-    live: bool = False
-    seed: int = 0
-    fraction: float = 1.0
+    archive_path: Optional[str] = None
+    seed: int = 0  # recorded in the manifest only; the pipeline draws no random numbers
     k_min: int = 2
     k_max: int = 10
     persona_profile_path: Optional[str] = None
     output_dir: str = "out"
     exclude_bots: bool = False
     bot_deny_list: tuple[str, ...] = ()
-    reference_date: Optional[str] = None
     unmatched_distance: float = DEFAULT_UNMATCHED_DISTANCE
     upset_min_fraction: float = 0.0
 
     def __post_init__(self):
-        if bool(self.archive_path) == self.live:
-            raise DataValidationError(
-                "exactly one data source required: archive_path or live"
-            )
+        if not self.archive_path:
+            raise DataValidationError("archive_path is required")
 
     def config_hash(self) -> str:
         """Digest of the analysis-relevant settings (output location excluded)."""
@@ -113,10 +100,8 @@ def cluster_and_label(
         initial = ClusterLabels(labels=tuple(0 for _ in range(n)), k=1) if n else \
             ClusterLabels(labels=(), k=0)
         sub = tuple(0 for _ in range(n))
-        assignments = [
-            a for a in _assign_by_centroid(vectors, initial.labels, sub,
-                                           profiles, unmatched_distance)
-        ]
+        assignments = _assign_by_centroid(vectors, initial.labels, sub,
+                                          profiles, unmatched_distance)
         return initial, sub, assignments, {"initial_k": max(initial.k, 0),
                                            "scores": {}, "sub_k": {}}
 
@@ -164,7 +149,9 @@ def _assign_by_centroid(vectors, initial_labels, sub_labels, profiles,
     return assignments
 
 
-def _stats_block(vectors: list[MetricVector], initial: ClusterLabels) -> dict:
+def stats_block(vectors: list[MetricVector], initial: ClusterLabels) -> dict:
+    """PCA and feature importance (n >= 2), plus per-feature ANOVA and Tukey
+    HSD when there are two or more clusters of at least two members each."""
     rows = _feature_matrix(vectors)
     block: dict = {"pca": None, "feature_importance": None, "anova": {},
                    "tukey": {}}
@@ -221,41 +208,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.live:
-        raise DataValidationError(
-            "live mining requires the fetch subcommand; run_pipeline consumes archives"
-        )
     sets = load_archive(cfg.archive_path)
-
-    deny = frozenset(cfg.bot_deny_list)
-    individuals: list[RepoIndividual] = []
-    vectors: list[MetricVector] = []
-    classifications = []
-    for iset in sorted(sets, key=lambda s: str(s.repo)):
-        repo_individuals, totals = build_repo_individuals(iset, bot_deny_list=deny)
-        if cfg.exclude_bots:
-            kept = [i for i in repo_individuals if not i.is_bot_flagged]
-            if len(kept) != len(repo_individuals):
-                # totals must reflect the kept population only
-                bots = frozenset(i.login for i in repo_individuals if i.is_bot_flagged)
-                filtered = InteractionSet(
-                    repo=iset.repo,
-                    events=tuple(ev for ev in iset.events if ev.actor not in bots),
-                    fetched_at=iset.fetched_at,
-                    incomplete=iset.incomplete,
-                )
-                repo_individuals, totals = build_repo_individuals(filtered,
-                                                                  bot_deny_list=deny)
-        individuals.extend(repo_individuals)
-        vectors.extend(assemble_metric_vectors(repo_individuals, totals))
-        for ev in iset.events:
-            if ev.kind == InteractionKind.COMMIT_CREATED:
-                classifications.append(
-                    classify_commit(ev.subject_id, str(iset.repo), ev.payload)
-                )
-
+    individuals, vectors = metric_table(sets, exclude_bots=cfg.exclude_bots,
+                                        bot_deny_list=frozenset(cfg.bot_deny_list))
     write_metrics_csv(vectors, out / "metrics.csv")
-    write_classification_csv(classifications, out / "classification.csv")
+    write_classification_csv(classify_archive(sets), out / "classification.csv")
 
     profiles = load_profiles(cfg.persona_profile_path)
     initial, sub_labels, assignments, diagnostics = cluster_and_label(
@@ -277,14 +234,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         diagnostics["interactivity_levels"] = ranking.levels if ranking.standard \
             else None
 
-    if vectors:
-        dendro = agglomerate(_feature_matrix(vectors)) if len(vectors) > 1 else \
-            agglomerate([vectors[0].features()])
-        dendro.save_json(out / "dendrogram.json")
-    else:
-        (out / "dendrogram.json").write_text(
-            json.dumps({"n_leaves": 0, "merges": []}, indent=2) + "\n", "utf-8"
-        )
+    dendro = agglomerate(_feature_matrix(vectors)) if vectors else \
+        Dendrogram(n_leaves=0, merges=())
+    dendro.save_json(out / "dendrogram.json")
 
     write_labels_csv(
         [(v.repo, v.login, initial.labels[i] if initial.labels else 0,
@@ -294,8 +246,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     )
     write_personas_csv(assignments, out / "personas.csv")
 
-    stats_block = _stats_block(vectors, initial) if len(vectors) >= 2 else {
-        "pca": None, "feature_importance": None, "anova": {}, "tukey": {}}
     stats_obj = {"format": "persona-miner-stats", "version": 1,
                  "diagnostics": {
                      "initial_k": diagnostics.get("initial_k", 0),
@@ -308,7 +258,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                          (diagnostics.get("interactivity_levels") or {}).items()
                      },
                  },
-                 **stats_block}
+                 **stats_block(vectors, initial)}
     (out / "stats.json").write_text(
         json.dumps(stats_obj, indent=2, sort_keys=True) + "\n", "utf-8"
     )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +48,52 @@ def test_metrics_subcommand(runner, fixture_archive_path, tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert len(rows) > 0
     assert "rc_commits_created" in rows[0]
+
+
+def test_metrics_exclude_bots_matches_run(runner, fixture_archive_path, tmp_path):
+    out = tmp_path / "metrics.csv"
+    _invoke(runner, ["metrics", "--archive", str(fixture_archive_path),
+                     "--exclude-bots", "--output", str(out)])
+    _invoke(runner, ["run", "--archive", str(fixture_archive_path), "--exclude-bots",
+                     "--output-dir", str(tmp_path / "run")])
+    assert "[bot]" not in out.read_text()
+    assert out.read_bytes() == (tmp_path / "run" / "metrics.csv").read_bytes()
+
+
+# sha256 of the fixture run's outputs; stats.json and dendrogram.json are left
+# out because their floats may differ in the last bits across numpy builds
+GOLDEN_RUN_DIGESTS = {
+    False: {
+        "metrics.csv": "5fa19f43ad6bef874c81dbfa482ded4dfaf2adcbf70cda62e372723e123af166",
+        "classification.csv":
+            "d0304d5f744655600c097a5bd51a76cd0449bb34ea5c9ec1cbcb0ba17bb3d015",
+        "labels.csv": "b1562ba596aa79bda15fa8d031893a194fbda6c2e131a5b1804aa3dc6e34a361",
+        "totals.csv": "cded6f15e8ad5396d44584643a1571f0345cf7de89674691f867a05c6c4997e4",
+        "upset.json": "08342c312efcd004019497e2603b01aa815c46dcf044ce8f13fa1aa6f6c2f6d5",
+        "composition.csv":
+            "e4d4e0d125d70ba7d6d6b3d56feb1319b1dccaa635675bcdb81b5e7bb40cf343",
+    },
+    True: {
+        "metrics.csv": "cd733052ad9295b863eb1a891f5532378520b11816085afd99a1ac33026d2768",
+        "classification.csv":
+            "d0304d5f744655600c097a5bd51a76cd0449bb34ea5c9ec1cbcb0ba17bb3d015",
+        "labels.csv": "6a4c301ae6b6a0b1b0f85081899c439a5d799ea44be0e1d700300fee7cc2aeca",
+        "totals.csv": "eec57b6f73bca145d99882f8adfe4d8ccc4a753a955579da5fdb94acf74141e1",
+        "upset.json": "cdf0318d7e7f1b123282b384062c92e0caa1b5d72e0034dfebc4dfad2e5f51e2",
+        "composition.csv":
+            "c59a4fd9d473e8ed15258bca2fd8431ded08496ae8c171b3e3e4da9ec1504547",
+    },
+}
+
+
+@pytest.mark.parametrize("exclude_bots", [False, True], ids=["all", "exclude-bots"])
+def test_run_golden_digests(runner, fixture_archive_path, tmp_path, exclude_bots):
+    out = tmp_path / "out"
+    _invoke(runner, ["run", "--archive", str(fixture_archive_path), "--output-dir",
+                     str(out), *(["--exclude-bots"] if exclude_bots else [])])
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_RUN_DIGESTS[exclude_bots]}
+    assert digests == GOLDEN_RUN_DIGESTS[exclude_bots]
 
 
 def test_classify_subcommand(runner, fixture_archive_path, tmp_path):
@@ -181,10 +228,12 @@ def test_run_unparseable_config_exit_2(runner, tmp_path):
 
 def test_run_unknown_config_key_exit_2(runner, fixture_archive_path, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
-                               "bogus_key": 1}))
-    result = runner.invoke(main, ["run", "--config", str(cfg)])
-    assert result.exit_code == 2
+    for key, value in (("bogus_key", 1), ("fraction", 0.5),
+                       ("reference_date", "2024-01-01"), ("live", True)):
+        cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
+                                   key: value}))
+        result = runner.invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 2, key
 
 
 def test_run_missing_archive_is_nonzero(runner, tmp_path):

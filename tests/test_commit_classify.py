@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from persona_miner.commit_classify import (
     DevelopmentType,
     SizeClass,
     SizeThresholds,
+    classify_archive,
     classify_commit,
     classify_files,
     classify_message,
@@ -20,7 +22,13 @@ from persona_miner.commit_classify import (
     write_classification_csv,
 )
 from persona_miner.errors import ConfigError, DataValidationError
-from persona_miner.models import CommitPayload
+from persona_miner.models import (
+    CommitPayload,
+    InteractionEvent,
+    InteractionKind,
+    InteractionSet,
+    RepoSlug,
+)
 
 D = DevelopmentType
 
@@ -182,3 +190,28 @@ def test_classification_csv(tmp_path):
     assert lines[0] == "sha,repo,dev_type,size_class,activity_type"
     assert lines[1] == "a1,o/r,CorrectiveEngineering,Tiny,code"
     assert lines[2] == "a2,o/r,Unclassified,payload-absent,unknown"
+
+
+def test_classify_archive_takes_commits_in_repo_order():
+    t = datetime(2023, 1, 1, tzinfo=timezone.utc)
+
+    def repo_set(name, events):
+        repo = RepoSlug("org", name)
+        return InteractionSet(repo=repo, fetched_at=t, events=tuple(
+            InteractionEvent(repo=repo, actor="ada", kind=kind, timestamp=t,
+                             subject_id=sid,
+                             payload=CommitPayload(message="fix x", changed_files=("a.py",))
+                             if kind is InteractionKind.COMMIT_CREATED else None)
+            for sid, kind in events))
+
+    sets = [
+        repo_set("zeta", [("z1", InteractionKind.COMMIT_CREATED),
+                          ("7", InteractionKind.ISSUE_CREATED)]),
+        repo_set("alpha", [("a2", InteractionKind.COMMIT_CREATED),
+                           ("pr1", InteractionKind.PR_CREATED),
+                           ("a1", InteractionKind.COMMIT_CREATED)]),
+    ]
+    rows = classify_archive(sets)
+    assert [(r.repo, r.sha) for r in rows] == [
+        ("org/alpha", "a2"), ("org/alpha", "a1"), ("org/zeta", "z1")]
+    assert rows[0] == classify_commit("a2", "org/alpha", sets[1].events[0].payload)

@@ -15,7 +15,9 @@ from persona_miner.metrics import (
     compute_pct_interaction_days,
     compute_rc,
     compute_uit,
+    metric_table,
     read_metrics_csv,
+    repo_totals,
     write_metrics_csv,
 )
 from persona_miner.models import (
@@ -212,3 +214,55 @@ def test_metrics_csv_round_trip(tmp_path, fixture_archive_path):
     path = tmp_path / "metrics.csv"
     write_metrics_csv(vectors, path)
     assert read_metrics_csv(path) == vectors
+
+
+def _events(repo, spec):
+    """spec: (actor, kind, day) triples -> events in one repo."""
+    return [InteractionEvent(repo=repo, actor=actor, kind=kind,
+                             timestamp=T0 + timedelta(days=day, hours=i),
+                             subject_id=f"{actor}-{i}")
+            for i, (actor, kind, day) in enumerate(spec)]
+
+
+def _bot_filtered_route(sets, deny):
+    """Reference: re-tally each repo from its events minus the bots' events."""
+    individuals, vectors = [], []
+    for iset in sorted(sets, key=lambda s: str(s.repo)):
+        first, _ = build_repo_individuals(iset, deny)
+        bots = {i.login for i in first if i.is_bot_flagged}
+        kept = _set([ev for ev in iset.events if ev.actor not in bots], repo=iset.repo)
+        repo_individuals, totals = build_repo_individuals(kept, deny)
+        individuals.extend(repo_individuals)
+        vectors.extend(assemble_metric_vectors(repo_individuals, totals))
+    return individuals, vectors
+
+
+def test_metric_table_matches_bot_filtered_route():
+    mixed, all_bots, denied = (RepoSlug("org", "mixed"), RepoSlug("org", "allbots"),
+                               RepoSlug("org", "denied"))
+    sets = [
+        _set(_events(mixed, [("ada", K.COMMIT_CREATED, 0), ("ada", K.PR_CREATED, 1),
+                             ("bob", K.COMMIT_CREATED, 1), ("bob", K.ISSUE_CLOSED, 2),
+                             ("dependabot[bot]", K.PR_CREATED, 0),
+                             ("dependabot[bot]", K.COMMIT_CREATED, 3)]), repo=mixed),
+        _set(_events(all_bots, [("ci[bot]", K.COMMIT_CREATED, 0),
+                                ("renovate[bot]", K.PR_CREATED, 2)]), repo=all_bots),
+        _set(_events(denied, [("cy", K.ISSUE_CREATED, 0), ("cy", K.ISSUE_ASSIGNED, 4),
+                              ("releaser", K.PR_CLOSED, 0),
+                              ("releaser", K.ISSUE_CLOSED, 5)]), repo=denied),
+    ]
+    deny = frozenset({"releaser"})
+    individuals, vectors = metric_table(sets, exclude_bots=True, bot_deny_list=deny)
+    assert (individuals, vectors) == _bot_filtered_route(sets, deny)
+    assert [(str(v.repo), v.login) for v in vectors] == [
+        ("org/denied", "cy"), ("org/mixed", "ada"), ("org/mixed", "bob")]
+    # a repo of bots only leaves no rows and zero totals
+    assert metric_table(sets[1:2], exclude_bots=True) == ([], [])
+    empty = repo_totals(all_bots, [])
+    assert set(empty.totals.values()) == {0}
+    assert empty.sum_interactions == empty.sum_individual_interaction_days == 0
+    # without exclude_bots every row stays and the deny list only flags
+    individuals, vectors = metric_table(sets, bot_deny_list=deny)
+    assert len(vectors) == 7
+    assert {v.login for v in vectors if v.is_bot_flagged} == {
+        "ci[bot]", "dependabot[bot]", "releaser", "renovate[bot]"}

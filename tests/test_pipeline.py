@@ -66,8 +66,6 @@ def test_exclude_bots_shrinks_population(fixture_archive_path, tmp_path):
 def test_config_source_validation():
     with pytest.raises(DataValidationError):
         RunConfig()  # no source
-    with pytest.raises(DataValidationError):
-        RunConfig(archive_path="x.jsonl", live=True)  # two sources
 
 
 def test_config_hash_tracks_settings(fixture_archive_path):
