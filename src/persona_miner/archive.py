@@ -2,16 +2,20 @@
 
 Format: JSON Lines. The first line is a header object
 ``{"format": "persona-miner-archive", "version": 1}``; each following line is
-either a repo marker or an event. Round-trips are exact field-for-field.
+either a repo marker or an event. A marker's events are the event lines that
+follow it up to the next marker: each must carry the marker's ``"repo"``
+string, and their number must equal the marker's ``n_events``. Round-trips
+are exact field-for-field.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Union
 
-from .errors import ArchiveFormatError
+from .errors import ArchiveFormatError, DataValidationError
 from .models import (
     CommitPayload,
     InteractionEvent,
@@ -26,10 +30,10 @@ ARCHIVE_FORMAT = "persona-miner-archive"
 ARCHIVE_VERSION = 1
 
 
-def _event_to_obj(ev: InteractionEvent) -> dict:
+def _event_to_obj(repo: str, ev: InteractionEvent) -> dict:
     obj = {
         "type": "event",
-        "repo": str(ev.repo),
+        "repo": repo,
         "actor": ev.actor,
         "kind": ev.kind.value,
         "timestamp": isoformat_utc(ev.timestamp),
@@ -45,13 +49,12 @@ def _event_to_obj(ev: InteractionEvent) -> dict:
 
 def _event_from_obj(obj: dict) -> InteractionEvent:
     payload = None
-    if "payload" in obj and obj["payload"] is not None:
+    if obj.get("payload") is not None:
         payload = CommitPayload(
             message=obj["payload"]["message"],
             changed_files=tuple(obj["payload"]["changed_files"]),
         )
     return InteractionEvent(
-        repo=RepoSlug.parse(obj["repo"]),
         actor=obj["actor"],
         kind=InteractionKind(obj["kind"]),
         timestamp=parse_utc(obj["timestamp"]),
@@ -77,15 +80,16 @@ def save_archive(sets: list[InteractionSet], path: Union[str, Path]) -> None:
             fh.write(json.dumps(marker))
             fh.write("\n")
             for ev in iset.events:
-                fh.write(json.dumps(_event_to_obj(ev)))
+                fh.write(json.dumps(_event_to_obj(marker["repo"], ev)))
                 fh.write("\n")
 
 
 def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
     """Load an archive written by :func:`save_archive`.
 
-    Raises :class:`ArchiveFormatError` on a missing/unknown header or a
-    structurally invalid body.
+    Raises :class:`ArchiveFormatError` on a missing/unknown header, and with
+    the ``path:line`` at fault on a malformed line, an event whose repo is
+    not its marker's, or a repo whose event count is not its ``n_events``.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -104,39 +108,55 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
             )
 
         sets: list[InteractionSet] = []
-        current: dict | None = None
+        head: InteractionSet | None = None  # the open repo's set, without events
+        marker_at, repo, n_events = 0, "", 0  # its marker's line and fields
         events: list[InteractionEvent] = []
 
-        def flush():
-            if current is not None:
-                sets.append(
-                    InteractionSet(
-                        repo=RepoSlug.parse(current["repo"]),
-                        events=tuple(events),
-                        fetched_at=parse_utc(current["fetched_at"]),
-                        incomplete=bool(current.get("incomplete", False)),
-                    )
+        def close_repo():
+            if head is None:
+                return
+            if len(events) != n_events:
+                raise ArchiveFormatError(
+                    f"{path}:{marker_at}: repo {repo} has {len(events)} events, "
+                    f"but its marker says n_events={n_events!r}"
                 )
+            sets.append(replace(head, events=tuple(events)))
 
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ArchiveFormatError(f"{path}:{lineno}: unparseable line") from exc
-            kind = obj.get("type")
-            if kind == "repo":
-                flush()
-                current = obj
-                events = []
-            elif kind == "event":
-                if current is None:
-                    raise ArchiveFormatError(
-                        f"{path}:{lineno}: event before any repo marker"
+                kind = obj.get("type")
+                if kind == "repo":
+                    close_repo()
+                    marker_at, repo, n_events = lineno, obj["repo"], obj["n_events"]
+                    events = []
+                    head = InteractionSet(
+                        repo=RepoSlug.parse(repo),
+                        events=(),
+                        fetched_at=parse_utc(obj["fetched_at"]),
+                        incomplete=bool(obj.get("incomplete", False)),
                     )
-                events.append(_event_from_obj(obj))
-            else:
-                raise ArchiveFormatError(f"{path}:{lineno}: unknown line type {kind!r}")
-        flush()
+                elif kind == "event":
+                    if head is None:
+                        raise ArchiveFormatError(
+                            f"{path}:{lineno}: event before any repo marker"
+                        )
+                    if obj["repo"] != repo:
+                        raise ArchiveFormatError(
+                            f"{path}:{lineno}: event repo {obj['repo']!r} does not "
+                            f"match its marker's {repo!r}"
+                        )
+                    events.append(_event_from_obj(obj))
+                else:
+                    raise ArchiveFormatError(
+                        f"{path}:{lineno}: unknown line type {kind!r}"
+                    )
+            except (AttributeError, KeyError, TypeError, ValueError,
+                    DataValidationError) as exc:
+                raise ArchiveFormatError(
+                    f"{path}:{lineno}: malformed line ({type(exc).__name__}: {exc})"
+                ) from exc
+        close_repo()
     return sets

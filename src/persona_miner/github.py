@@ -165,28 +165,17 @@ class GitHubClient:
             sha = commit["sha"]
             message = commit.get("commit", {}).get("message", "")
             changed: tuple[str, ...] = ()
-            payload_present = False
             if fetch_files:
                 detail = self.transport.get(self._repo_url(slug, "commits", sha))
                 if detail.status < 400 and detail.body:
-                    files = detail.body.get("files")
-                    if files is not None:
-                        seen = []
-                        for f in files:
-                            p = f.get("filename")
-                            if p and p not in seen:
-                                seen.append(p)
-                        changed = tuple(seen)
-                        payload_present = True
-            payload = CommitPayload(message=message, changed_files=changed) \
-                if (payload_present or message) else CommitPayload(message=message)
+                    names = (f.get("filename") for f in detail.body.get("files") or ())
+                    changed = tuple(p for p in dict.fromkeys(names) if p)
             yield InteractionEvent(
-                repo=slug,
                 actor=actor,
                 kind=InteractionKind.COMMIT_CREATED,
                 timestamp=parse_utc(commit["commit"]["author"]["date"]),
                 subject_id=sha,
-                payload=payload,
+                payload=CommitPayload(message=message, changed_files=changed),
             )
 
     def _issue_events(self, slug: RepoSlug) -> Iterator[InteractionEvent]:
@@ -198,7 +187,6 @@ class GitHubClient:
             user = (issue.get("user") or {}).get("login")
             if user:
                 yield InteractionEvent(
-                    repo=slug,
                     actor=user,
                     kind=InteractionKind.ISSUE_CREATED,
                     timestamp=parse_utc(issue["created_at"]),
@@ -213,7 +201,6 @@ class GitHubClient:
                     if assignee and assignee not in assigned_pairs:
                         assigned_pairs.add(assignee)
                         yield InteractionEvent(
-                            repo=slug,
                             actor=assignee,
                             kind=InteractionKind.ISSUE_ASSIGNED,
                             timestamp=parse_utc(ev["created_at"]),
@@ -224,7 +211,6 @@ class GitHubClient:
                     if closer:
                         closed_emitted = True
                         yield InteractionEvent(
-                            repo=slug,
                             actor=closer,
                             kind=InteractionKind.ISSUE_CLOSED,
                             timestamp=parse_utc(ev["created_at"]),
@@ -237,7 +223,6 @@ class GitHubClient:
             user = (pr.get("user") or {}).get("login")
             if user:
                 yield InteractionEvent(
-                    repo=slug,
                     actor=user,
                     kind=InteractionKind.PR_CREATED,
                     timestamp=parse_utc(pr["created_at"]),
@@ -247,7 +232,6 @@ class GitHubClient:
                 closer = self._pr_closer(slug, pr, number) or user
                 if closer:
                     yield InteractionEvent(
-                        repo=slug,
                         actor=closer,
                         kind=InteractionKind.PR_CLOSED,
                         timestamp=parse_utc(pr["closed_at"]),

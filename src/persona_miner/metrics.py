@@ -197,11 +197,6 @@ def compute_net_created_closed(rc_created: float, rc_closed: float) -> float:
     return rc_created - rc_closed
 
 
-def compute_net_pr_balance(v: MetricVector) -> float:
-    """Derived, reported but never clustered: created minus closed PR share."""
-    return v.rc_prs_created - v.rc_prs_closed
-
-
 def assemble_metric_vectors(individuals: list[RepoIndividual],
                             totals: RepoTotals) -> list[MetricVector]:
     """Compute the ten-feature vector for every individual of one repo."""

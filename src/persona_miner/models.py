@@ -105,9 +105,9 @@ class CommitPayload:
 
 @dataclass(frozen=True)
 class InteractionEvent:
-    """One timestamped actor/repo interaction of one of the six kinds."""
+    """One timestamped actor interaction of one of the six kinds; its
+    repository is the enclosing :class:`InteractionSet`'s."""
 
-    repo: RepoSlug
     actor: str
     kind: InteractionKind
     timestamp: datetime
@@ -129,13 +129,6 @@ class InteractionSet:
     events: tuple[InteractionEvent, ...]
     fetched_at: datetime
     incomplete: bool = False
-
-    def __post_init__(self):
-        for ev in self.events:
-            if ev.repo != self.repo:
-                raise DataValidationError(
-                    f"event repo {ev.repo} does not match set repo {self.repo}"
-                )
 
 
 def parse_utc(text: str) -> datetime:

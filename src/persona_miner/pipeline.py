@@ -21,7 +21,7 @@ from . import __version__
 from .archive import load_archive
 from .cluster import ClusterLabels, Dendrogram, agglomerate, cut, select_k, subcluster
 from .commit_classify import classify_archive, write_classification_csv
-from .errors import DataValidationError
+from .errors import ConfigError, DataValidationError
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
 from .personas import (
     DEFAULT_UNMATCHED_DISTANCE,
@@ -45,6 +45,11 @@ from .stats import feature_importance, one_way_anova, pca, tukey_hsd
 logger = logging.getLogger(__name__)
 
 
+# RunConfig fields a JSON config file could give a value of the wrong type
+_JSON_TYPES = {"seed": int, "k_min": int, "k_max": int, "exclude_bots": bool,
+               "unmatched_distance": float, "upset_min_fraction": float}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     archive_path: Optional[str] = None
@@ -59,6 +64,12 @@ class RunConfig:
     upset_min_fraction: float = 0.0
 
     def __post_init__(self):
+        for name, want in _JSON_TYPES.items():
+            value = getattr(self, name)  # exact types: a bool is no int here
+            if type(value) is not want and not (want is float and type(value) is int):
+                raise ConfigError(f"run configuration {name!r} must be "
+                                  f"{'a number' if want is float else want.__name__}, "
+                                  f"not {value!r}")
         if not self.archive_path:
             raise DataValidationError("archive_path is required")
 
@@ -102,7 +113,7 @@ def cluster_and_label(
         sub = tuple(0 for _ in range(n))
         assignments = _assign_by_centroid(vectors, initial.labels, sub,
                                           profiles, unmatched_distance)
-        return initial, sub, assignments, {"initial_k": max(initial.k, 0),
+        return initial, sub, assignments, {"initial_k": initial.k,
                                            "scores": {}, "sub_k": {}}
 
     k_best, scores = select_k(rows, k_min=k_min, k_max=k_max)
@@ -239,8 +250,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     dendro.save_json(out / "dendrogram.json")
 
     write_labels_csv(
-        [(v.repo, v.login, initial.labels[i] if initial.labels else 0,
-          sub_labels[i] if sub_labels else 0)
+        [(v.repo, v.login, initial.labels[i], sub_labels[i])
          for i, v in enumerate(vectors)],
         out / "labels.csv",
     )
@@ -248,11 +258,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     stats_obj = {"format": "persona-miner-stats", "version": 1,
                  "diagnostics": {
-                     "initial_k": diagnostics.get("initial_k", 0),
+                     "initial_k": diagnostics["initial_k"],
                      "ch_scores": {str(k): v for k, v in
-                                   diagnostics.get("scores", {}).items()},
-                     "sub_k": {str(k): v for k, v in
-                               diagnostics.get("sub_k", {}).items()},
+                                   diagnostics["scores"].items()},
+                     "sub_k": {str(k): v for k, v in diagnostics["sub_k"].items()},
                      "interactivity_levels": {
                          str(k): v for k, v in
                          (diagnostics.get("interactivity_levels") or {}).items()
@@ -267,9 +276,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     write_totals_csv(totals_map, out / "totals.csv")
     write_upset_json(upset_counts(individuals, cfg.upset_min_fraction),
                      out / "upset.json")
-    comp_rows, mixed_fraction = composition(
-        list(zip(individuals, initial.labels if initial.labels else []))
-    )
+    comp_rows, mixed_fraction = composition(list(zip(individuals, initial.labels)))
     write_composition_csv(comp_rows, mixed_fraction, out / "composition.csv")
 
     persona_counts: dict[str, int] = {}
@@ -284,7 +291,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "seed": cfg.seed,
         "config_hash": cfg.config_hash(),
         "n_individuals": len(vectors),
-        "initial_k": diagnostics.get("initial_k", 0),
+        "initial_k": diagnostics["initial_k"],
         "persona_counts": dict(sorted(persona_counts.items())),
         "started_at": started_at.isoformat(),
         "finished_at": datetime.now(timezone.utc).isoformat(),
@@ -296,6 +303,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     return PipelineResult(
         output_dir=out,
         n_individuals=len(vectors),
-        initial_k=diagnostics.get("initial_k", 0),
+        initial_k=diagnostics["initial_k"],
         persona_counts=persona_counts,
     )

@@ -63,8 +63,7 @@ _slugs = st.sampled_from([RepoSlug("org", "alpha"), RepoSlug("org", "beta")])
 
 
 @st.composite
-def interaction_events(draw, repo=None):
-    repo = repo or draw(_slugs)
+def interaction_events(draw):
     kind = draw(st.sampled_from(ALL_KINDS))
     ts = datetime(2023, 1, 1, tzinfo=timezone.utc) + timedelta(
         hours=draw(st.integers(min_value=0, max_value=24 * 600))
@@ -81,7 +80,6 @@ def interaction_events(draw, repo=None):
             ),
         )
     return InteractionEvent(
-        repo=repo,
         actor=draw(_logins),
         kind=kind,
         timestamp=ts,
@@ -93,11 +91,9 @@ def interaction_events(draw, repo=None):
 
 @st.composite
 def interaction_sets(draw):
-    repo = draw(_slugs)
-    events = tuple(draw(st.lists(interaction_events(repo=repo), max_size=20)))
     return InteractionSet(
-        repo=repo,
-        events=events,
+        repo=draw(_slugs),
+        events=tuple(draw(st.lists(interaction_events(), max_size=20))),
         fetched_at=datetime(2024, 1, 1, tzinfo=timezone.utc),
         incomplete=draw(st.booleans()),
     )

@@ -147,13 +147,13 @@ def _generated_repo(rng: random.Random, idx: int) -> InteractionSet:
             for _ in range(rng.randint(0, 3)):
                 serial += 1
                 events.append(InteractionEvent(
-                    repo=repo, actor=f"user{actor_idx}", kind=kind,
+                    actor=f"user{actor_idx}", kind=kind,
                     timestamp=t0 + timedelta(hours=rng.randint(0, 8000)),
                     subject_id=f"s{serial}",
                 ))
     if not events:
         events.append(InteractionEvent(
-            repo=repo, actor="user0", kind=InteractionKind.COMMIT_CREATED,
+            actor="user0", kind=InteractionKind.COMMIT_CREATED,
             timestamp=t0, subject_id="s0",
         ))
     return InteractionSet(repo=repo, events=tuple(events),

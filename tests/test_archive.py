@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,12 @@ def test_fixture_round_trip(fixture_archive_path, tmp_path):
     out = tmp_path / "copy.jsonl"
     save_archive(sets, out)
     assert load_archive(out) == sets
+
+
+def test_fixture_save_is_byte_identical(fixture_archive_path, tmp_path):
+    out = tmp_path / "copy.jsonl"
+    save_archive(load_archive(fixture_archive_path), out)
+    assert out.read_bytes() == fixture_archive_path.read_bytes()
 
 
 @given(sets=st.lists(interaction_sets(), max_size=4))
@@ -53,4 +60,49 @@ def test_empty_file_rejected(tmp_path):
     bad = tmp_path / "empty.jsonl"
     bad.write_text("")
     with pytest.raises(ArchiveFormatError):
+        load_archive(bad)
+
+
+def _without(key):
+    def edit(obj):
+        del obj[key]
+        return json.dumps(obj)
+    return edit
+
+
+def _with(key, value):
+    return lambda obj: json.dumps({**obj, key: value})
+
+
+@pytest.mark.parametrize("index, edit, reason", [
+    (2, _without("actor"), "KeyError: 'actor'"),
+    (2, _with("kind", "Starred"), "'Starred' is not a valid InteractionKind"),
+    (2, lambda obj: "[1, 2]", "AttributeError"),
+    (2, _with("timestamp", "last tuesday"), "last tuesday"),
+    (1, _without("repo"), "KeyError: 'repo'"),
+    (2, _with("repo", "astro-lab/other"),
+     "event repo 'astro-lab/other' does not match its marker's 'astro-lab/spectra'"),
+], ids=["event-without-actor", "unknown-kind", "not-an-object", "bad-timestamp",
+        "marker-without-repo", "event-repo-mismatch"])
+def test_bad_line_rejected_with_its_line_number(fixture_archive_path, tmp_path,
+                                                index, edit, reason):
+    lines = fixture_archive_path.read_text().splitlines()
+    lines[index] = edit(json.loads(lines[index]))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ArchiveFormatError) as info:
+        load_archive(bad)
+    assert str(info.value).startswith(f"{bad}:{index + 1}: ")
+    assert reason in str(info.value)
+
+
+def test_truncated_archive_rejected(fixture_archive_path, tmp_path):
+    lines = fixture_archive_path.read_text().splitlines()
+    marker_at = max(i for i, line in enumerate(lines) if '"type": "repo"' in line)
+    n_events = json.loads(lines[marker_at])["n_events"]
+    bad = tmp_path / "cut.jsonl"
+    bad.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ArchiveFormatError, match=re.escape(
+            f"{bad}:{marker_at + 1}: repo bio-team/seqkit has {n_events - 1} "
+            f"events, but its marker says n_events={n_events}")):
         load_archive(bad)

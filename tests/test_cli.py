@@ -229,7 +229,12 @@ def test_run_unparseable_config_exit_2(runner, tmp_path):
 def test_run_unknown_config_key_exit_2(runner, fixture_archive_path, tmp_path):
     cfg = tmp_path / "cfg.json"
     for key, value in (("bogus_key", 1), ("fraction", 0.5),
-                       ("reference_date", "2024-01-01"), ("live", True)):
+                       ("reference_date", "2024-01-01"), ("live", True),
+                       # known keys with values of the wrong JSON type
+                       ("exclude_bots", "false"), ("exclude_bots", 0),
+                       ("seed", "7"), ("seed", True), ("k_min", 2.0),
+                       ("k_max", None), ("unmatched_distance", "20"),
+                       ("upset_min_fraction", False)):
         cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
                                    key: value}))
         result = runner.invoke(main, ["run", "--config", str(cfg)])
@@ -248,13 +253,18 @@ def test_run_missing_archive_is_nonzero(runner, tmp_path):
     assert result.exit_code == 4
 
 
-def test_bad_archive_exit_4(runner, tmp_path):
+def test_bad_archive_exit_4(runner, fixture_archive_path, tmp_path):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"format": "something-else", "version": 1}\n')
     out = tmp_path / "m.csv"
-    result = runner.invoke(main, ["metrics", "--archive", str(bad),
-                                  "--output", str(out)])
-    assert result.exit_code == 4
+    lines = fixture_archive_path.read_text().splitlines()
+    no_actor = json.loads(lines[2])
+    del no_actor["actor"]
+    for text in ('{"format": "something-else", "version": 1}\n',
+                 "\n".join([*lines[:2], json.dumps(no_actor), *lines[3:]]) + "\n"):
+        bad.write_text(text)
+        result = runner.invoke(main, ["metrics", "--archive", str(bad),
+                                      "--output", str(out)])
+        assert result.exit_code == 4
 
 
 def test_cluster_too_few_rows_exit_4(runner, tmp_path):

@@ -196,9 +196,8 @@ def test_classify_archive_takes_commits_in_repo_order():
     t = datetime(2023, 1, 1, tzinfo=timezone.utc)
 
     def repo_set(name, events):
-        repo = RepoSlug("org", name)
-        return InteractionSet(repo=repo, fetched_at=t, events=tuple(
-            InteractionEvent(repo=repo, actor="ada", kind=kind, timestamp=t,
+        return InteractionSet(repo=RepoSlug("org", name), fetched_at=t, events=tuple(
+            InteractionEvent(actor="ada", kind=kind, timestamp=t,
                              subject_id=sid,
                              payload=CommitPayload(message="fix x", changed_files=("a.py",))
                              if kind is InteractionKind.COMMIT_CREATED else None)

@@ -1,7 +1,7 @@
 from datetime import datetime, timezone
 
 from persona_miner.github import GitHubClient
-from persona_miner.models import InteractionKind, RepoSlug, Visibility
+from persona_miner.models import CommitPayload, InteractionKind, RepoSlug, Visibility
 from persona_miner.transport import Response
 
 from conftest import FakeTransport, paged
@@ -79,12 +79,15 @@ def _issue(number, login, created="2023-01-02T00:00:00Z", pr=False):
 
 
 def test_fetch_interactions_commit_and_issue_lifecycle():
-    # 1 commit, 1 issue opened and closed by the same user -> 3 events, 2 kinds
+    # 2 commits, 1 issue opened and closed by the same user -> 4 events, 3 kinds
     transport = FakeTransport({
-        f"{BASE}/commits": paged([_commit("abc1", login="ada")]),
+        f"{BASE}/commits": paged([_commit("abc1", login="ada"),
+                                  _commit("abc2", login="ada", message="wip")]),
         f"{BASE}/commits/abc1": {
-            "files": [{"filename": "src/a.py"}, {"filename": "README.md"}]
+            "files": [{"filename": "src/a.py"}, {"filename": "README.md"},
+                      {"filename": "src/a.py"}, {"status": "removed"}]
         },
+        f"{BASE}/commits/abc2": {"sha": "abc2"},  # detail without a files list
         f"{BASE}/issues": paged([_issue(7, "ada")]),
         f"{BASE}/issues/7/events": paged([
             {"event": "closed", "actor": {"login": "ada"},
@@ -93,13 +96,14 @@ def test_fetch_interactions_commit_and_issue_lifecycle():
         f"{BASE}/pulls": paged([]),
     })
     iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
-    assert len(iset.events) == 3
+    assert len(iset.events) == 4
     kinds = {e.kind for e in iset.events if e.actor == "ada"}
     assert kinds == {InteractionKind.COMMIT_CREATED, InteractionKind.ISSUE_CREATED,
                      InteractionKind.ISSUE_CLOSED}
-    commit = next(e for e in iset.events
-                  if e.kind == InteractionKind.COMMIT_CREATED)
-    assert commit.payload.changed_files == ("src/a.py", "README.md")
+    commits = [e.payload for e in iset.events
+               if e.kind == InteractionKind.COMMIT_CREATED]
+    assert commits == [CommitPayload("msg", ("src/a.py", "README.md")),
+                       CommitPayload("wip", ())]
     assert not iset.incomplete
 
 

@@ -35,7 +35,7 @@ FETCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def _ev(actor, kind, hours=0, subject="s1"):
-    return InteractionEvent(repo=REPO, actor=actor, kind=kind,
+    return InteractionEvent(actor=actor, kind=kind,
                             timestamp=T0 + timedelta(hours=hours),
                             subject_id=subject)
 
@@ -63,10 +63,8 @@ def test_single_commit_individual():
 
 def test_same_login_two_repos_two_individuals():
     r1, r2 = RepoSlug("org", "r1"), RepoSlug("org", "r2")
-    s1 = _set([InteractionEvent(repo=r1, actor="ada", kind=K.COMMIT_CREATED,
-                                timestamp=T0, subject_id="a")], repo=r1)
-    s2 = _set([InteractionEvent(repo=r2, actor="ada", kind=K.COMMIT_CREATED,
-                                timestamp=T0, subject_id="b")], repo=r2)
+    s1 = _set([_ev("ada", K.COMMIT_CREATED, subject="a")], repo=r1)
+    s2 = _set([_ev("ada", K.COMMIT_CREATED, subject="b")], repo=r2)
     i1, _ = build_repo_individuals(s1)
     i2, _ = build_repo_individuals(s2)
     assert i1[0].repo != i2[0].repo
@@ -175,14 +173,13 @@ def make_random_repo(rng: random.Random, repo_idx: int) -> InteractionSet:
             for _ in range(rng.randint(0, 4)):
                 subject += 1
                 events.append(InteractionEvent(
-                    repo=repo, actor=actor, kind=kind,
+                    actor=actor, kind=kind,
                     timestamp=T0 + timedelta(hours=rng.randint(0, 5000)),
                     subject_id=f"s{subject}",
                 ))
     if not events:
-        events.append(InteractionEvent(repo=repo, actor="user0",
-                                       kind=K.COMMIT_CREATED, timestamp=T0,
-                                       subject_id="s0"))
+        events.append(InteractionEvent(actor="user0", kind=K.COMMIT_CREATED,
+                                       timestamp=T0, subject_id="s0"))
     return InteractionSet(repo=repo, events=tuple(events), fetched_at=FETCH)
 
 
@@ -216,9 +213,9 @@ def test_metrics_csv_round_trip(tmp_path, fixture_archive_path):
     assert read_metrics_csv(path) == vectors
 
 
-def _events(repo, spec):
+def _events(spec):
     """spec: (actor, kind, day) triples -> events in one repo."""
-    return [InteractionEvent(repo=repo, actor=actor, kind=kind,
+    return [InteractionEvent(actor=actor, kind=kind,
                              timestamp=T0 + timedelta(days=day, hours=i),
                              subject_id=f"{actor}-{i}")
             for i, (actor, kind, day) in enumerate(spec)]
@@ -241,15 +238,15 @@ def test_metric_table_matches_bot_filtered_route():
     mixed, all_bots, denied = (RepoSlug("org", "mixed"), RepoSlug("org", "allbots"),
                                RepoSlug("org", "denied"))
     sets = [
-        _set(_events(mixed, [("ada", K.COMMIT_CREATED, 0), ("ada", K.PR_CREATED, 1),
-                             ("bob", K.COMMIT_CREATED, 1), ("bob", K.ISSUE_CLOSED, 2),
-                             ("dependabot[bot]", K.PR_CREATED, 0),
-                             ("dependabot[bot]", K.COMMIT_CREATED, 3)]), repo=mixed),
-        _set(_events(all_bots, [("ci[bot]", K.COMMIT_CREATED, 0),
-                                ("renovate[bot]", K.PR_CREATED, 2)]), repo=all_bots),
-        _set(_events(denied, [("cy", K.ISSUE_CREATED, 0), ("cy", K.ISSUE_ASSIGNED, 4),
-                              ("releaser", K.PR_CLOSED, 0),
-                              ("releaser", K.ISSUE_CLOSED, 5)]), repo=denied),
+        _set(_events([("ada", K.COMMIT_CREATED, 0), ("ada", K.PR_CREATED, 1),
+                      ("bob", K.COMMIT_CREATED, 1), ("bob", K.ISSUE_CLOSED, 2),
+                      ("dependabot[bot]", K.PR_CREATED, 0),
+                      ("dependabot[bot]", K.COMMIT_CREATED, 3)]), repo=mixed),
+        _set(_events([("ci[bot]", K.COMMIT_CREATED, 0),
+                      ("renovate[bot]", K.PR_CREATED, 2)]), repo=all_bots),
+        _set(_events([("cy", K.ISSUE_CREATED, 0), ("cy", K.ISSUE_ASSIGNED, 4),
+                      ("releaser", K.PR_CLOSED, 0),
+                      ("releaser", K.ISSUE_CLOSED, 5)]), repo=denied),
     ]
     deny = frozenset({"releaser"})
     individuals, vectors = metric_table(sets, exclude_bots=True, bot_deny_list=deny)

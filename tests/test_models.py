@@ -8,7 +8,6 @@ from persona_miner.models import (
     CommitPayload,
     InteractionEvent,
     InteractionKind,
-    InteractionSet,
     RepoSlug,
     isoformat_utc,
     parse_utc,
@@ -39,7 +38,7 @@ def test_six_interaction_kinds():
 def test_event_requires_tz_aware_timestamp():
     with pytest.raises(DataValidationError):
         InteractionEvent(
-            repo=RepoSlug("o", "r"), actor="ada",
+            actor="ada",
             kind=InteractionKind.COMMIT_CREATED,
             timestamp=datetime(2023, 1, 1),  # naive
             subject_id="sha",
@@ -49,7 +48,7 @@ def test_event_requires_tz_aware_timestamp():
 def test_event_requires_subject():
     with pytest.raises(DataValidationError):
         InteractionEvent(
-            repo=RepoSlug("o", "r"), actor="ada",
+            actor="ada",
             kind=InteractionKind.COMMIT_CREATED,
             timestamp=datetime(2023, 1, 1, tzinfo=timezone.utc),
             subject_id="",
@@ -59,17 +58,6 @@ def test_event_requires_subject():
 def test_commit_payload_rejects_duplicate_files():
     with pytest.raises(DataValidationError):
         CommitPayload(message="m", changed_files=("a.py", "a.py"))
-
-
-def test_interaction_set_same_repo_invariant():
-    ev = InteractionEvent(
-        repo=RepoSlug("other", "repo"), actor="ada",
-        kind=InteractionKind.COMMIT_CREATED,
-        timestamp=datetime(2023, 1, 1, tzinfo=timezone.utc), subject_id="s",
-    )
-    with pytest.raises(DataValidationError):
-        InteractionSet(repo=RepoSlug("o", "r"), events=(ev,),
-                       fetched_at=datetime(2024, 1, 1, tzinfo=timezone.utc))
 
 
 def test_parse_utc_round_trip():
