@@ -29,6 +29,10 @@ from .models import (
 ARCHIVE_FORMAT = "persona-miner-archive"
 ARCHIVE_VERSION = 1
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
+_KINDS = {kind.value: kind for kind in InteractionKind}
+
 
 def _event_to_obj(repo: str, ev: InteractionEvent) -> dict:
     obj = {
@@ -48,15 +52,20 @@ def _event_to_obj(repo: str, ev: InteractionEvent) -> dict:
 
 
 def _event_from_obj(obj: dict) -> InteractionEvent:
-    payload = None
-    if obj.get("payload") is not None:
+    payload = obj.get("payload")
+    if payload is not None:
         payload = CommitPayload(
-            message=obj["payload"]["message"],
-            changed_files=tuple(obj["payload"]["changed_files"]),
+            message=payload["message"],
+            changed_files=tuple(payload["changed_files"]),
         )
+    actor, value = obj["actor"], obj["kind"]
+    try:
+        kind = _KINDS[value]
+    except (KeyError, TypeError):
+        kind = InteractionKind(value)  # raises the enum's ValueError
     return InteractionEvent(
-        actor=obj["actor"],
-        kind=InteractionKind(obj["kind"]),
+        actor=actor,
+        kind=kind,
         timestamp=parse_utc(obj["timestamp"]),
         subject_id=obj["subject_id"],
         payload=payload,
@@ -123,10 +132,14 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
             sets.append(replace(head, events=tuple(events)))
 
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            text = line.strip(_JSON_WHITESPACE)
+            if not text or text.isspace():  # blank, as line.strip() would say
                 continue
             try:
-                obj = json.loads(line)
+                # json.loads(line), which strips the same whitespace first
+                obj, end = _raw_decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
                 kind = obj.get("type")
                 if kind == "repo":
                     close_repo()

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .archive import load_archive, save_archive
 from .cluster import agglomerate, cut, select_k
@@ -200,6 +199,8 @@ def classify(archive_path: str, output_path: str):
 def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
             dendrogram_output: str | None):
     """Cluster metric vectors and emit labels (and optionally the merge tree)."""
+    import numpy as np
+
     vectors = read_metrics_csv(metrics_path)
     if len(vectors) < 3:
         _fail(EXIT_DATA, "clustering needs at least 3 metric rows")

@@ -23,11 +23,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import DataValidationError
+
+if TYPE_CHECKING:  # numpy is imported where it is used, keeping it off CLI start
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ class ClusterLabels:
 
 
 def _validate_rows(vectors) -> np.ndarray:
+    import numpy as np
+
     rows = np.asarray(vectors, dtype=float)
     if rows.ndim == 1:
         rows = rows.reshape(-1, 1)
@@ -77,6 +80,8 @@ def _squared_distances(rows: np.ndarray) -> np.ndarray:
     entry equals the one a single n*n*d tensor would give, bit for bit, while
     the temporary stays near _BLOCK_ELEMENTS floats.
     """
+    import numpy as np
+
     n, d = rows.shape
     d2 = np.empty((n, n))
     step = max(1, _BLOCK_ELEMENTS // max(n * d, 1))
@@ -88,6 +93,8 @@ def _squared_distances(rows: np.ndarray) -> np.ndarray:
 
 def agglomerate(vectors) -> Dendrogram:
     """Build the full Ward merge tree for the given rows."""
+    import numpy as np
+
     rows = _validate_rows(vectors)
     n = rows.shape[0]
     if n < 1:
@@ -184,6 +191,8 @@ def cut(dendrogram: Dendrogram, k: int) -> ClusterLabels:
 
 def ch_index(vectors, labels: ClusterLabels) -> float:
     """Calinski-Harabasz score; zero within-cluster scatter reports +inf."""
+    import numpy as np
+
     rows = _validate_rows(vectors)
     n = rows.shape[0]
     k = labels.k
@@ -239,6 +248,8 @@ class SubclusterResult:
 def subcluster(vectors, parent_labels: ClusterLabels, parent_id: int,
                k_min: int = 2, k_max: int = 10) -> SubclusterResult:
     """Re-cluster the rows of one parent cluster; tiny parents are unsplittable."""
+    import numpy as np
+
     rows = _validate_rows(vectors)
     mask = np.asarray(parent_labels.labels) == parent_id
     members = rows[mask]

@@ -135,14 +135,12 @@ def classify_message(message: str,
     if not text:
         return DevelopmentType.UNCLASSIFIED
     first_word = text.split()[0]
-    haystack = text if table.match_anywhere else first_word
     for dev_type, stems in table.stems:
-        for stem in stems:
-            if table.match_anywhere:
-                if stem in haystack:
-                    return dev_type
-            elif first_word.startswith(stem):
+        if table.match_anywhere:
+            if any(stem in text for stem in stems):
                 return dev_type
+        elif first_word.startswith(stems):
+            return dev_type
     return DevelopmentType.UNCLASSIFIED
 
 

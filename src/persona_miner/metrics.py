@@ -129,11 +129,12 @@ def build_repo_individuals(
     counts: dict[str, dict[InteractionKind, int]] = {}
     dates: dict[str, set[date]] = {}
     for ev in iset.events:
-        actor_counts = counts.setdefault(ev.actor, {k: 0 for k in ALL_KINDS})
+        actor_counts = counts.get(ev.actor)
+        if actor_counts is None:
+            actor_counts = counts[ev.actor] = dict.fromkeys(ALL_KINDS, 0)
+            dates[ev.actor] = set()
         actor_counts[ev.kind] += 1
-        dates.setdefault(ev.actor, set()).add(
-            ev.timestamp.astimezone(timezone.utc).date()
-        )
+        dates[ev.actor].add(ev.timestamp.astimezone(timezone.utc).date())
 
     individuals = [
         RepoIndividual(

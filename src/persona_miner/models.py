@@ -91,7 +91,7 @@ class RepoSummary:
             raise DataValidationError("unique_committers must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitPayload:
     """Commit message and changed paths attached to a CommitCreated event."""
 
@@ -103,7 +103,7 @@ class CommitPayload:
             raise DataValidationError("changed_files must not contain duplicates")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionEvent:
     """One timestamped actor interaction of one of the six kinds; its
     repository is the enclosing :class:`InteractionSet`'s."""
@@ -115,6 +115,9 @@ class InteractionEvent:
     payload: Optional[CommitPayload] = None
 
     def __post_init__(self):
+        if not isinstance(self.actor, str) or not self.actor:
+            raise DataValidationError(
+                f"actor must be a non-empty string, not {self.actor!r}")
         if not self.subject_id:
             raise DataValidationError("subject_id must be non-empty")
         if self.timestamp.tzinfo is None:

@@ -13,9 +13,7 @@ import logging
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .archive import load_archive
@@ -41,6 +39,9 @@ from .report import (
     write_upset_json,
 )
 from .stats import feature_importance, one_way_anova, pca, tukey_hsd
+
+if TYPE_CHECKING:  # numpy is imported where it is used, keeping it off CLI start
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +71,11 @@ class RunConfig:
                 raise ConfigError(f"run configuration {name!r} must be "
                                   f"{'a number' if want is float else want.__name__}, "
                                   f"not {value!r}")
+        deny = self.bot_deny_list
+        if not isinstance(deny, (list, tuple)) or \
+                not all(isinstance(login, str) for login in deny):
+            raise ConfigError("run configuration 'bot_deny_list' must be a list of "
+                              f"strings, not {deny!r}")
         if not self.archive_path:
             raise DataValidationError("archive_path is required")
 
@@ -90,6 +96,8 @@ class PipelineResult:
 
 
 def _feature_matrix(vectors: list[MetricVector]) -> np.ndarray:
+    import numpy as np
+
     return np.asarray([v.features() for v in vectors], dtype=float)
 
 
@@ -137,6 +145,8 @@ def cluster_and_label(
 
 def _assign_by_centroid(vectors, initial_labels, sub_labels, profiles,
                         unmatched_distance) -> list[PersonaAssignment]:
+    import numpy as np
+
     groups: dict[tuple[int, int], list[int]] = {}
     for idx, (c, s) in enumerate(zip(initial_labels, sub_labels)):
         groups.setdefault((c, s), []).append(idx)
@@ -215,6 +225,8 @@ def stats_block(vectors: list[MetricVector], initial: ClusterLabels) -> dict:
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Execute all stages in order and write every report file."""
+    import numpy as np
+
     started_at = datetime.now(timezone.utc)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import ConfigError
 from .metrics import MetricVector, compute_mrc
 from .models import RepoSlug
@@ -68,6 +66,8 @@ def generate(specs: Sequence[ArchetypeSpec], seed: int,
     share-style features have no reference values, so they reuse the mrc as
     a consistent stand-in.
     """
+    import numpy as np
+
     if not specs:
         raise ConfigError("specs must be non-empty")
     rng = np.random.default_rng(seed)

@@ -5,39 +5,57 @@ studentized range CDF is R's ``ptukey`` method (Copenhaver & Holland 1988):
 fixed 16-point Gauss-Legendre nodes on 8 equal panels of z in [-8.5, 8.5]
 for the range of k normals, and on 16 equal panels of t = log u for the
 scaled-chi pooled standard deviation u, one path for every df. It agrees
-with a 4x finer rule within 1e-10 (k <= 20, df 2..99999). ``scipy.special``
-is imported inside the functions that use it, keeping scipy off CLI start.
+with a 4x finer rule within 1e-10 (k <= 20, df 2..99999). numpy and
+``scipy.special`` are imported inside the functions that use them, and the
+fixed nodes are built on first use, so neither is loaded at CLI start:
+``--help`` and the ``metrics``, ``classify`` and ``report`` commands never
+load them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DataValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # p-values below this are indistinguishable from zero and reported as 0.0
 P_CLAMP = 1e-300
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+@functools.cache
+def _legendre16():
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _gauss_legendre(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 16-point rule on equal panels of [lo, hi]."""
+    import numpy as np
+
+    gl_nodes, gl_weights = _legendre16()
     half = (hi - lo) / (2 * panels)
     mids = lo + half * (2 * np.arange(panels) + 1)
-    nodes = (mids[:, None] + half * _GL_NODES).ravel()
-    return nodes, np.tile(half * _GL_WEIGHTS, panels)
+    nodes = (mids[:, None] + half * gl_nodes).ravel()
+    return nodes, np.tile(half * gl_weights, panels)
 
 
-# z grid for the range of k standard normals: phi(z)*w and Phi(z) per node
-_Z, _Z_WEIGHTS = _gauss_legendre(-8.5, 8.5, 8)
-_PHI_W = _Z_WEIGHTS * np.exp(-0.5 * _Z * _Z) / math.sqrt(2.0 * math.pi)
-_CDF_Z = np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in _Z])
+@functools.cache
+def _z_grid():
+    """z nodes for the range of k standard normals, with phi(z)*w and Phi(z)."""
+    import numpy as np
+
+    z, z_weights = _gauss_legendre(-8.5, 8.5, 8)
+    phi_w = z_weights * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    cdf_z = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z])
+    return z, phi_w, cdf_z
 
 
 @dataclass(frozen=True)
@@ -83,6 +101,8 @@ def pca(rows, n_components: int) -> PCAResult:
     Sign convention: the largest-magnitude loading of each component is made
     positive so results reproduce across platforms.
     """
+    import numpy as np
+
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DataValidationError("PCA needs a 2-d array with at least 2 rows")
@@ -129,6 +149,8 @@ def feature_importance(result: PCAResult,
 
 
 def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    import numpy as np
+
     if len(groups) < 2:
         raise DataValidationError("need at least 2 groups")
     arrays = [np.asarray(g, dtype=float) for g in groups]
@@ -181,6 +203,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     Integrates the normal-range CDF against the scaled-chi density of the
     pooled standard deviation u, over t = log u, on fixed nodes.
     """
+    import numpy as np
     from scipy.special import ndtr
 
     if q <= 0:
@@ -192,8 +215,9 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
         - (df / 2.0 - 1.0) * math.log(2.0)
     density = t_weights * np.exp(log_norm + df * t - df * np.exp(2.0 * t) / 2.0)
     # normal-range CDF at r = q*u for every u node, over the z nodes
-    spread = _CDF_Z - ndtr(_Z - q * np.exp(t)[:, None])
-    range_cdf = k * (spread ** (k - 1) @ _PHI_W)
+    z, phi_w, cdf_z = _z_grid()
+    spread = cdf_z - ndtr(z - q * np.exp(t)[:, None])
+    range_cdf = k * (spread ** (k - 1) @ phi_w)
     return min(1.0, float(range_cdf @ density))
 
 

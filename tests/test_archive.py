@@ -76,14 +76,17 @@ def _with(key, value):
 
 @pytest.mark.parametrize("index, edit, reason", [
     (2, _without("actor"), "KeyError: 'actor'"),
+    (2, _with("actor", None), "actor must be a non-empty string, not None"),
+    (2, _with("actor", ""), "actor must be a non-empty string, not ''"),
+    (2, _with("actor", 5), "actor must be a non-empty string, not 5"),
     (2, _with("kind", "Starred"), "'Starred' is not a valid InteractionKind"),
     (2, lambda obj: "[1, 2]", "AttributeError"),
     (2, _with("timestamp", "last tuesday"), "last tuesday"),
     (1, _without("repo"), "KeyError: 'repo'"),
     (2, _with("repo", "astro-lab/other"),
      "event repo 'astro-lab/other' does not match its marker's 'astro-lab/spectra'"),
-], ids=["event-without-actor", "unknown-kind", "not-an-object", "bad-timestamp",
-        "marker-without-repo", "event-repo-mismatch"])
+], ids=["event-without-actor", "null-actor", "empty-actor", "int-actor", "unknown-kind",
+        "not-an-object", "bad-timestamp", "marker-without-repo", "event-repo-mismatch"])
 def test_bad_line_rejected_with_its_line_number(fixture_archive_path, tmp_path,
                                                 index, edit, reason):
     lines = fixture_archive_path.read_text().splitlines()
@@ -94,6 +97,36 @@ def test_bad_line_rejected_with_its_line_number(fixture_archive_path, tmp_path,
         load_archive(bad)
     assert str(info.value).startswith(f"{bad}:{index + 1}: ")
     assert reason in str(info.value)
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["marker", "event"])
+@pytest.mark.parametrize("edit", [
+    lambda line: line + " x",
+    lambda line: line + line,
+    lambda line: line + ", " + line,
+    lambda line: "\ufeff" + line,
+], ids=["trailing-garbage", "two-objects", "two-objects-comma", "bom-prefixed"])
+def test_line_that_json_loads_rejects_is_rejected(fixture_archive_path, tmp_path,
+                                                  index, edit):
+    lines = fixture_archive_path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(lines[index])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArchiveFormatError) as info:
+        load_archive(bad)
+    assert str(info.value).startswith(f"{bad}:{index + 1}: malformed line ")
+
+
+def test_whitespace_padded_lines_load(fixture_archive_path, tmp_path):
+    lines = fixture_archive_path.read_text().splitlines()
+    lines[1] = " \t" + lines[1] + "\t "
+    lines[2] = "\t\t" + lines[2] + "   "
+    lines.insert(3, " \t ")
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("\n".join(lines) + "\n")
+    assert load_archive(padded) == load_archive(fixture_archive_path)
 
 
 def test_truncated_archive_rejected(fixture_archive_path, tmp_path):

@@ -40,6 +40,23 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy():
+    src = str(Path(persona_miner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    layers = ("archive", "metrics", "commit_classify", "cluster", "pipeline",
+              "personas", "stats", "report")
+    code = ("import json, sys, persona_miner.cli; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'), "
+            f"[m for m in {layers!r} if 'persona_miner.' + m not in sys.modules]]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    numpy_modules, missing_layers = json.loads(proc.stdout)
+    assert numpy_modules == []
+    # perfbench's tracer wraps the layer functions it finds in sys.modules right
+    # after importing the cli, so the cli must keep importing every layer
+    assert missing_layers == []
+
+
 def test_metrics_subcommand(runner, fixture_archive_path, tmp_path):
     out = tmp_path / "metrics.csv"
     result = _invoke(runner, ["metrics", "--archive", str(fixture_archive_path),
@@ -234,11 +251,19 @@ def test_run_unknown_config_key_exit_2(runner, fixture_archive_path, tmp_path):
                        ("exclude_bots", "false"), ("exclude_bots", 0),
                        ("seed", "7"), ("seed", True), ("k_min", 2.0),
                        ("k_max", None), ("unmatched_distance", "20"),
-                       ("upset_min_fraction", False)):
+                       ("upset_min_fraction", False), ("bot_deny_list", "ada"),
+                       ("bot_deny_list", ["ada", 1])):
         cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
                                    key: value}))
         result = runner.invoke(main, ["run", "--config", str(cfg)])
         assert result.exit_code == 2, key
+    # a list of logins is still taken
+    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
+                               "exclude_bots": True, "bot_deny_list": ["ada"],
+                               "output_dir": str(tmp_path / "out")}))
+    result = _invoke(runner, ["run", "--config", str(cfg)])
+    assert result.exit_code == 0
+    assert "pipeline complete: 9 individuals" in result.output
 
 
 def test_run_missing_archive_is_nonzero(runner, tmp_path):
@@ -259,8 +284,10 @@ def test_bad_archive_exit_4(runner, fixture_archive_path, tmp_path):
     lines = fixture_archive_path.read_text().splitlines()
     no_actor = json.loads(lines[2])
     del no_actor["actor"]
+    null_actor = {**no_actor, "actor": None}
     for text in ('{"format": "something-else", "version": 1}\n',
-                 "\n".join([*lines[:2], json.dumps(no_actor), *lines[3:]]) + "\n"):
+                 "\n".join([*lines[:2], json.dumps(no_actor), *lines[3:]]) + "\n",
+                 "\n".join([*lines[:2], json.dumps(null_actor), *lines[3:]]) + "\n"):
         bad.write_text(text)
         result = runner.invoke(main, ["metrics", "--archive", str(bad),
                                       "--output", str(out)])
