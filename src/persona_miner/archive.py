@@ -54,10 +54,13 @@ def _event_to_obj(repo: str, ev: InteractionEvent) -> dict:
 def _event_from_obj(obj: dict) -> InteractionEvent:
     payload = obj.get("payload")
     if payload is not None:
-        payload = CommitPayload(
-            message=payload["message"],
-            changed_files=tuple(payload["changed_files"]),
-        )
+        message, files = payload["message"], payload["changed_files"]
+        if not isinstance(message, str):
+            raise DataValidationError(f"commit message must be a string, not {message!r}")
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise DataValidationError(
+                f"changed_files must be a list of strings, not {files!r}")
+        payload = CommitPayload(message=message, changed_files=tuple(files))
     actor, value = obj["actor"], obj["kind"]
     try:
         kind = _KINDS[value]

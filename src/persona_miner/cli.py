@@ -17,12 +17,10 @@ from pathlib import Path
 import click
 
 from .archive import load_archive, save_archive
-from .cluster import agglomerate, cut, select_k
+from .cluster import ClusterLabels, agglomerate, cut, select_k
 from .commit_classify import classify_archive, write_classification_csv
 from .errors import (
-    ArchiveFormatError,
     ConfigError,
-    DataValidationError,
     PersonaMinerError,
     RateBudgetError,
     RetryableFetchError,
@@ -31,17 +29,8 @@ from .github import GitHubClient
 from .metrics import metric_table, read_metrics_csv, write_metrics_csv
 from .models import RepoSlug, parse_utc
 from .personas import assign_persona, load_profiles, write_personas_csv
-from .pipeline import RunConfig, run_pipeline
-from .report import (
-    composition,
-    interaction_totals,
-    read_labels_csv,
-    upset_counts,
-    write_composition_csv,
-    write_labels_csv,
-    write_totals_csv,
-    write_upset_json,
-)
+from .pipeline import RunConfig, feature_matrix, run_pipeline, write_stats_json
+from .report import read_labels_csv, write_labels_csv, write_reports
 from .sampling import (
     CriteriaConfig,
     apply_inclusion_criteria,
@@ -74,8 +63,6 @@ def _guard(fn):
             _fail(EXIT_CONFIG, str(exc))
         except (RetryableFetchError, RateBudgetError) as exc:
             _fail(EXIT_NETWORK, str(exc))
-        except (ArchiveFormatError, DataValidationError) as exc:
-            _fail(EXIT_DATA, str(exc))
         except PersonaMinerError as exc:
             _fail(EXIT_DATA, str(exc))
 
@@ -199,12 +186,10 @@ def classify(archive_path: str, output_path: str):
 def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
             dendrogram_output: str | None):
     """Cluster metric vectors and emit labels (and optionally the merge tree)."""
-    import numpy as np
-
     vectors = read_metrics_csv(metrics_path)
     if len(vectors) < 3:
         _fail(EXIT_DATA, "clustering needs at least 3 metric rows")
-    rows = np.asarray([v.features() for v in vectors])
+    rows = feature_matrix(vectors)
     k_best, _scores = select_k(rows, k_min=k_min, k_max=k_max)
     dendro = agglomerate(rows)
     labels = cut(dendro, k_best)
@@ -224,22 +209,10 @@ def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
 @_guard
 def analyze(metrics_path: str, labels_path: str, output_path: str):
     """Validate a clustering: PCA, feature importance, per-feature ANOVA/Tukey."""
-    from .cluster import ClusterLabels
-    from .pipeline import stats_block
-
     vectors = read_metrics_csv(metrics_path)
-    labels_by_key = read_labels_csv(labels_path)
-    try:
-        raw = [labels_by_key[(str(v.repo), v.login)] for v in vectors]
-    except KeyError as exc:
-        raise DataValidationError(f"no cluster label for individual {exc}") from exc
-    k = (max(raw) + 1) if raw else 0
-    initial = ClusterLabels(labels=tuple(raw), k=k)
-    block = stats_block(vectors, initial)
-    obj = {"format": "persona-miner-stats", "version": 1, **block}
-    Path(output_path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    labels = read_labels_csv(labels_path, vectors)
+    initial = ClusterLabels(labels=labels, k=max(labels) + 1 if labels else 0)
+    write_stats_json(feature_matrix(vectors), initial.members(), output_path)
     click.echo(f"analysis written to {output_path}")
 
 
@@ -267,16 +240,9 @@ def report(archive_path: str, labels_path: str | None, output_dir: str):
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     individuals, _vectors = metric_table(load_archive(archive_path))
-    write_totals_csv(interaction_totals(individuals), out / "totals.csv")
-    write_upset_json(upset_counts(individuals), out / "upset.json")
-
-    labels_by_key = read_labels_csv(labels_path) if labels_path else {}
-    pairs = [
-        (ind, labels_by_key.get((str(ind.repo), ind.login), 0))
-        for ind in individuals
-    ]
-    rows, fraction = composition(pairs)
-    write_composition_csv(rows, fraction, out / "composition.csv")
+    labels = read_labels_csv(labels_path, individuals) if labels_path else \
+        (0,) * len(individuals)
+    write_reports(individuals, labels, out)
     click.echo(f"reports written to {out}")
 
 

@@ -58,6 +58,13 @@ class ClusterLabels:
         if present and (present != set(range(self.k))):
             raise DataValidationError("labels must cover 0..k-1 with no empty cluster")
 
+    def members(self) -> list[list[int]]:
+        """Row indices of each cluster, indexed by cluster id."""
+        groups: list[list[int]] = [[] for _ in range(self.k)]
+        for idx, label in enumerate(self.labels):
+            groups[label].append(idx)
+        return groups
+
 
 def _validate_rows(vectors) -> np.ndarray:
     import numpy as np

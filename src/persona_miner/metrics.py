@@ -32,15 +32,6 @@ FEATURE_NAMES: tuple[str, ...] = (
     "pct_interaction_days",
 )
 
-_RC_KIND_ORDER: tuple[InteractionKind, ...] = (
-    InteractionKind.COMMIT_CREATED,
-    InteractionKind.ISSUE_CREATED,
-    InteractionKind.ISSUE_CLOSED,
-    InteractionKind.ISSUE_ASSIGNED,
-    InteractionKind.PR_CREATED,
-    InteractionKind.PR_CLOSED,
-)
-
 
 @dataclass(frozen=True)
 class RepoIndividual:
@@ -208,7 +199,7 @@ def assemble_metric_vectors(individuals: list[RepoIndividual],
                 f"individual repo {ind.repo} does not match totals repo {totals.repo}"
             )
         rcs = tuple(
-            compute_rc(ind.counts[k], totals.totals[k]) for k in _RC_KIND_ORDER
+            compute_rc(ind.counts[k], totals.totals[k]) for k in ALL_KINDS
         )
         vectors.append(MetricVector(
             rc_commits_created=rcs[0],

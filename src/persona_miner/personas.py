@@ -71,34 +71,23 @@ def load_profiles(path: Optional[Union[str, Path]] = None) -> tuple[PersonaProfi
 DEFAULT_PROFILES = load_profiles()
 
 
-@dataclass(frozen=True)
-class InteractivityRanking:
-    """Cluster-to-level mapping; non-3-way clusterings carry raw ranks only."""
-
-    standard: bool
-    levels: Optional[dict[int, str]]  # cluster id -> Low/Moderate/High
-    ranks: dict[int, int]  # cluster id -> ascending-MRC rank
-
-
 def order_clusters_by_interactivity(
     cluster_mean_mrcs: dict[int, float],
     cluster_sizes: Optional[dict[int, int]] = None,
-) -> InteractivityRanking:
+) -> Optional[dict[int, str]]:
     """Map ascending mean MRC onto Low < Moderate < High for exactly 3 clusters.
 
-    Ties break by cluster size descending. Any other k yields a nonstandard
-    result carrying raw ranks instead of named levels.
+    Ties break by cluster size descending. Any other number of clusters has
+    no standard levels and yields None.
     """
+    if len(cluster_mean_mrcs) != 3:
+        return None
     sizes = cluster_sizes or {}
     ordered = sorted(
         cluster_mean_mrcs,
         key=lambda c: (cluster_mean_mrcs[c], -sizes.get(c, 0), c),
     )
-    ranks = {c: i for i, c in enumerate(ordered)}
-    if len(ordered) != 3:
-        return InteractivityRanking(standard=False, levels=None, ranks=ranks)
-    levels = {c: INTERACTIVITY_LEVELS[i] for i, c in enumerate(ordered)}
-    return InteractivityRanking(standard=True, levels=levels, ranks=ranks)
+    return {c: INTERACTIVITY_LEVELS[i] for i, c in enumerate(ordered)}
 
 
 def _distance(a: Sequence[float], b: Sequence[float]) -> float:

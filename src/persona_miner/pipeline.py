@@ -13,7 +13,7 @@ import logging
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import __version__
 from .archive import load_archive
@@ -29,15 +29,7 @@ from .personas import (
     label_subcluster,
     write_personas_csv,
 )
-from .report import (
-    composition,
-    interaction_totals,
-    upset_counts,
-    write_composition_csv,
-    write_labels_csv,
-    write_totals_csv,
-    write_upset_json,
-)
+from .report import write_labels_csv, write_reports
 from .stats import feature_importance, one_way_anova, pca, tukey_hsd
 
 if TYPE_CHECKING:  # numpy is imported where it is used, keeping it off CLI start
@@ -95,7 +87,8 @@ class PipelineResult:
     persona_counts: dict[str, int] = field(default_factory=dict)
 
 
-def _feature_matrix(vectors: list[MetricVector]) -> np.ndarray:
+def feature_matrix(vectors: list[MetricVector]) -> np.ndarray:
+    """The ten clustering features of every vector, one row each."""
     import numpy as np
 
     return np.asarray([v.features() for v in vectors], dtype=float)
@@ -107,19 +100,21 @@ def cluster_and_label(
     k_min: int = 2,
     k_max: int = 10,
     unmatched_distance: float = DEFAULT_UNMATCHED_DISTANCE,
+    rows: Optional[np.ndarray] = None,
 ):
     """Cluster, sub-cluster, and label sub-cluster centroids with personas.
 
     Returns (initial_labels, sub_labels, assignments, diagnostics). Inputs
     are percentages already; no standardization is applied before clustering.
+    ``rows`` is ``feature_matrix(vectors)``, for a caller that has it already.
     """
-    rows = _feature_matrix(vectors)
-    n = rows.shape[0]
+    if rows is None:
+        rows = feature_matrix(vectors)
+    n = len(vectors)
     if n < 3:
-        initial = ClusterLabels(labels=tuple(0 for _ in range(n)), k=1) if n else \
-            ClusterLabels(labels=(), k=0)
-        sub = tuple(0 for _ in range(n))
-        assignments = _assign_by_centroid(vectors, initial.labels, sub,
+        initial = ClusterLabels(labels=(0,) * n, k=1 if n else 0)
+        sub = (0,) * n
+        assignments = _assign_by_centroid(vectors, rows, initial.labels, sub,
                                           profiles, unmatched_distance)
         return initial, sub, assignments, {"initial_k": initial.k,
                                            "scores": {}, "sub_k": {}}
@@ -130,34 +125,29 @@ def cluster_and_label(
 
     sub_labels = [0] * n
     sub_k: dict[int, int] = {}
-    for parent in range(k_best):
+    for parent, members in enumerate(initial.members()):
         result = subcluster(rows, initial, parent, k_min=k_min, k_max=k_max)
-        member_idx = [i for i, lab in enumerate(initial.labels) if lab == parent]
-        for local, global_idx in enumerate(member_idx):
-            sub_labels[global_idx] = result.labels[local] if result.splittable else 0
-        sub_k[parent] = result.k if result.splittable else 1
+        for local, global_idx in enumerate(members):
+            sub_labels[global_idx] = result.labels[local]
+        sub_k[parent] = result.k
 
-    assignments = _assign_by_centroid(vectors, initial.labels, tuple(sub_labels),
+    assignments = _assign_by_centroid(vectors, rows, initial.labels, tuple(sub_labels),
                                       profiles, unmatched_distance)
     diagnostics = {"initial_k": k_best, "scores": scores, "sub_k": sub_k}
     return initial, tuple(sub_labels), assignments, diagnostics
 
 
-def _assign_by_centroid(vectors, initial_labels, sub_labels, profiles,
+def _assign_by_centroid(vectors, rows, initial_labels, sub_labels, profiles,
                         unmatched_distance) -> list[PersonaAssignment]:
-    import numpy as np
-
     groups: dict[tuple[int, int], list[int]] = {}
-    for idx, (c, s) in enumerate(zip(initial_labels, sub_labels)):
-        groups.setdefault((c, s), []).append(idx)
+    for idx, path in enumerate(zip(initial_labels, sub_labels)):
+        groups.setdefault(path, []).append(idx)
 
-    labels_by_group: dict[tuple[int, int], tuple[str, float]] = {}
-    for path, members in groups.items():
-        centroid = np.mean([vectors[i].rc_values() for i in members], axis=0)
-        labels_by_group[path] = label_subcluster(
-            tuple(float(x) for x in centroid), profiles,
-            max_distance=unmatched_distance,
-        )
+    labels_by_group = {
+        path: label_subcluster(tuple(float(x) for x in rows[members, :6].mean(axis=0)),
+                               profiles, max_distance=unmatched_distance)
+        for path, members in groups.items()
+    }
 
     assignments = []
     for idx, v in enumerate(vectors):
@@ -170,10 +160,12 @@ def _assign_by_centroid(vectors, initial_labels, sub_labels, profiles,
     return assignments
 
 
-def stats_block(vectors: list[MetricVector], initial: ClusterLabels) -> dict:
+def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
     """PCA and feature importance (n >= 2), plus per-feature ANOVA and Tukey
-    HSD when there are two or more clusters of at least two members each."""
-    rows = _feature_matrix(vectors)
+    HSD when there are two or more clusters of at least two members each.
+
+    ``members[c]`` lists the row indices of cluster c.
+    """
     block: dict = {"pca": None, "feature_importance": None, "anova": {},
                    "tukey": {}}
     if rows.shape[0] >= 2:
@@ -189,18 +181,9 @@ def stats_block(vectors: list[MetricVector], initial: ClusterLabels) -> dict:
             for ranking in fi.rankings
         ]
 
-    by_cluster: dict[int, list[int]] = {}
-    for idx, lab in enumerate(initial.labels):
-        by_cluster.setdefault(lab, []).append(idx)
-    groups_ok = len(by_cluster) >= 2 and all(
-        len(m) >= 2 for m in by_cluster.values()
-    )
-    if groups_ok:
+    if len(members) >= 2 and all(len(m) >= 2 for m in members):
         for f_idx, name in enumerate(FEATURE_NAMES):
-            groups = [
-                [rows[i, f_idx] for i in members]
-                for _, members in sorted(by_cluster.items())
-            ]
+            groups = [[rows[i, f_idx] for i in m] for m in members]
             anova = one_way_anova(groups)
             block["anova"][name] = {
                 "f_statistic": anova.f_statistic,
@@ -223,10 +206,18 @@ def stats_block(vectors: list[MetricVector], initial: ClusterLabels) -> dict:
     return block
 
 
+def write_stats_json(rows: np.ndarray, members: list[list[int]],
+                     path: Union[str, Path], diagnostics: Optional[dict] = None) -> None:
+    """Write stats.json: :func:`stats_block`, plus ``run``'s clustering
+    diagnostics when given."""
+    obj = {"format": "persona-miner-stats", "version": 1, **stats_block(rows, members)}
+    if diagnostics is not None:
+        obj["diagnostics"] = diagnostics
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", "utf-8")
+
+
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Execute all stages in order and write every report file."""
-    import numpy as np
-
     started_at = datetime.now(timezone.utc)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,27 +229,14 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     write_classification_csv(classify_archive(sets), out / "classification.csv")
 
     profiles = load_profiles(cfg.persona_profile_path)
+    rows = feature_matrix(vectors)
     initial, sub_labels, assignments, diagnostics = cluster_and_label(
         vectors, profiles, k_min=cfg.k_min, k_max=cfg.k_max,
-        unmatched_distance=cfg.unmatched_distance,
+        unmatched_distance=cfg.unmatched_distance, rows=rows,
     )
+    members = initial.members()
 
-    if vectors and initial.k >= 3:
-        rows = _feature_matrix(vectors)
-        mrc_idx = FEATURE_NAMES.index("mrc")
-        mean_mrcs = {
-            c: float(np.mean([rows[i, mrc_idx] for i, lab in
-                              enumerate(initial.labels) if lab == c]))
-            for c in range(initial.k)
-        }
-        sizes = {c: sum(1 for lab in initial.labels if lab == c)
-                 for c in range(initial.k)}
-        ranking = order_clusters_by_interactivity(mean_mrcs, sizes)
-        diagnostics["interactivity_levels"] = ranking.levels if ranking.standard \
-            else None
-
-    dendro = agglomerate(_feature_matrix(vectors)) if vectors else \
-        Dendrogram(n_leaves=0, merges=())
+    dendro = agglomerate(rows) if vectors else Dendrogram(n_leaves=0, merges=())
     dendro.save_json(out / "dendrogram.json")
 
     write_labels_csv(
@@ -268,28 +246,19 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     )
     write_personas_csv(assignments, out / "personas.csv")
 
-    stats_obj = {"format": "persona-miner-stats", "version": 1,
-                 "diagnostics": {
-                     "initial_k": diagnostics["initial_k"],
-                     "ch_scores": {str(k): v for k, v in
-                                   diagnostics["scores"].items()},
-                     "sub_k": {str(k): v for k, v in diagnostics["sub_k"].items()},
-                     "interactivity_levels": {
-                         str(k): v for k, v in
-                         (diagnostics.get("interactivity_levels") or {}).items()
-                     },
-                 },
-                 **stats_block(vectors, initial)}
-    (out / "stats.json").write_text(
-        json.dumps(stats_obj, indent=2, sort_keys=True) + "\n", "utf-8"
+    mrc = FEATURE_NAMES.index("mrc")
+    levels = order_clusters_by_interactivity(
+        {c: float(rows[m, mrc].mean()) for c, m in enumerate(members)},
+        {c: len(m) for c, m in enumerate(members)},
     )
+    write_stats_json(rows, members, out / "stats.json", diagnostics={
+        "initial_k": diagnostics["initial_k"],
+        "ch_scores": {str(k): v for k, v in diagnostics["scores"].items()},
+        "sub_k": {str(k): v for k, v in diagnostics["sub_k"].items()},
+        "interactivity_levels": {str(k): v for k, v in (levels or {}).items()},
+    })
 
-    totals_map = interaction_totals(individuals)
-    write_totals_csv(totals_map, out / "totals.csv")
-    write_upset_json(upset_counts(individuals, cfg.upset_min_fraction),
-                     out / "upset.json")
-    comp_rows, mixed_fraction = composition(list(zip(individuals, initial.labels)))
-    write_composition_csv(comp_rows, mixed_fraction, out / "composition.csv")
+    write_reports(individuals, initial.labels, out, cfg.upset_min_fraction)
 
     persona_counts: dict[str, int] = {}
     for a in assignments:

@@ -13,15 +13,15 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .errors import DataValidationError
-from .metrics import RepoIndividual, _RC_KIND_ORDER
-from .models import InteractionKind, RepoSlug
+from .metrics import RepoIndividual
+from .models import ALL_KINDS, InteractionKind, RepoSlug
 
 
 def interaction_totals(
     individuals: Sequence[RepoIndividual],
 ) -> dict[InteractionKind, tuple[int, float]]:
     """Per-kind counts and their percentage of all interactions."""
-    totals = {k: 0 for k in _RC_KIND_ORDER}
+    totals = {k: 0 for k in ALL_KINDS}
     for ind in individuals:
         for kind, count in ind.counts.items():
             totals[kind] += count
@@ -54,7 +54,7 @@ def upset_counts(individuals: Sequence[RepoIndividual],
     counts: dict[tuple[str, ...], int] = {}
     for ind in individuals:
         combo = tuple(
-            k.value for k in _RC_KIND_ORDER if ind.counts[k] > 0
+            k.value for k in ALL_KINDS if ind.counts[k] > 0
         )
         counts[combo] = counts.get(combo, 0) + 1
     if min_fraction > 0.0 and individuals:
@@ -100,7 +100,7 @@ def write_totals_csv(totals: dict[InteractionKind, tuple[int, float]],
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["interaction_type", "count", "percentage"])
-        for kind in _RC_KIND_ORDER:
+        for kind in ALL_KINDS:
             count, pct = totals[kind]
             writer.writerow([kind.value, count, repr(pct)])
 
@@ -141,13 +141,26 @@ def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
             writer.writerow([str(repo), login, cluster, sub])
 
 
-def read_labels_csv(path: Union[str, Path]) -> dict[tuple[str, str], int]:
-    """Map (repo, login) to the cluster column of a labels file."""
-    labels: dict[tuple[str, str], int] = {}
+def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> tuple[int, ...]:
+    """The cluster column of a labels file for each of ``individuals`` (anything
+    with ``repo`` and ``login``), in their order; one with no row is an error."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
             raise DataValidationError(f"{path}: unexpected labels header")
-        for row in reader:
-            labels[(row["repo"], row["login"])] = int(row["cluster"])
-    return labels
+        labels = {(row["repo"], row["login"]): int(row["cluster"]) for row in reader}
+    try:
+        return tuple(labels[(str(ind.repo), ind.login)] for ind in individuals)
+    except KeyError as exc:
+        raise DataValidationError(f"no cluster label for individual {exc}") from exc
+
+
+def write_reports(individuals: Sequence[RepoIndividual], labels: Sequence[int],
+                  output_dir: Union[str, Path], upset_min_fraction: float = 0.0) -> None:
+    """Write totals.csv, upset.json and composition.csv into ``output_dir``;
+    ``labels`` holds each individual's cluster."""
+    out = Path(output_dir)
+    write_totals_csv(interaction_totals(individuals), out / "totals.csv")
+    write_upset_json(upset_counts(individuals, upset_min_fraction), out / "upset.json")
+    rows, mixed_fraction = composition(list(zip(individuals, labels)))
+    write_composition_csv(rows, mixed_fraction, out / "composition.csv")

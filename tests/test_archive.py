@@ -74,6 +74,10 @@ def _with(key, value):
     return lambda obj: json.dumps({**obj, key: value})
 
 
+def _with_payload(key, value):
+    return lambda obj: json.dumps({**obj, "payload": {**obj["payload"], key: value}})
+
+
 @pytest.mark.parametrize("index, edit, reason", [
     (2, _without("actor"), "KeyError: 'actor'"),
     (2, _with("actor", None), "actor must be a non-empty string, not None"),
@@ -85,8 +89,14 @@ def _with(key, value):
     (1, _without("repo"), "KeyError: 'repo'"),
     (2, _with("repo", "astro-lab/other"),
      "event repo 'astro-lab/other' does not match its marker's 'astro-lab/spectra'"),
+    (3, _with_payload("message", None), "commit message must be a string, not None"),
+    (3, _with_payload("changed_files", "docs"),
+     "changed_files must be a list of strings, not 'docs'"),
+    (3, _with_payload("changed_files", ["docs/guide.md", 7]),
+     "changed_files must be a list of strings, not ['docs/guide.md', 7]"),
 ], ids=["event-without-actor", "null-actor", "empty-actor", "int-actor", "unknown-kind",
-        "not-an-object", "bad-timestamp", "marker-without-repo", "event-repo-mismatch"])
+        "not-an-object", "bad-timestamp", "marker-without-repo", "event-repo-mismatch",
+        "null-message", "string-changed-files", "int-changed-file"])
 def test_bad_line_rejected_with_its_line_number(fixture_archive_path, tmp_path,
                                                 index, edit, reason):
     lines = fixture_archive_path.read_text().splitlines()

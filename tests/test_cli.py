@@ -184,6 +184,52 @@ def test_report_subcommand(runner, fixture_archive_path, tmp_path):
                                                "composition.csv"}
 
 
+@pytest.mark.parametrize("k_max", [10, 3])
+def test_subcommands_reproduce_run_outputs(runner, fixture_archive_path, tmp_path, k_max):
+    archive, run_dir = str(fixture_archive_path), tmp_path / "run"
+    _invoke(runner, ["run", "--archive", archive, "--k-max", str(k_max),
+                     "--output-dir", str(run_dir)])
+    metrics, labels = str(run_dir / "metrics.csv"), str(run_dir / "labels.csv")
+
+    _invoke(runner, ["report", "--archive", archive, "--labels", labels,
+                     "--output-dir", str(tmp_path / "report")])
+    for name in ("totals.csv", "upset.json", "composition.csv"):
+        assert (tmp_path / "report" / name).read_bytes() == (run_dir / name).read_bytes()
+
+    _invoke(runner, ["analyze", "--metrics", metrics, "--labels", labels,
+                     "--output", str(tmp_path / "stats.json")])
+    stats = json.loads((run_dir / "stats.json").read_text("utf-8"))
+    del stats["diagnostics"]
+    assert (tmp_path / "stats.json").read_text("utf-8") == \
+        json.dumps(stats, indent=2, sort_keys=True) + "\n"
+
+    _invoke(runner, ["cluster", "--metrics", metrics, "--k-max", str(k_max),
+                     "--labels-output", str(tmp_path / "labels.csv"),
+                     "--dendrogram-output", str(tmp_path / "dendrogram.json")])
+    assert (tmp_path / "dendrogram.json").read_bytes() == \
+        (run_dir / "dendrogram.json").read_bytes()
+
+    def clusters(path):
+        rows = csv.DictReader(Path(path).read_text("utf-8").splitlines())
+        return [(r["repo"], r["login"], r["cluster"]) for r in rows]
+
+    assert clusters(tmp_path / "labels.csv") == clusters(labels)
+
+
+def test_labels_missing_an_individual_exit_4(runner, fixture_archive_path, tmp_path):
+    archive, run_dir = str(fixture_archive_path), tmp_path / "run"
+    _invoke(runner, ["run", "--archive", archive, "--output-dir", str(run_dir)])
+    partial = tmp_path / "labels.csv"  # the header and the first two individuals
+    partial.write_text("\n".join((run_dir / "labels.csv").read_text().splitlines()[:3])
+                       + "\n")
+    for args in (["report", "--archive", archive, "--output-dir", str(tmp_path / "rep")],
+                 ["analyze", "--metrics", str(run_dir / "metrics.csv"),
+                  "--output", str(tmp_path / "stats.json")]):
+        result = runner.invoke(main, [*args, "--labels", str(partial)])
+        assert result.exit_code == 4
+        assert "error: no cluster label for individual (" in result.output
+
+
 def test_filter_subcommand(runner, tmp_path):
     summaries = tmp_path / "summaries.json"
     summaries.write_text(json.dumps([
@@ -285,13 +331,19 @@ def test_bad_archive_exit_4(runner, fixture_archive_path, tmp_path):
     no_actor = json.loads(lines[2])
     del no_actor["actor"]
     null_actor = {**no_actor, "actor": None}
+    commit = json.loads(lines[3])
+    null_message = {**commit, "payload": {**commit["payload"], "message": None}}
+    string_files = {**commit, "payload": {**commit["payload"], "changed_files": "docs"}}
     for text in ('{"format": "something-else", "version": 1}\n',
                  "\n".join([*lines[:2], json.dumps(no_actor), *lines[3:]]) + "\n",
-                 "\n".join([*lines[:2], json.dumps(null_actor), *lines[3:]]) + "\n"):
+                 "\n".join([*lines[:2], json.dumps(null_actor), *lines[3:]]) + "\n",
+                 "\n".join([*lines[:3], json.dumps(null_message), *lines[4:]]) + "\n",
+                 "\n".join([*lines[:3], json.dumps(string_files), *lines[4:]]) + "\n"):
         bad.write_text(text)
-        result = runner.invoke(main, ["metrics", "--archive", str(bad),
-                                      "--output", str(out)])
-        assert result.exit_code == 4
+        for args in (["metrics", "--output", str(out)],
+                     ["classify", "--output", str(out)]):
+            result = runner.invoke(main, [*args, "--archive", str(bad)])
+            assert result.exit_code == 4
 
 
 def test_cluster_too_few_rows_exit_4(runner, tmp_path):

@@ -128,26 +128,22 @@ def test_custom_profile_file(tmp_path):
 
 
 def test_interactivity_ordering_standard():
-    ranking = order_clusters_by_interactivity({0: 54.89, 1: 3.2, 2: 21.0})
-    assert ranking.standard
-    assert ranking.levels == {1: "Low", 2: "Moderate", 0: "High"}
-    assert ranking.ranks == {1: 0, 2: 1, 0: 2}
+    levels = order_clusters_by_interactivity({0: 54.89, 1: 3.2, 2: 21.0})
+    assert levels == {1: "Low", 2: "Moderate", 0: "High"}
 
 
 def test_interactivity_tie_breaks_by_size_desc():
-    ranking = order_clusters_by_interactivity(
+    levels = order_clusters_by_interactivity(
         {0: 10.0, 1: 10.0, 2: 90.0}, cluster_sizes={0: 5, 1: 50, 2: 3}
     )
-    assert ranking.levels[1] == "Low"  # bigger cluster ranks lower on ties
-    assert ranking.levels[0] == "Moderate"
-    assert ranking.levels[2] == "High"
+    assert levels[1] == "Low"  # bigger cluster ranks lower on ties
+    assert levels[0] == "Moderate"
+    assert levels[2] == "High"
 
 
 def test_interactivity_nonstandard_k():
-    ranking = order_clusters_by_interactivity({0: 5.0, 1: 50.0})
-    assert not ranking.standard
-    assert ranking.levels is None
-    assert ranking.ranks == {0: 0, 1: 1}
+    assert order_clusters_by_interactivity({0: 5.0, 1: 50.0}) is None
+    assert order_clusters_by_interactivity({c: float(c) for c in range(4)}) is None
 
 
 def test_personas_csv(tmp_path):

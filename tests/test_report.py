@@ -127,17 +127,22 @@ def test_composition_csv(tmp_path):
 
 def test_labels_csv(tmp_path):
     out = tmp_path / "labels.csv"
-    write_labels_csv([(RepoSlug("org", "x"), "ada", 2, 0)], out)
+    write_labels_csv([(RepoSlug("org", "x"), "ada", 2, 0),
+                      (RepoSlug("org", "x"), "bob", 0, 1)], out)
     lines = out.read_text().splitlines()
-    assert lines == ["repo,login,cluster,subcluster", "org/x,ada,2,0"]
-    assert read_labels_csv(out) == {("org/x", "ada"): 2}
+    assert lines == ["repo,login,cluster,subcluster", "org/x,ada,2,0", "org/x,bob,0,1"]
+    ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
+    assert read_labels_csv(out, [bob, ada]) == (0, 2)
+    with pytest.raises(DataValidationError,
+                       match=r"no cluster label for individual \('org/y', 'ada'\)"):
+        read_labels_csv(out, [ada, _individual("ada", "org/y", commit_created=1)])
 
 
 def test_read_labels_csv_rejects_other_header(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("repo,login,cluster\norg/x,ada,2\n", "utf-8")
     with pytest.raises(DataValidationError, match="unexpected labels header"):
-        read_labels_csv(path)
+        read_labels_csv(path, [])
 
 
 def test_emission_is_byte_stable(tmp_path):
