@@ -146,7 +146,7 @@ def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str
         decisions.append(apply_inclusion_criteria(summary, cfg))
     write_eligibility_report(decisions, output_path)
     eligible = [d.slug for d in decisions if d.eligible]
-    picked = subsample(eligible, fraction, seed) if eligible else []
+    picked = subsample(eligible, fraction, seed)
     click.echo(f"{len(eligible)} eligible; sampled {len(picked)}")
     for slug in picked:
         click.echo(str(slug))

@@ -243,29 +243,10 @@ def select_k(vectors, k_min: int = 2, k_max: int = 10,
     return best, scores
 
 
-@dataclass(frozen=True)
-class SubclusterResult:
-    parent_id: int
-    splittable: bool
-    labels: tuple[int, ...] = ()  # local to the parent's rows, in parent order
-    k: int = 1
-    scores: dict[int, float] = None  # type: ignore[assignment]
-
-
-def subcluster(vectors, parent_labels: ClusterLabels, parent_id: int,
-               k_min: int = 2, k_max: int = 10) -> SubclusterResult:
-    """Re-cluster the rows of one parent cluster; tiny parents are unsplittable."""
-    import numpy as np
-
-    rows = _validate_rows(vectors)
-    mask = np.asarray(parent_labels.labels) == parent_id
-    members = rows[mask]
-    if members.shape[0] < 3:
-        return SubclusterResult(parent_id=parent_id, splittable=False,
-                                labels=tuple(0 for _ in range(members.shape[0])),
-                                k=1, scores={})
-    k_best, scores = select_k(members, k_min=k_min, k_max=k_max)
-    dendro = agglomerate(members)
-    labels = cut(dendro, k_best)
-    return SubclusterResult(parent_id=parent_id, splittable=True,
-                            labels=labels.labels, k=k_best, scores=scores)
+def subcluster(rows, k_min: int = 2, k_max: int = 10) -> ClusterLabels:
+    """Re-cluster the rows of one parent cluster; under 3 rows stay one cluster."""
+    n = len(rows)
+    if n < 3:
+        return ClusterLabels(labels=(0,) * n, k=1)
+    k_best, _scores = select_k(rows, k_min=k_min, k_max=k_max)
+    return cut(agglomerate(rows), k_best)

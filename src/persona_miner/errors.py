@@ -5,8 +5,8 @@ class PersonaMinerError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(PersonaMinerError):
-    """Invalid or missing configuration (bad patterns, bad paths)."""
+class ConfigError(PersonaMinerError, ValueError):
+    """Invalid or missing configuration (bad patterns, bad paths, bad values)."""
 
 
 class RetryableFetchError(PersonaMinerError):

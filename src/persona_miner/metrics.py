@@ -10,6 +10,7 @@ of all interactions, and the share of interaction days.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, timezone
 from pathlib import Path
@@ -74,38 +75,29 @@ class RepoTotals:
 
 @dataclass(frozen=True)
 class MetricVector:
-    rc_commits_created: float
-    rc_issues_created: float
-    rc_issues_closed: float
-    rc_issues_assigned: float
-    rc_prs_created: float
-    rc_prs_closed: float
-    mrc: float
-    pct_created_minus_closed_issues: float
-    pct_sum_n_interactions: float
-    pct_interaction_days: float
+    """One repo-individual's row: the ten clustering features, in
+    FEATURE_NAMES order, and the metadata that is not clustered."""
+
+    features: tuple[float, ...]
     uit: int
     repo: RepoSlug
     login: str
     is_bot_flagged: bool = False
 
-    def features(self) -> tuple[float, ...]:
-        """The ten clustering features in fixed order."""
-        return (
-            self.rc_commits_created,
-            self.rc_issues_created,
-            self.rc_issues_closed,
-            self.rc_issues_assigned,
-            self.rc_prs_created,
-            self.rc_prs_closed,
-            self.mrc,
-            self.pct_created_minus_closed_issues,
-            self.pct_sum_n_interactions,
-            self.pct_interaction_days,
-        )
+    def __post_init__(self):
+        if len(self.features) != len(FEATURE_NAMES) or not all(
+                isinstance(x, float) and math.isfinite(x) for x in self.features):
+            raise DataValidationError(f"a metric row needs {len(FEATURE_NAMES)} "
+                                      f"finite floats, not {self.features!r}")
 
-    def rc_values(self) -> tuple[float, ...]:
-        return self.features()[:6]
+    @classmethod
+    def from_rcs(cls, rcs: tuple[float, ...], share_of_interactions: float,
+                 share_of_days: float, uit: int, repo: RepoSlug, login: str,
+                 is_bot_flagged: bool = False) -> "MetricVector":
+        """The row whose MRC and net created-minus-closed issues derive from
+        ``rcs``, the six RCs in ALL_KINDS order; a negative net is a net closer."""
+        return cls((*rcs, compute_mrc(rcs), rcs[1] - rcs[2], share_of_interactions,
+                    share_of_days), uit, repo, login, is_bot_flagged)
 
 
 def build_repo_individuals(
@@ -184,11 +176,6 @@ def compute_pct_interaction_days(individual_days: int,
     return 100.0 * individual_days / sum_all_individuals_days
 
 
-def compute_net_created_closed(rc_created: float, rc_closed: float) -> float:
-    """Signed net share; negative means a net closer."""
-    return rc_created - rc_closed
-
-
 def assemble_metric_vectors(individuals: list[RepoIndividual],
                             totals: RepoTotals) -> list[MetricVector]:
     """Compute the ten-feature vector for every individual of one repo."""
@@ -201,20 +188,11 @@ def assemble_metric_vectors(individuals: list[RepoIndividual],
         rcs = tuple(
             compute_rc(ind.counts[k], totals.totals[k]) for k in ALL_KINDS
         )
-        vectors.append(MetricVector(
-            rc_commits_created=rcs[0],
-            rc_issues_created=rcs[1],
-            rc_issues_closed=rcs[2],
-            rc_issues_assigned=rcs[3],
-            rc_prs_created=rcs[4],
-            rc_prs_closed=rcs[5],
-            mrc=compute_mrc(rcs),
-            pct_created_minus_closed_issues=compute_net_created_closed(rcs[1], rcs[2]),
-            pct_sum_n_interactions=compute_rc(ind.n_interactions,
-                                              totals.sum_interactions),
-            pct_interaction_days=compute_pct_interaction_days(
-                ind.n_interaction_days, totals.sum_individual_interaction_days
-            ),
+        vectors.append(MetricVector.from_rcs(
+            rcs,
+            compute_rc(ind.n_interactions, totals.sum_interactions),
+            compute_pct_interaction_days(ind.n_interaction_days,
+                                         totals.sum_individual_interaction_days),
             uit=compute_uit(ind.counts),
             repo=ind.repo,
             login=ind.login,
@@ -253,16 +231,12 @@ def write_metrics_csv(vectors: list[MetricVector], path: Union[str, Path]) -> No
         writer = csv.writer(fh)
         writer.writerow(METRICS_CSV_COLUMNS)
         for v in vectors:
-            writer.writerow([
-                *(repr(x) for x in v.features()),
-                str(v.repo),
-                v.login,
-                v.uit,
-                "true" if v.is_bot_flagged else "false",
-            ])
+            writer.writerow([*map(repr, v.features), str(v.repo), v.login, v.uit,
+                             "true" if v.is_bot_flagged else "false"])
 
 
 def read_metrics_csv(path: Union[str, Path]) -> list[MetricVector]:
+    """Read a metrics file; a malformed row is an error naming ``path:line``."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -270,12 +244,17 @@ def read_metrics_csv(path: Union[str, Path]) -> list[MetricVector]:
             raise DataValidationError(f"{path}: unexpected metrics CSV header")
         vectors = []
         for row in reader:
-            feats = [float(x) for x in row[:10]]
-            vectors.append(MetricVector(
-                *feats,
-                uit=int(row[12]),
-                repo=RepoSlug.parse(row[10]),
-                login=row[11],
-                is_bot_flagged=row[13] == "true",
-            ))
+            try:
+                if len(row) != len(METRICS_CSV_COLUMNS):
+                    raise ValueError(f"{len(row)} columns, expected "
+                                     f"{len(METRICS_CSV_COLUMNS)}")
+                *features, repo, login, uit, is_bot = row
+                if is_bot not in ("true", "false"):
+                    raise ValueError(f"is_bot must be true or false, not {is_bot!r}")
+                vectors.append(MetricVector(tuple(map(float, features)), int(uit),
+                                            RepoSlug.parse(repo), login,
+                                            is_bot == "true"))
+            except (ValueError, DataValidationError) as exc:
+                raise DataValidationError(
+                    f"{path}:{reader.line_num}: malformed metrics row ({exc})") from exc
     return vectors

@@ -50,22 +50,22 @@ class PersonaAssignment:
 
 
 def load_profiles(path: Optional[Union[str, Path]] = None) -> tuple[PersonaProfile, ...]:
-    if path is not None:
-        raw = json.loads(Path(path).read_text("utf-8"))
-    else:
-        raw = json.loads(
-            resources.files("persona_miner.data")
-            .joinpath("personas.json")
-            .read_text("utf-8")
+    """Profiles from ``path``, else the bundled ``personas.json``; a file that
+    cannot be read as profiles is a ConfigError naming it."""
+    source = Path(path) if path is not None else \
+        resources.files("persona_miner.data").joinpath("personas.json")
+    try:
+        return tuple(
+            PersonaProfile(
+                name=p["name"],
+                interactivity=p["interactivity"],
+                centroid=tuple(float(v) for v in p["centroid"]),
+            )
+            for p in json.loads(source.read_text("utf-8"))["profiles"]
         )
-    return tuple(
-        PersonaProfile(
-            name=p["name"],
-            interactivity=p["interactivity"],
-            centroid=tuple(float(v) for v in p["centroid"]),
-        )
-        for p in raw["profiles"]
-    )
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: bad persona profiles "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 DEFAULT_PROFILES = load_profiles()
@@ -123,7 +123,7 @@ def assign_persona(
     cluster_path: Optional[tuple[int, int]] = None,
 ) -> PersonaAssignment:
     """Direct-mode labeling of one individual by its six RC values only."""
-    name, dist = label_subcluster(v.rc_values(), profiles)
+    name, dist = label_subcluster(v.features[:6], profiles)
     return PersonaAssignment(
         repo=v.repo,
         login=v.login,

@@ -91,7 +91,7 @@ def feature_matrix(vectors: list[MetricVector]) -> np.ndarray:
     """The ten clustering features of every vector, one row each."""
     import numpy as np
 
-    return np.asarray([v.features() for v in vectors], dtype=float)
+    return np.asarray([v.features for v in vectors], dtype=float)
 
 
 def cluster_and_label(
@@ -126,7 +126,7 @@ def cluster_and_label(
     sub_labels = [0] * n
     sub_k: dict[int, int] = {}
     for parent, members in enumerate(initial.members()):
-        result = subcluster(rows, initial, parent, k_min=k_min, k_max=k_max)
+        result = subcluster(rows[members], k_min=k_min, k_max=k_max)
         for local, global_idx in enumerate(members):
             sub_labels[global_idx] = result.labels[local]
         sub_k[parent] = result.k
@@ -184,25 +184,8 @@ def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
     if len(members) >= 2 and all(len(m) >= 2 for m in members):
         for f_idx, name in enumerate(FEATURE_NAMES):
             groups = [[rows[i, f_idx] for i in m] for m in members]
-            anova = one_way_anova(groups)
-            block["anova"][name] = {
-                "f_statistic": anova.f_statistic,
-                "p_value": anova.p_value,
-                "p_approx_zero": anova.p_approx_zero,
-                "df_between": anova.df_between,
-                "df_within": anova.df_within,
-            }
-            tukey = tukey_hsd(groups)
-            block["tukey"][name] = [
-                {
-                    "group_a": p.group_a,
-                    "group_b": p.group_b,
-                    "mean_diff": p.mean_diff,
-                    "p_adjusted": p.p_adjusted,
-                    "reject": p.reject,
-                }
-                for p in tukey.pairs
-            ]
+            block["anova"][name] = asdict(one_way_anova(groups))
+            block["tukey"][name] = [asdict(p) for p in tukey_hsd(groups).pairs]
     return block
 
 

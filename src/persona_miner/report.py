@@ -143,12 +143,19 @@ def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
 
 def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> tuple[int, ...]:
     """The cluster column of a labels file for each of ``individuals`` (anything
-    with ``repo`` and ``login``), in their order; one with no row is an error."""
+    with ``repo`` and ``login``), in their order; one with no row, or a row
+    whose cluster is not a non-negative integer, is an error."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
             raise DataValidationError(f"{path}: unexpected labels header")
-        labels = {(row["repo"], row["login"]): int(row["cluster"]) for row in reader}
+        labels = {}
+        for row in reader:
+            cluster = row["cluster"]  # None in a row cut short
+            if cluster is None or not cluster.isdecimal():
+                raise DataValidationError(f"{path}:{reader.line_num}: cluster must be a "
+                                          f"non-negative integer, not {cluster!r}")
+            labels[(row["repo"], row["login"])] = int(cluster)
     try:
         return tuple(labels[(str(ind.repo), ind.login)] for ind in individuals)
     except KeyError as exc:

@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Union
 
+from .errors import ConfigError
 from .models import RepoSlug, RepoSummary, Visibility
 
 
@@ -106,7 +107,7 @@ def subsample(eligible: list[RepoSlug], fraction: float, seed: int) -> list[Repo
     across platforms. Output is sorted by slug for determinism.
     """
     if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
+        raise ConfigError(f"fraction must be in (0, 1], not {fraction!r}")
     n_pick = math.floor(fraction * len(eligible))
     rng = random.Random(seed)
     picked = rng.sample(eligible, n_pick)

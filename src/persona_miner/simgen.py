@@ -61,10 +61,10 @@ def generate(specs: Sequence[ArchetypeSpec], seed: int,
              ) -> tuple[list[MetricVector], list[str]]:
     """Generate vectors and their ground-truth archetype names.
 
-    Six RCs are centroid + clamped Gaussian noise; mrc and the net-issues
-    field are derived exactly as the metrics module derives them. The two
-    share-style features have no reference values, so they reuse the mrc as
-    a consistent stand-in.
+    Six RCs are centroid + clamped Gaussian noise, and
+    :meth:`MetricVector.from_rcs` derives the MRC and net-issues features. The
+    two share-style features have no reference values, so they reuse the MRC
+    as a consistent stand-in.
     """
     import numpy as np
 
@@ -83,21 +83,8 @@ def generate(specs: Sequence[ArchetypeSpec], seed: int,
             six = tuple(float(x) for x in row)
             mrc = compute_mrc(six)
             uit = sum(1 for v in six if v > 0) or 1
-            vectors.append(MetricVector(
-                rc_commits_created=six[0],
-                rc_issues_created=six[1],
-                rc_issues_closed=six[2],
-                rc_issues_assigned=six[3],
-                rc_prs_created=six[4],
-                rc_prs_closed=six[5],
-                mrc=mrc,
-                pct_created_minus_closed_issues=six[1] - six[2],
-                pct_sum_n_interactions=mrc,
-                pct_interaction_days=mrc,
-                uit=uit,
-                repo=repo,
-                login=f"sim-{serial:05d}",
-            ))
+            vectors.append(MetricVector.from_rcs(six, mrc, mrc, uit, repo,
+                                                 f"sim-{serial:05d}"))
             truth.append(spec.name)
             serial += 1
     return vectors, truth

@@ -26,6 +26,7 @@ from persona_miner.commit_classify import (
 from persona_miner.archive import load_archive
 from persona_miner.metrics import (
     ALL_KINDS,
+    FEATURE_NAMES,
     assemble_metric_vectors,
     build_repo_individuals,
 )
@@ -162,17 +163,18 @@ def _generated_repo(rng: random.Random, idx: int) -> InteractionSet:
 
 def test_criterion_4_metrics_invariants_on_1000_repos():
     rng = random.Random(41)
+    mrc, days = FEATURE_NAMES.index("mrc"), FEATURE_NAMES.index("pct_interaction_days")
     for idx in range(1000):
         individuals, totals = build_repo_individuals(_generated_repo(rng, idx))
         vectors = assemble_metric_vectors(individuals, totals)
         for kind_idx, kind in enumerate(ALL_KINDS):
             if totals.totals[kind] > 0:
-                col = sum(v.features()[kind_idx] for v in vectors)
+                col = sum(v.features[kind_idx] for v in vectors)
                 assert abs(col - 100.0) <= 1e-9  # pinned
         for v in vectors:
-            assert v.mrc == sum(v.rc_values()) / 6  # exact, same arithmetic
+            assert v.features[mrc] == sum(v.features[:6]) / 6  # exact, same arithmetic
             assert 1 <= v.uit <= 6
-        assert abs(sum(v.pct_interaction_days for v in vectors) - 100.0) <= 1e-9
+        assert abs(sum(v.features[days] for v in vectors) - 100.0) <= 1e-9
 
 
 # -- criterion 5: persona round-trip ---------------------------------------

@@ -219,15 +219,48 @@ def test_subcommands_reproduce_run_outputs(runner, fixture_archive_path, tmp_pat
 def test_labels_missing_an_individual_exit_4(runner, fixture_archive_path, tmp_path):
     archive, run_dir = str(fixture_archive_path), tmp_path / "run"
     _invoke(runner, ["run", "--archive", archive, "--output-dir", str(run_dir)])
-    partial = tmp_path / "labels.csv"  # the header and the first two individuals
-    partial.write_text("\n".join((run_dir / "labels.csv").read_text().splitlines()[:3])
-                       + "\n")
-    for args in (["report", "--archive", archive, "--output-dir", str(tmp_path / "rep")],
-                 ["analyze", "--metrics", str(run_dir / "metrics.csv"),
-                  "--output", str(tmp_path / "stats.json")]):
-        result = runner.invoke(main, [*args, "--labels", str(partial)])
-        assert result.exit_code == 4
-        assert "error: no cluster label for individual (" in result.output
+    lines = (run_dir / "labels.csv").read_text().splitlines()
+    repo, login, _cluster, sub = lines[2].split(",")
+    bad = tmp_path / "labels.csv"
+    for kept, message in (
+            # the header and the first two individuals
+            (lines[:3], "error: no cluster label for individual ("),
+            # malformed rows: a cluster that is no integer or negative, a row cut short
+            ([*lines[:2], f"{repo},{login},x,{sub}", *lines[3:]],
+             f"error: {bad}:3: cluster must be a non-negative integer, not 'x'"),
+            ([*lines[:2], f"{repo},{login},-1,{sub}", *lines[3:]],
+             f"error: {bad}:3: cluster must be a non-negative integer, not '-1'"),
+            ([*lines[:2], f"{repo},{login}", *lines[3:]],
+             f"error: {bad}:3: cluster must be a non-negative integer, not None")):
+        bad.write_text("\n".join(kept) + "\n")
+        for args in (["report", "--archive", archive,
+                      "--output-dir", str(tmp_path / "rep")],
+                     ["analyze", "--metrics", str(run_dir / "metrics.csv"),
+                      "--output", str(tmp_path / "stats.json")]):
+            result = runner.invoke(main, [*args, "--labels", str(bad)])
+            assert result.exit_code == 4
+            assert message in result.output
+
+
+def test_bad_metrics_row_exit_4(runner, fixture_archive_path, tmp_path):
+    run_dir = tmp_path / "run"
+    _invoke(runner, ["run", "--archive", str(fixture_archive_path),
+                     "--output-dir", str(run_dir)])
+    lines = (run_dir / "metrics.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    bad = tmp_path / "metrics.csv"
+    for row in (",".join(cells[:3]),  # cut short
+                ",".join(["x", *cells[1:]]),  # a feature that is no number
+                ",".join(["nan", *cells[1:]]),  # a feature that is not finite
+                ",".join([*cells[:-1], "yes"])):  # is_bot neither true nor false
+        bad.write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n")
+        for args in (["cluster", "--labels-output", str(tmp_path / "labels.csv")],
+                     ["analyze", "--labels", str(run_dir / "labels.csv"),
+                      "--output", str(tmp_path / "stats.json")],
+                     ["assign", "--output", str(tmp_path / "personas.csv")]):
+            result = runner.invoke(main, [*args, "--metrics", str(bad)])
+            assert result.exit_code == 4, (row, args[0])
+            assert f"error: {bad}:3: malformed metrics row (" in result.output
 
 
 def test_filter_subcommand(runner, tmp_path):
@@ -246,6 +279,46 @@ def test_filter_subcommand(runner, tmp_path):
     assert result.exit_code == 0
     assert "1 eligible; sampled 1" in result.output
     assert "org/good" in result.output
+
+
+def test_filter_bad_fraction_exit_2(runner, tmp_path):
+    summaries = tmp_path / "summaries.json"
+    eligible = {"repo": "org/good", "visibility": "public", "unique_committers": 50,
+                "license_id": "MIT", "languages": ["Python"], "is_fork": False,
+                "age_days": 2000}
+    for repos in ([eligible], []):  # whether or not any repo is eligible
+        summaries.write_text(json.dumps(repos))
+        for fraction in ("0", "1.5", "-0.5"):
+            result = runner.invoke(main, ["filter", "--summaries", str(summaries),
+                                          "--fraction", fraction,
+                                          "--output", str(tmp_path / "elig.csv")])
+            assert result.exit_code == 2, (repos, fraction)
+            assert "error: fraction must be in (0, 1]" in result.output
+
+
+def test_bad_profiles_file_exit_2(runner, fixture_archive_path, tmp_path):
+    metrics = tmp_path / "metrics.csv"
+    _invoke(runner, ["metrics", "--archive", str(fixture_archive_path),
+                     "--output", str(metrics)])
+    profile = {"name": "Only", "interactivity": "High", "centroid": [50] * 6}
+    profiles = tmp_path / "profiles.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
+                               "persona_profile_path": str(profiles),
+                               "output_dir": str(tmp_path / "out")}))
+    for text in ("{not json",
+                 json.dumps({"profiles": [{**profile, "interactivity": None}]}),
+                 json.dumps({"profiles": [{k: v for k, v in profile.items()
+                                           if k != "interactivity"}]}),
+                 json.dumps({"profiles": [{k: v for k, v in profile.items()
+                                           if k != "centroid"}]})):
+        profiles.write_text(text)
+        for args in (["assign", "--metrics", str(metrics), "--profiles", str(profiles),
+                      "--output", str(tmp_path / "personas.csv")],
+                     ["run", "--config", str(cfg)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (text, args[0])
+            assert f"error: {profiles}: bad persona profiles (" in result.output
 
 
 def test_run_full_pipeline_deterministic(runner, fixture_archive_path, tmp_path):

@@ -196,16 +196,16 @@ def test_subcluster_same_as_with_reference_ward(monkeypatch):
     rng = np.random.default_rng(11)
     rows = _blobs(rng, [(0.0, 0.0, 0.0), (8.0, 0.0, 0.0), (0.0, 8.0, 0.0)],
                   n_per=40, sd=1.5)
-    parent = ClusterLabels(labels=(0,) * 80 + (1,) * 40, k=2)
-    fast = subcluster(rows, parent, parent_id=0)
+    parent_rows = rows[:80]  # the first two blobs, as one parent cluster
+    fast, fast_scores = subcluster(parent_rows), select_k(parent_rows)[1]
     monkeypatch.setattr(
         cluster_module, "agglomerate",
         lambda vectors: Dendrogram(n_leaves=len(vectors),
                                    merges=_reference_ward(vectors)),
     )
-    slow = subcluster(rows, parent, parent_id=0)
-    assert fast.splittable and slow.splittable
-    assert (fast.labels, fast.k, fast.scores) == (slow.labels, slow.k, slow.scores)
+    slow, slow_scores = subcluster(parent_rows), select_k(parent_rows)[1]
+    assert fast.k >= 2 and slow.k >= 2  # split, not left whole
+    assert (fast.labels, fast.k, fast_scores) == (slow.labels, slow.k, slow_scores)
 
 
 def test_heights_monotone_nondecreasing():
@@ -326,18 +326,14 @@ def test_select_k_tie_prefers_smallest_k():
 def test_subcluster_splits_parent():
     rows = np.array([[0.0], [0.5], [10.0], [10.5], [100.0], [101.0],
                      [200.0], [201.0]])
-    parent = ClusterLabels(labels=(0, 0, 0, 0, 1, 1, 1, 1), k=2)
-    result = subcluster(rows, parent, parent_id=0, k_max=3)
-    assert result.splittable
+    result = subcluster(rows[:4], k_max=3)  # parent 0 of labels (0,0,0,0,1,1,1,1)
     assert result.k == 2
     assert result.labels == (0, 0, 1, 1)
 
 
 def test_subcluster_tiny_parent_unsplittable():
     rows = np.array([[0.0], [1.0], [50.0]])
-    parent = ClusterLabels(labels=(0, 0, 1), k=2)
-    result = subcluster(rows, parent, parent_id=1)
-    assert not result.splittable
+    result = subcluster(rows[2:])  # parent 1 of labels (0, 0, 1)
     assert result.k == 1
     assert result.labels == (0,)
 

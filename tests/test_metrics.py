@@ -1,3 +1,4 @@
+import math
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from persona_miner.archive import load_archive
 from persona_miner.errors import DataValidationError
 from persona_miner.metrics import (
+    FEATURE_NAMES,
+    MetricVector,
     assemble_metric_vectors,
     build_repo_individuals,
     compute_mrc,
-    compute_net_created_closed,
     compute_pct_interaction_days,
     compute_rc,
     compute_uit,
@@ -118,10 +120,28 @@ def test_pct_interaction_days_cases():
     assert compute_pct_interaction_days(0, 0) == 0.0
 
 
+def _feature(v, name):
+    return v.features[FEATURE_NAMES.index(name)]
+
+
 def test_net_created_closed_cases():
-    assert compute_net_created_closed(10, 30) == -20.0
-    assert compute_net_created_closed(42, 42) == 0.0
-    assert compute_net_created_closed(100, 0) == 100.0
+    def net(created, closed):
+        v = MetricVector.from_rcs((0.0, created, closed, 0.0, 0.0, 0.0), 0.0, 0.0,
+                                  uit=1, repo=RepoSlug("org", "repo"), login="ada")
+        return _feature(v, "pct_created_minus_closed_issues")
+
+    assert net(10.0, 30.0) == -20.0
+    assert net(42.0, 42.0) == 0.0
+    assert net(100.0, 0.0) == 100.0
+
+
+def test_metric_vector_needs_ten_finite_floats():
+    repo = RepoSlug("org", "repo")
+    assert MetricVector((1.0,) * 10, 1, repo, "ada").features == (1.0,) * 10
+    for features in ((1.0,) * 9, (1.0,) * 11, (1.0,) * 9 + (math.nan,),
+                     (1.0,) * 9 + (math.inf,), (1.0,) * 9 + (1,), (1.0,) * 9 + ("1",)):
+        with pytest.raises(DataValidationError):
+            MetricVector(features, 1, repo, "ada")
 
 
 def test_sole_contributor_all_hundreds():
@@ -130,10 +150,10 @@ def test_sole_contributor_all_hundreds():
     individuals, totals = build_repo_individuals(_set(events))
     vectors = assemble_metric_vectors(individuals, totals)
     v = vectors[0]
-    assert v.rc_values() == (100.0,) * 6
-    assert v.mrc == 100.0
-    assert v.pct_sum_n_interactions == 100.0
-    assert v.pct_interaction_days == 100.0
+    assert v.features[:6] == (100.0,) * 6
+    assert _feature(v, "mrc") == 100.0
+    assert _feature(v, "pct_sum_n_interactions") == 100.0
+    assert _feature(v, "pct_interaction_days") == 100.0
     assert v.uit == 6
 
 
@@ -147,9 +167,8 @@ def test_three_contributor_columns_sum_to_100():
                               subject=f"s{subject}"))
     individuals, totals = build_repo_individuals(_set(events))
     vectors = assemble_metric_vectors(individuals, totals)
-    assert abs(sum(v.rc_commits_created for v in vectors) - 100.0) < 1e-9
-    assert abs(sum(v.pct_sum_n_interactions for v in vectors) - 100.0) < 1e-9
-    assert abs(sum(v.pct_interaction_days for v in vectors) - 100.0) < 1e-9
+    for name in ("rc_commits_created", "pct_sum_n_interactions", "pct_interaction_days"):
+        assert abs(sum(_feature(v, name) for v in vectors) - 100.0) < 1e-9
 
 
 def test_ten_percent_share():
@@ -160,7 +179,7 @@ def test_ten_percent_share():
     individuals, totals = build_repo_individuals(_set(events))
     vectors = assemble_metric_vectors(individuals, totals)
     ada = next(v for v in vectors if v.login == "ada")
-    assert abs(ada.pct_sum_n_interactions - 10.0) < 1e-12
+    assert abs(_feature(ada, "pct_sum_n_interactions") - 10.0) < 1e-12
 
 
 def make_random_repo(rng: random.Random, repo_idx: int) -> InteractionSet:
@@ -191,16 +210,17 @@ def test_invariants_over_generated_repos():
         vectors = assemble_metric_vectors(individuals, totals)
         for kind_idx, kind in enumerate(ALL_KINDS):
             if totals.totals[kind] > 0:
-                col = sum(v.features()[kind_idx] for v in vectors)
+                col = sum(v.features[kind_idx] for v in vectors)
                 assert abs(col - 100.0) < 1e-9
         for v in vectors:
             # exact equality with the same arithmetic (sum in field order, /6)
-            assert v.mrc == sum(v.rc_values()) / 6
+            assert _feature(v, "mrc") == sum(v.features[:6]) / 6
             assert 1 <= v.uit <= 6
-            assert v.pct_created_minus_closed_issues == \
-                v.rc_issues_created - v.rc_issues_closed
+            assert _feature(v, "pct_created_minus_closed_issues") == \
+                _feature(v, "rc_issues_created") - _feature(v, "rc_issues_closed")
         if totals.sum_individual_interaction_days > 0:
-            assert abs(sum(v.pct_interaction_days for v in vectors) - 100.0) < 1e-9
+            assert abs(sum(_feature(v, "pct_interaction_days") for v in vectors)
+                       - 100.0) < 1e-9
 
 
 def test_metrics_csv_round_trip(tmp_path, fixture_archive_path):

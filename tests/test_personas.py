@@ -22,13 +22,8 @@ NAMES = [p.name for p in DEFAULT_PROFILES]
 
 def _vector(rcs, login="ada"):
     mrc = sum(rcs) / 6
-    return MetricVector(
-        rc_commits_created=rcs[0], rc_issues_created=rcs[1],
-        rc_issues_closed=rcs[2], rc_issues_assigned=rcs[3],
-        rc_prs_created=rcs[4], rc_prs_closed=rcs[5],
-        mrc=mrc,
-        pct_created_minus_closed_issues=rcs[1] - rcs[2],
-        pct_sum_n_interactions=mrc, pct_interaction_days=mrc,
+    return MetricVector.from_rcs(
+        tuple(rcs), mrc, mrc,
         uit=max(1, sum(1 for r in rcs if r > 0)),
         repo=RepoSlug("org", "repo"), login=login, is_bot_flagged=False,
     )
@@ -79,7 +74,7 @@ def test_distance_ignores_non_rc_fields():
     base = next(p for p in DEFAULT_PROFILES if p.name == "Occasional Contributor")
     v = _vector(list(base.centroid))
     # mutate-by-copy: same RCs, different derived fields don't matter because
-    # assign_persona reads rc_values() only
+    # assign_persona reads the six RCs only
     assignment = assign_persona(v)
     assert assignment.persona == "Occasional Contributor"
     assert assignment.distance == 0.0

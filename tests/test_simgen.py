@@ -3,6 +3,7 @@ import json
 import pytest
 
 from persona_miner.errors import ConfigError
+from persona_miner.metrics import FEATURE_NAMES
 from persona_miner.personas import DEFAULT_PROFILES, assign_persona
 from persona_miner.simgen import (
     ArchetypeSpec,
@@ -10,6 +11,10 @@ from persona_miner.simgen import (
     generate,
     load_archetype_specs,
 )
+
+
+def _feature(v, name):
+    return v.features[FEATURE_NAMES.index(name)]
 
 
 def test_default_archetypes_cover_all_profiles():
@@ -24,7 +29,7 @@ def test_zero_noise_reproduces_centroids_exactly():
     assert len(vectors) == 3 * len(DEFAULT_PROFILES)
     by_name = {p.name: p.centroid for p in DEFAULT_PROFILES}
     for v, name in zip(vectors, truth):
-        assert v.rc_values() == tuple(by_name[name])
+        assert v.features[:6] == tuple(by_name[name])
 
 
 def test_determinism_per_seed():
@@ -41,10 +46,11 @@ def test_values_clamped_and_consistent():
                            noise_sd=30.0, count=500)]
     vectors, _ = generate(specs, seed=1)
     for v in vectors:
-        assert all(0.0 <= x <= 100.0 for x in v.rc_values())
-        assert v.mrc == sum(v.rc_values()) / 6
-        assert v.pct_created_minus_closed_issues == \
-            v.rc_issues_created - v.rc_issues_closed
+        rcs = v.features[:6]
+        assert all(0.0 <= x <= 100.0 for x in rcs)
+        assert _feature(v, "mrc") == sum(rcs) / 6
+        assert _feature(v, "pct_created_minus_closed_issues") == \
+            _feature(v, "rc_issues_created") - _feature(v, "rc_issues_closed")
         assert 1 <= v.uit <= 6
 
 
