@@ -27,13 +27,14 @@ from .errors import (
 )
 from .github import GitHubClient
 from .metrics import metric_table, read_metrics_csv, write_metrics_csv
-from .models import RepoSlug, parse_utc
+from .models import RepoSlug
 from .personas import assign_persona, load_profiles, write_personas_csv
 from .pipeline import RunConfig, feature_matrix, run_pipeline, write_stats_json
 from .report import read_labels_csv, write_labels_csv, write_reports
 from .sampling import (
     CriteriaConfig,
     apply_inclusion_criteria,
+    load_repo_summaries,
     subsample,
     write_eligibility_report,
 )
@@ -126,24 +127,9 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
 @_guard
 def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str):
     """Apply the seven inclusion criteria and seeded sub-sampling."""
-    from .models import RepoSummary, Visibility
-
-    raw = json.loads(Path(summaries_path).read_text("utf-8"))
     cfg = CriteriaConfig()
-    decisions = []
-    for obj in raw:
-        summary = RepoSummary(
-            slug=RepoSlug.parse(obj["repo"]),
-            visibility=Visibility(obj.get("visibility", "public")),
-            unique_committers=int(obj.get("unique_committers", 0)),
-            license_id=obj.get("license_id"),
-            languages=tuple(obj.get("languages", [])),
-            is_fork=bool(obj.get("is_fork", False)),
-            created_at=parse_utc(obj["created_at"]) if obj.get("created_at") else None,
-            age_days=int(obj.get("age_days", 0)),
-            default_branch=obj.get("default_branch", "main"),
-        )
-        decisions.append(apply_inclusion_criteria(summary, cfg))
+    decisions = [apply_inclusion_criteria(summary, cfg)
+                 for summary in load_repo_summaries(summaries_path)]
     write_eligibility_report(decisions, output_path)
     eligible = [d.slug for d in decisions if d.eligible]
     picked = subsample(eligible, fraction, seed)

@@ -60,20 +60,6 @@ class RepoIndividual:
 
 
 @dataclass(frozen=True)
-class RepoTotals:
-    repo: RepoSlug
-    totals: dict[InteractionKind, int]
-    sum_interactions: int
-    sum_individual_interaction_days: int
-
-    def __post_init__(self):
-        if self.sum_interactions != sum(self.totals.values()):
-            raise DataValidationError("sum_interactions must equal the kind totals")
-        if any(v < 0 for v in self.totals.values()):
-            raise DataValidationError("totals must be >= 0")
-
-
-@dataclass(frozen=True)
 class MetricVector:
     """One repo-individual's row: the ten clustering features, in
     FEATURE_NAMES order, and the metadata that is not clustered."""
@@ -103,8 +89,8 @@ class MetricVector:
 def build_repo_individuals(
     iset: InteractionSet,
     bot_deny_list: frozenset[str] = frozenset(),
-) -> tuple[list[RepoIndividual], RepoTotals]:
-    """Tally events into one RepoIndividual per distinct actor plus repo totals.
+) -> list[RepoIndividual]:
+    """Tally events into one RepoIndividual per distinct actor.
 
     Active dates are UTC calendar dates with at least one event. Individuals
     are returned sorted by login for deterministic downstream output.
@@ -119,7 +105,7 @@ def build_repo_individuals(
         actor_counts[ev.kind] += 1
         dates[ev.actor].add(ev.timestamp.astimezone(timezone.utc).date())
 
-    individuals = [
+    return [
         RepoIndividual(
             repo=iset.repo,
             login=login,
@@ -129,29 +115,6 @@ def build_repo_individuals(
         )
         for login in sorted(counts)
     ]
-    return individuals, repo_totals(iset.repo, individuals)
-
-
-def repo_totals(repo: RepoSlug, individuals: list[RepoIndividual]) -> RepoTotals:
-    """Sum the individuals' counts and interaction days into repo totals."""
-    totals = {k: sum(i.counts[k] for i in individuals) for k in ALL_KINDS}
-    return RepoTotals(
-        repo=repo,
-        totals=totals,
-        sum_interactions=sum(totals.values()),
-        sum_individual_interaction_days=sum(i.n_interaction_days for i in individuals),
-    )
-
-
-def compute_rc(individual_count: int, repo_total: int) -> float:
-    """100 * count / total; a zero total maps to 0.0 by convention."""
-    if individual_count > repo_total:
-        raise DataValidationError(
-            f"individual count {individual_count} exceeds repo total {repo_total}"
-        )
-    if repo_total == 0:
-        return 0.0
-    return 100.0 * individual_count / repo_total
 
 
 def compute_mrc(six_rcs: Iterable[float]) -> float:
@@ -162,43 +125,29 @@ def compute_mrc(six_rcs: Iterable[float]) -> float:
     return sum(rcs) / 6
 
 
-def compute_uit(counts: dict[InteractionKind, int]) -> int:
-    """Number of interaction kinds with a nonzero count."""
-    if set(counts) != set(ALL_KINDS):
-        raise DataValidationError("counts must have exactly the six kinds")
-    return sum(1 for v in counts.values() if v > 0)
+def _pct(part: int, whole: int) -> float:
+    """100 * part / whole; a zero whole maps to 0.0 by convention."""
+    return 100.0 * part / whole if whole else 0.0
 
 
-def compute_pct_interaction_days(individual_days: int,
-                                 sum_all_individuals_days: int) -> float:
-    if sum_all_individuals_days == 0:
-        return 0.0
-    return 100.0 * individual_days / sum_all_individuals_days
-
-
-def assemble_metric_vectors(individuals: list[RepoIndividual],
-                            totals: RepoTotals) -> list[MetricVector]:
-    """Compute the ten-feature vector for every individual of one repo."""
-    vectors = []
-    for ind in individuals:
-        if ind.repo != totals.repo:
-            raise DataValidationError(
-                f"individual repo {ind.repo} does not match totals repo {totals.repo}"
-            )
-        rcs = tuple(
-            compute_rc(ind.counts[k], totals.totals[k]) for k in ALL_KINDS
-        )
-        vectors.append(MetricVector.from_rcs(
-            rcs,
-            compute_rc(ind.n_interactions, totals.sum_interactions),
-            compute_pct_interaction_days(ind.n_interaction_days,
-                                         totals.sum_individual_interaction_days),
-            uit=compute_uit(ind.counts),
+def assemble_metric_vectors(individuals: list[RepoIndividual]) -> list[MetricVector]:
+    """Compute the ten-feature vector for every individual of one repo; every
+    share is of the sums over ``individuals``."""
+    totals = [sum(ind.counts[k] for ind in individuals) for k in ALL_KINDS]
+    sum_interactions = sum(totals)
+    sum_days = sum(ind.n_interaction_days for ind in individuals)
+    return [
+        MetricVector.from_rcs(
+            tuple(_pct(ind.counts[k], total) for k, total in zip(ALL_KINDS, totals)),
+            _pct(ind.n_interactions, sum_interactions),
+            _pct(ind.n_interaction_days, sum_days),
+            uit=sum(1 for v in ind.counts.values() if v > 0),
             repo=ind.repo,
             login=ind.login,
             is_bot_flagged=ind.is_bot_flagged,
-        ))
-    return vectors
+        )
+        for ind in individuals
+    ]
 
 
 def metric_table(
@@ -214,12 +163,11 @@ def metric_table(
     individuals: list[RepoIndividual] = []
     vectors: list[MetricVector] = []
     for iset in sorted(sets, key=lambda s: str(s.repo)):
-        repo_individuals, totals = build_repo_individuals(iset, bot_deny_list)
+        repo_individuals = build_repo_individuals(iset, bot_deny_list)
         if exclude_bots:
             repo_individuals = [i for i in repo_individuals if not i.is_bot_flagged]
-            totals = repo_totals(iset.repo, repo_individuals)
         individuals.extend(repo_individuals)
-        vectors.extend(assemble_metric_vectors(repo_individuals, totals))
+        vectors.extend(assemble_metric_vectors(repo_individuals))
     return individuals, vectors
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -32,64 +31,35 @@ def interaction_totals(
     }
 
 
-@dataclass(frozen=True)
-class UpSetTable:
-    """Exact-combination counts keyed by a canonical sorted kind tuple."""
-
-    counts: dict[tuple[str, ...], int]
-
-    def __post_init__(self):
-        if any(not key for key in self.counts):
-            raise DataValidationError("the empty combination must never appear")
-
-
 def upset_counts(individuals: Sequence[RepoIndividual],
-                 min_fraction: float = 0.0) -> UpSetTable:
-    """Count individuals per exact combination of nonzero interaction kinds.
+                 min_fraction: float = 0.0) -> dict[tuple[str, ...], int]:
+    """Count individuals per exact combination of nonzero interaction kinds,
+    keyed by the kinds' values in ALL_KINDS order.
 
     ``min_fraction`` optionally drops combinations below a display cutoff
-    (expressed as a fraction of all individuals); the unfiltered table always
-    sums to the individual count.
+    (expressed as a fraction of all individuals); the unfiltered counts always
+    sum to the individual count.
     """
     counts: dict[tuple[str, ...], int] = {}
     for ind in individuals:
-        combo = tuple(
-            k.value for k in ALL_KINDS if ind.counts[k] > 0
-        )
+        combo = tuple(k.value for k in ALL_KINDS if ind.counts[k] > 0)
         counts[combo] = counts.get(combo, 0) + 1
     if min_fraction > 0.0 and individuals:
         floor = min_fraction * len(individuals)
         counts = {c: n for c, n in counts.items() if n >= floor}
-    return UpSetTable(counts=counts)
+    return counts
 
 
-@dataclass(frozen=True)
-class CompositionRow:
-    repo: RepoSlug
-    clusters_present: frozenset[int]
-    n_individuals_per_cluster: dict[int, int]
-
-
-def composition(
-    individuals_with_labels: Sequence[tuple[RepoIndividual, int]],
-) -> tuple[list[CompositionRow], float]:
-    """Per-repo cluster presence plus the fraction of repos with >= 2 clusters."""
+def composition(individuals: Sequence[RepoIndividual], labels: Sequence[int],
+                ) -> list[tuple[RepoSlug, dict[int, int]]]:
+    """(repo, {cluster: count of individuals}) pairs in repo order, clusters
+    ascending; ``labels`` holds each individual's cluster."""
     per_repo: dict[RepoSlug, dict[int, int]] = {}
-    for ind, label in individuals_with_labels:
-        per_repo.setdefault(ind.repo, {}).setdefault(label, 0)
-        per_repo[ind.repo][label] += 1
-    rows = [
-        CompositionRow(
-            repo=repo,
-            clusters_present=frozenset(clusters),
-            n_individuals_per_cluster=dict(sorted(clusters.items())),
-        )
-        for repo, clusters in sorted(per_repo.items(), key=lambda kv: str(kv[0]))
-    ]
-    if not rows:
-        return rows, 0.0
-    mixed = sum(1 for r in rows if len(r.clusters_present) >= 2)
-    return rows, mixed / len(rows)
+    for ind, label in zip(individuals, labels):
+        clusters = per_repo.setdefault(ind.repo, {})
+        clusters[label] = clusters.get(label, 0) + 1
+    return [(repo, dict(sorted(clusters.items())))
+            for repo, clusters in sorted(per_repo.items(), key=lambda kv: str(kv[0]))]
 
 
 # -- file emission --------------------------------------------------------
@@ -105,29 +75,31 @@ def write_totals_csv(totals: dict[InteractionKind, tuple[int, float]],
             writer.writerow([kind.value, count, repr(pct)])
 
 
-def write_upset_json(table: UpSetTable, path: Union[str, Path]) -> None:
+def write_upset_json(counts: dict[tuple[str, ...], int],
+                     path: Union[str, Path]) -> None:
     entries = [
         {"combination": list(combo), "count": count}
-        for combo, count in sorted(
-            table.counts.items(), key=lambda kv: (-kv[1], kv[0])
-        )
+        for combo, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
     obj = {"format": "persona-miner-upset", "version": 1, "combinations": entries}
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
 
 
-def write_composition_csv(rows: Sequence[CompositionRow], mixed_fraction: float,
+def write_composition_csv(rows: Sequence[tuple[RepoSlug, dict[int, int]]],
                           path: Union[str, Path]) -> None:
+    """One row per (repo, {cluster: count}) pair; the first row also carries
+    the fraction of repos with two or more clusters."""
+    n_mixed = sum(len(clusters) >= 2 for _, clusters in rows)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["repo", "clusters_present", "counts_per_cluster",
                          "mixed_fraction"])
-        for i, row in enumerate(rows):
+        for i, (repo, clusters) in enumerate(rows):
             writer.writerow([
-                str(row.repo),
-                ";".join(str(c) for c in sorted(row.clusters_present)),
-                ";".join(f"{c}:{n}" for c, n in row.n_individuals_per_cluster.items()),
-                repr(mixed_fraction) if i == 0 else "",
+                str(repo),
+                ";".join(map(str, clusters)),
+                ";".join(f"{c}:{n}" for c, n in clusters.items()),
+                repr(n_mixed / len(rows)) if i == 0 else "",
             ])
 
 
@@ -169,5 +141,4 @@ def write_reports(individuals: Sequence[RepoIndividual], labels: Sequence[int],
     out = Path(output_dir)
     write_totals_csv(interaction_totals(individuals), out / "totals.csv")
     write_upset_json(upset_counts(individuals, upset_min_fraction), out / "upset.json")
-    rows, mixed_fraction = composition(list(zip(individuals, labels)))
-    write_composition_csv(rows, mixed_fraction, out / "composition.csv")
+    write_composition_csv(composition(individuals, labels), out / "composition.csv")

@@ -11,8 +11,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Union
 
-from .errors import ConfigError
-from .models import RepoSlug, RepoSummary, Visibility
+from .errors import ConfigError, DataValidationError
+from .models import RepoSlug, RepoSummary, Visibility, parse_utc
 
 
 def _defaults() -> dict:
@@ -60,6 +60,39 @@ class EligibilityDecision:
     def __post_init__(self):
         if self.eligible != (len(self.failed_criteria) == 0):
             raise ValueError("eligible must mirror an empty failed_criteria list")
+
+
+def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
+    """The summaries in a JSON list of objects; only ``repo`` is required. A
+    file or entry that cannot be read is a DataValidationError naming it."""
+    try:
+        raw = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:
+        raise DataValidationError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(raw, list):
+        raise DataValidationError(f"{path}: expected a JSON list of repo summaries")
+    summaries = []
+    for i, obj in enumerate(raw):
+        try:
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected an object, not {type(obj).__name__}")
+            created_at = obj.get("created_at")
+            summaries.append(RepoSummary(
+                slug=RepoSlug.parse(obj["repo"]),
+                visibility=Visibility(obj.get("visibility", "public")),
+                unique_committers=int(obj.get("unique_committers", 0)),
+                license_id=obj.get("license_id"),
+                languages=tuple(obj.get("languages", [])),
+                is_fork=bool(obj.get("is_fork", False)),
+                created_at=parse_utc(created_at) if created_at else None,
+                age_days=int(obj.get("age_days", 0)),
+                default_branch=obj.get("default_branch", "main"),
+            ))
+        except (AttributeError, KeyError, TypeError, ValueError,
+                DataValidationError) as exc:
+            raise DataValidationError(f"{path}: summary entry {i}: "
+                                      f"{type(exc).__name__}: {exc}") from exc
+    return summaries
 
 
 def apply_inclusion_criteria(summary: RepoSummary,

@@ -45,16 +45,21 @@ def default_archetypes(count: int = 200, noise_sd: float = 2.0,
 
 
 def load_archetype_specs(path: Union[str, Path]) -> list[ArchetypeSpec]:
-    raw = json.loads(Path(path).read_text("utf-8"))
-    return [
-        ArchetypeSpec(
-            name=a["name"],
-            centroid=tuple(float(v) for v in a["centroid"]),
-            noise_sd=float(a.get("noise_sd", 0.0)),
-            count=int(a["count"]),
-        )
-        for a in raw["archetypes"]
-    ]
+    """The specs of an ``{"archetypes": [...]}`` file; a file that cannot be
+    read as specs is a ConfigError naming it."""
+    try:
+        return [
+            ArchetypeSpec(
+                name=a["name"],
+                centroid=tuple(float(v) for v in a["centroid"]),
+                noise_sd=float(a.get("noise_sd", 0.0)),
+                count=int(a["count"]),
+            )
+            for a in json.loads(Path(path).read_text("utf-8"))["archetypes"]
+        ]
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad archetype specs "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 def generate(specs: Sequence[ArchetypeSpec], seed: int,

@@ -165,10 +165,10 @@ def test_criterion_4_metrics_invariants_on_1000_repos():
     rng = random.Random(41)
     mrc, days = FEATURE_NAMES.index("mrc"), FEATURE_NAMES.index("pct_interaction_days")
     for idx in range(1000):
-        individuals, totals = build_repo_individuals(_generated_repo(rng, idx))
-        vectors = assemble_metric_vectors(individuals, totals)
+        individuals = build_repo_individuals(_generated_repo(rng, idx))
+        vectors = assemble_metric_vectors(individuals)
         for kind_idx, kind in enumerate(ALL_KINDS):
-            if totals.totals[kind] > 0:
+            if sum(i.counts[kind] for i in individuals) > 0:
                 col = sum(v.features[kind_idx] for v in vectors)
                 assert abs(col - 100.0) <= 1e-9  # pinned
         for v in vectors:

@@ -296,6 +296,40 @@ def test_filter_bad_fraction_exit_2(runner, tmp_path):
             assert "error: fraction must be in (0, 1]" in result.output
 
 
+def test_filter_bad_summaries_exit_4(runner, tmp_path):
+    summaries = tmp_path / "summaries.json"
+    good = {"repo": "org/good", "unique_committers": 50, "age_days": 2000}
+    cases = [("{not", "not JSON"),
+             (json.dumps(good), "expected a JSON list"),
+             (json.dumps([good, "org/bad"]), "summary entry 1: TypeError"),
+             (json.dumps([{"unique_committers": 5}]), "summary entry 0: KeyError: 'repo'")]
+    for field, value in (("visibility", "weird"), ("created_at", "yesterday"),
+                         ("unique_committers", "many"), ("age_days", None),
+                         ("age_days", -1)):
+        cases.append((json.dumps([good, {**good, field: value}]), "summary entry 1: "))
+    for text, message in cases:
+        summaries.write_text(text)
+        result = runner.invoke(main, ["filter", "--summaries", str(summaries),
+                                      "--output", str(tmp_path / "elig.csv")])
+        assert result.exit_code == 4, text
+        assert f"error: {summaries}: {message}" in result.output, text
+
+
+def test_simulate_bad_specs_exit_2(runner, tmp_path):
+    specs = tmp_path / "specs.json"
+    spec = {"name": "a", "centroid": [10] * 6, "count": 3}
+    for text in ("{not json",
+                 json.dumps([spec]),
+                 json.dumps({"archetypes": [{"name": "a"}]}),
+                 json.dumps({"archetypes": [{**spec, "centroid": [10] * 5}]}),
+                 json.dumps({"archetypes": [{**spec, "count": "many"}]})):
+        specs.write_text(text)
+        result = runner.invoke(main, ["simulate", "--specs", str(specs),
+                                      "--metrics-output", str(tmp_path / "sim.csv")])
+        assert result.exit_code == 2, text
+        assert f"error: {specs}: bad archetype specs (" in result.output, text
+
+
 def test_bad_profiles_file_exit_2(runner, fixture_archive_path, tmp_path):
     metrics = tmp_path / "metrics.csv"
     _invoke(runner, ["metrics", "--archive", str(fixture_archive_path),

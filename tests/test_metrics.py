@@ -14,12 +14,8 @@ from persona_miner.metrics import (
     assemble_metric_vectors,
     build_repo_individuals,
     compute_mrc,
-    compute_pct_interaction_days,
-    compute_rc,
-    compute_uit,
     metric_table,
     read_metrics_csv,
-    repo_totals,
     write_metrics_csv,
 )
 from persona_miner.models import (
@@ -47,28 +43,27 @@ def _set(events, repo=REPO):
 
 
 def test_empty_set():
-    individuals, totals = build_repo_individuals(_set([]))
+    individuals = build_repo_individuals(_set([]))
     assert individuals == []
-    assert totals.sum_interactions == 0
-    assert all(v == 0 for v in totals.totals.values())
+    assert assemble_metric_vectors(individuals) == []
 
 
 def test_single_commit_individual():
-    individuals, totals = build_repo_individuals(_set([_ev("ada", K.COMMIT_CREATED)]))
+    individuals = build_repo_individuals(_set([_ev("ada", K.COMMIT_CREATED)]))
     assert len(individuals) == 1
     ind = individuals[0]
     assert ind.counts[K.COMMIT_CREATED] == 1
     assert all(ind.counts[k] == 0 for k in ALL_KINDS if k != K.COMMIT_CREATED)
     assert ind.n_interaction_days == 1
-    assert totals.sum_interactions == 1
+    assert sum(i.n_interactions for i in individuals) == 1
 
 
 def test_same_login_two_repos_two_individuals():
     r1, r2 = RepoSlug("org", "r1"), RepoSlug("org", "r2")
     s1 = _set([_ev("ada", K.COMMIT_CREATED, subject="a")], repo=r1)
     s2 = _set([_ev("ada", K.COMMIT_CREATED, subject="b")], repo=r2)
-    i1, _ = build_repo_individuals(s1)
-    i2, _ = build_repo_individuals(s2)
+    i1 = build_repo_individuals(s1)
+    i2 = build_repo_individuals(s2)
     assert i1[0].repo != i2[0].repo
     assert i1[0].login == i2[0].login == "ada"
 
@@ -76,23 +71,31 @@ def test_same_login_two_repos_two_individuals():
 def test_same_utc_date_dedup():
     events = [_ev("ada", K.COMMIT_CREATED, hours=5, subject="a"),
               _ev("ada", K.COMMIT_CREATED, hours=23, subject="b")]
-    individuals, _ = build_repo_individuals(_set(events))
+    individuals = build_repo_individuals(_set(events))
     assert individuals[0].n_interaction_days == 1
 
 
 def test_bot_flagging():
-    individuals, _ = build_repo_individuals(
+    individuals = build_repo_individuals(
         _set([_ev("dependabot[bot]", K.PR_CREATED)])
     )
     assert individuals[0].is_bot_flagged
 
 
+def _rows(spec):
+    """spec: (actor, kind, day) triples -> {login: metric row} of one repo."""
+    individuals = build_repo_individuals(_set(_events(spec)))
+    return {v.login: v for v in assemble_metric_vectors(individuals)}
+
+
 def test_compute_rc_cases():
-    assert compute_rc(5, 20) == 25.0
-    assert compute_rc(0, 0) == 0.0
-    assert compute_rc(7, 7) == 100.0
-    with pytest.raises(DataValidationError):
-        compute_rc(3, 2)
+    rows = _rows([("ada", K.COMMIT_CREATED, 0)] * 5 + [("bob", K.COMMIT_CREATED, 0)] * 15
+                 + [("ada", K.ISSUE_CREATED, 0)] * 7)
+    assert _feature(rows["ada"], "rc_commits_created") == 25.0  # 5 of 20
+    assert _feature(rows["ada"], "rc_issues_created") == 100.0  # 7 of 7
+    assert _feature(rows["bob"], "rc_issues_created") == 0.0
+    for v in rows.values():  # a kind nobody in the repo used
+        assert _feature(v, "rc_prs_closed") == 0.0
 
 
 def test_compute_mrc_cases():
@@ -104,20 +107,19 @@ def test_compute_mrc_cases():
 
 
 def test_compute_uit_cases():
-    full = {k: 1 for k in ALL_KINDS}
-    assert compute_uit(full) == 6
-    only_commits = {k: (3 if k == K.COMMIT_CREATED else 0) for k in ALL_KINDS}
-    assert compute_uit(only_commits) == 1
-    three = {k: 0 for k in ALL_KINDS}
-    three[K.COMMIT_CREATED] = 1
-    three[K.ISSUE_CREATED] = 2
-    three[K.PR_CREATED] = 1
-    assert compute_uit(three) == 3
+    rows = _rows([("full", k, 0) for k in ALL_KINDS]
+                 + [("only_commits", K.COMMIT_CREATED, 0)] * 3
+                 + [("three", K.COMMIT_CREATED, 0), ("three", K.ISSUE_CREATED, 0),
+                    ("three", K.ISSUE_CREATED, 1), ("three", K.PR_CREATED, 2)])
+    assert {login: v.uit for login, v in rows.items()} == {
+        "full": 6, "only_commits": 1, "three": 3}
 
 
 def test_pct_interaction_days_cases():
-    assert compute_pct_interaction_days(2, 8) == 25.0
-    assert compute_pct_interaction_days(0, 0) == 0.0
+    rows = _rows([("ada", K.COMMIT_CREATED, day) for day in (0, 3)]
+                 + [("bob", K.ISSUE_CREATED, day) for day in range(6)])
+    assert _feature(rows["ada"], "pct_interaction_days") == 25.0  # 2 of 8
+    assert _feature(rows["bob"], "pct_interaction_days") == 75.0
 
 
 def _feature(v, name):
@@ -147,8 +149,7 @@ def test_metric_vector_needs_ten_finite_floats():
 def test_sole_contributor_all_hundreds():
     events = [_ev("ada", k, hours=i, subject=f"s{i}")
               for i, k in enumerate(ALL_KINDS)]
-    individuals, totals = build_repo_individuals(_set(events))
-    vectors = assemble_metric_vectors(individuals, totals)
+    vectors = assemble_metric_vectors(build_repo_individuals(_set(events)))
     v = vectors[0]
     assert v.features[:6] == (100.0,) * 6
     assert _feature(v, "mrc") == 100.0
@@ -165,8 +166,7 @@ def test_three_contributor_columns_sum_to_100():
             subject += 1
             events.append(_ev(actor, K.COMMIT_CREATED, hours=subject,
                               subject=f"s{subject}"))
-    individuals, totals = build_repo_individuals(_set(events))
-    vectors = assemble_metric_vectors(individuals, totals)
+    vectors = assemble_metric_vectors(build_repo_individuals(_set(events)))
     for name in ("rc_commits_created", "pct_sum_n_interactions", "pct_interaction_days"):
         assert abs(sum(_feature(v, name) for v in vectors) - 100.0) < 1e-9
 
@@ -176,8 +176,7 @@ def test_ten_percent_share():
               for i in range(10)]
     events += [_ev("bob", K.ISSUE_CREATED, hours=100 + i, subject=f"j{i}")
                for i in range(90)]
-    individuals, totals = build_repo_individuals(_set(events))
-    vectors = assemble_metric_vectors(individuals, totals)
+    vectors = assemble_metric_vectors(build_repo_individuals(_set(events)))
     ada = next(v for v in vectors if v.login == "ada")
     assert abs(_feature(ada, "pct_sum_n_interactions") - 10.0) < 1e-12
 
@@ -206,10 +205,10 @@ def test_invariants_over_generated_repos():
     rng = random.Random(20240601)
     for repo_idx in range(200):
         iset = make_random_repo(rng, repo_idx)
-        individuals, totals = build_repo_individuals(iset)
-        vectors = assemble_metric_vectors(individuals, totals)
+        individuals = build_repo_individuals(iset)
+        vectors = assemble_metric_vectors(individuals)
         for kind_idx, kind in enumerate(ALL_KINDS):
-            if totals.totals[kind] > 0:
+            if sum(i.counts[kind] for i in individuals) > 0:
                 col = sum(v.features[kind_idx] for v in vectors)
                 assert abs(col - 100.0) < 1e-9
         for v in vectors:
@@ -218,7 +217,7 @@ def test_invariants_over_generated_repos():
             assert 1 <= v.uit <= 6
             assert _feature(v, "pct_created_minus_closed_issues") == \
                 _feature(v, "rc_issues_created") - _feature(v, "rc_issues_closed")
-        if totals.sum_individual_interaction_days > 0:
+        if sum(i.n_interaction_days for i in individuals) > 0:
             assert abs(sum(_feature(v, "pct_interaction_days") for v in vectors)
                        - 100.0) < 1e-9
 
@@ -226,8 +225,7 @@ def test_invariants_over_generated_repos():
 def test_metrics_csv_round_trip(tmp_path, fixture_archive_path):
     vectors = []
     for iset in sorted(load_archive(fixture_archive_path), key=lambda s: str(s.repo)):
-        individuals, totals = build_repo_individuals(iset)
-        vectors.extend(assemble_metric_vectors(individuals, totals))
+        vectors.extend(assemble_metric_vectors(build_repo_individuals(iset)))
     path = tmp_path / "metrics.csv"
     write_metrics_csv(vectors, path)
     assert read_metrics_csv(path) == vectors
@@ -245,12 +243,12 @@ def _bot_filtered_route(sets, deny):
     """Reference: re-tally each repo from its events minus the bots' events."""
     individuals, vectors = [], []
     for iset in sorted(sets, key=lambda s: str(s.repo)):
-        first, _ = build_repo_individuals(iset, deny)
+        first = build_repo_individuals(iset, deny)
         bots = {i.login for i in first if i.is_bot_flagged}
         kept = _set([ev for ev in iset.events if ev.actor not in bots], repo=iset.repo)
-        repo_individuals, totals = build_repo_individuals(kept, deny)
+        repo_individuals = build_repo_individuals(kept, deny)
         individuals.extend(repo_individuals)
-        vectors.extend(assemble_metric_vectors(repo_individuals, totals))
+        vectors.extend(assemble_metric_vectors(repo_individuals))
     return individuals, vectors
 
 
@@ -273,11 +271,8 @@ def test_metric_table_matches_bot_filtered_route():
     assert (individuals, vectors) == _bot_filtered_route(sets, deny)
     assert [(str(v.repo), v.login) for v in vectors] == [
         ("org/denied", "cy"), ("org/mixed", "ada"), ("org/mixed", "bob")]
-    # a repo of bots only leaves no rows and zero totals
+    # a repo of bots only leaves no rows
     assert metric_table(sets[1:2], exclude_bots=True) == ([], [])
-    empty = repo_totals(all_bots, [])
-    assert set(empty.totals.values()) == {0}
-    assert empty.sum_interactions == empty.sum_individual_interaction_days == 0
     # without exclude_bots every row stays and the deny list only flags
     individuals, vectors = metric_table(sets, bot_deny_list=deny)
     assert len(vectors) == 7

@@ -7,7 +7,6 @@ from persona_miner.errors import DataValidationError
 from persona_miner.metrics import RepoIndividual
 from persona_miner.models import ALL_KINDS, InteractionKind, RepoSlug
 from persona_miner.report import (
-    UpSetTable,
     composition,
     interaction_totals,
     read_labels_csv,
@@ -54,42 +53,46 @@ def test_upset_exact_combinations():
         _individual("b", commit_created=3),
         _individual("c", commit_created=1, issue_created=1),
     ]
-    table = upset_counts(inds)
-    assert table.counts == {
+    counts = upset_counts(inds)
+    assert counts == {
         ("CommitCreated",): 2,
         ("CommitCreated", "IssueCreated"): 1,
     }
-    assert sum(table.counts.values()) == len(inds)
+    assert sum(counts.values()) == len(inds)
 
 
 def test_upset_min_fraction_filters():
     inds = [_individual(f"u{i}", commit_created=1) for i in range(9)]
     inds.append(_individual("solo", pr_created=1))
-    table = upset_counts(inds, min_fraction=0.2)
-    assert table.counts == {("CommitCreated",): 9}
+    assert upset_counts(inds, min_fraction=0.2) == {("CommitCreated",): 9}
 
 
 def test_upset_empty_combination_forbidden():
-    with pytest.raises(DataValidationError):
-        UpSetTable(counts={(): 1})
+    # the empty combination cannot reach upset_counts: an individual needs an
+    # interaction
+    with pytest.raises(DataValidationError, match="at least one interaction"):
+        _individual("a")
 
 
-def test_composition_rows_and_mixed_fraction():
-    pairs = [
-        (_individual("a", repo="org/x", commit_created=1), 0),
-        (_individual("b", repo="org/x", commit_created=1), 1),
-        (_individual("c", repo="org/y", commit_created=1), 2),
+def test_composition_rows_and_mixed_fraction(tmp_path):
+    inds = [
+        _individual("a", repo="org/x", commit_created=1),
+        _individual("b", repo="org/x", commit_created=1),
+        _individual("c", repo="org/y", commit_created=1),
     ]
-    rows, mixed = composition(pairs)
-    assert [str(r.repo) for r in rows] == ["org/x", "org/y"]
-    assert rows[0].clusters_present == {0, 1}
-    assert rows[0].n_individuals_per_cluster == {0: 1, 1: 1}
-    assert mixed == pytest.approx(0.5)
+    rows = composition(inds, [0, 1, 2])
+    assert rows == [(RepoSlug("org", "x"), {0: 1, 1: 1}), (RepoSlug("org", "y"), {2: 1})]
+    out = tmp_path / "comp.csv"
+    write_composition_csv(rows, out)
+    assert [line.split(",")[-1] for line in out.read_text().splitlines()[1:]] == ["0.5", ""]
 
 
-def test_composition_empty():
-    rows, mixed = composition([])
-    assert rows == [] and mixed == 0.0
+def test_composition_empty(tmp_path):
+    assert composition([], []) == []
+    out = tmp_path / "comp.csv"
+    write_composition_csv([], out)
+    assert out.read_text().splitlines() == [
+        "repo,clusters_present,counts_per_cluster,mixed_fraction"]
 
 
 def test_totals_csv(tmp_path):
@@ -103,11 +106,11 @@ def test_totals_csv(tmp_path):
 
 
 def test_upset_json(tmp_path):
-    table = upset_counts([_individual("a", commit_created=1),
-                          _individual("b", commit_created=1),
-                          _individual("c", issue_created=1)])
+    counts = upset_counts([_individual("a", commit_created=1),
+                           _individual("b", commit_created=1),
+                           _individual("c", issue_created=1)])
     out = tmp_path / "upset.json"
-    write_upset_json(table, out)
+    write_upset_json(counts, out)
     obj = json.loads(out.read_text())
     assert obj["format"] == "persona-miner-upset"
     assert obj["version"] == 1
@@ -115,11 +118,9 @@ def test_upset_json(tmp_path):
 
 
 def test_composition_csv(tmp_path):
-    pairs = [(_individual("a", commit_created=1), 0),
-             (_individual("b", commit_created=1), 1)]
-    rows, mixed = composition(pairs)
+    inds = [_individual("a", commit_created=1), _individual("b", commit_created=1)]
     out = tmp_path / "comp.csv"
-    write_composition_csv(rows, mixed, out)
+    write_composition_csv(composition(inds, [0, 1]), out)
     lines = out.read_text().splitlines()
     assert lines[0] == "repo,clusters_present,counts_per_cluster,mixed_fraction"
     assert lines[1] == "org/repo,0;1,0:1;1:1,1.0"
