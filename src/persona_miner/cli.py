@@ -220,12 +220,15 @@ def assign(metrics_path: str, profiles_path: str | None, output_path: str):
 @click.option("--archive", "archive_path", required=True, type=click.Path(exists=True))
 @click.option("--labels", "labels_path", type=click.Path(exists=True))
 @click.option("--output-dir", required=True, type=click.Path())
+@click.option("--exclude-bots", is_flag=True)
 @_guard
-def report(archive_path: str, labels_path: str | None, output_dir: str):
+def report(archive_path: str, labels_path: str | None, output_dir: str,
+           exclude_bots: bool):
     """Emit totals, UpSet counts, and composition from an archive."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    individuals, _vectors = metric_table(load_archive(archive_path))
+    individuals, _vectors = metric_table(load_archive(archive_path),
+                                         exclude_bots=exclude_bots)
     labels = read_labels_csv(labels_path, individuals) if labels_path else \
         (0,) * len(individuals)
     write_reports(individuals, labels, out)

@@ -77,13 +77,20 @@ def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
             if not isinstance(obj, dict):
                 raise TypeError(f"expected an object, not {type(obj).__name__}")
             created_at = obj.get("created_at")
+            languages = obj.get("languages", [])
+            if not (isinstance(languages, list)
+                    and all(isinstance(lang, str) for lang in languages)):
+                raise TypeError(f"languages must be a list of strings, not {languages!r}")
+            is_fork = obj.get("is_fork", False)
+            if not isinstance(is_fork, bool):
+                raise TypeError(f"is_fork must be true or false, not {is_fork!r}")
             summaries.append(RepoSummary(
                 slug=RepoSlug.parse(obj["repo"]),
                 visibility=Visibility(obj.get("visibility", "public")),
                 unique_committers=int(obj.get("unique_committers", 0)),
                 license_id=obj.get("license_id"),
-                languages=tuple(obj.get("languages", [])),
-                is_fork=bool(obj.get("is_fork", False)),
+                languages=tuple(languages),
+                is_fork=is_fork,
                 created_at=parse_utc(created_at) if created_at else None,
                 age_days=int(obj.get("age_days", 0)),
                 default_branch=obj.get("default_branch", "main"),

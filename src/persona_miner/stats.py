@@ -1,21 +1,27 @@
 """Cluster validation mathematics: PCA, one-way ANOVA, and Tukey HSD.
 
-The F-test p-value comes from the regularized incomplete beta function. The
-studentized range CDF is R's ``ptukey`` method (Copenhaver & Holland 1988):
-fixed 16-point Gauss-Legendre nodes on 8 equal panels of z in [-8.5, 8.5]
-for the range of k normals, and on 16 equal panels of t = log u for the
-scaled-chi pooled standard deviation u, one path for every df. It agrees
-with a 4x finer rule within 1e-10 (k <= 20, df 2..99999). numpy and
-``scipy.special`` are imported inside the functions that use them, and the
-fixed nodes are built on first use, so neither is loaded at CLI start:
-``--help`` and the ``metrics``, ``classify`` and ``report`` commands never
-load them.
+Both special functions are computed here, so scipy is not a run-time
+dependency; the test suite keeps ``scipy.special`` and ``scipy.stats`` as
+their oracles. The F-test p-value is the regularized incomplete beta
+function by its continued fraction, evaluated with the modified Lentz
+method (Numerical Recipes, 3rd ed., section 6.4). The normal CDF ``_ndtr``
+ports Cephes ``ndtr``, which rests on Cody's rational approximations to erf
+and erfc (Cody 1969, Math. Comp. 23). The studentized range CDF is R's
+``ptukey`` method (Copenhaver & Holland 1988): fixed 16-point
+Gauss-Legendre nodes on 8 equal panels of z in [-8.5, 8.5] for the range of
+k normals, and on 16 equal panels of t = log u for the scaled-chi pooled
+standard deviation u, one path for every df. It agrees with a 4x finer rule
+within 1e-10 (k <= 20, df 2..99999). numpy is imported inside the functions
+that use it, and the fixed nodes are built on first use, so it is not loaded
+at CLI start: ``--help`` and the ``metrics``, ``classify`` and ``report``
+commands never load it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
@@ -27,6 +33,29 @@ if TYPE_CHECKING:
 
 # p-values below this are indistinguishable from zero and reported as 0.0
 P_CLAMP = 1e-300
+
+# Cephes ndtr.c coefficients: erf(x) = x T(x^2) / U(x^2) for |x| < 1;
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8 and exp(-x^2) R(x) / S(x)
+# beyond. U, Q and S have an implicit leading coefficient of 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # Cephes: erfc(x) is 0 once x^2 exceeds this
+_SQRT1_2 = 0.70710678118654752440
+
+_CF_TINY = 1e-300  # Lentz: stands in for a zero denominator
+_CF_MAX_TERMS = 1000  # far above the <= 60 seen for df1 <= 50, df2 <= 2e6
 
 
 @functools.cache
@@ -56,6 +85,83 @@ def _z_grid():
     phi_w = z_weights * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     cdf_z = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z])
     return z, phi_w, cdf_z
+
+
+def _rational(w: np.ndarray, x: np.ndarray, num: tuple[float, ...],
+              den: tuple[float, ...]) -> np.ndarray:
+    """w * num(x) / den(x) by Horner's rule, as Cephes polevl/p1evl order it;
+    overwrites and returns w."""
+    p = x * num[0]
+    for c in num[1:-1]:
+        p += c
+        p *= x
+    p += num[-1]
+    q = x + den[0]
+    for c in den[1:]:
+        q *= x
+        q += c
+    w *= p
+    w /= q
+    return w
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise: Cephes ``ndtr``, each branch on its subset.
+
+    In place on the subsets, because fresh full-grid temporaries cost more
+    than the arithmetic.
+    """
+    import numpy as np
+
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    # 0 or 1 where erfc(|x|) underflows; Cephes's x^2 > MAXLOG test first holds at 26.64
+    out = np.greater(x, 0.0, out=np.empty_like(x))
+    inner = z < 1.0
+    x_in = x[inner]
+    erf = _rational(x_in, x_in * x_in, _ERF_T, _ERF_U)
+    erf *= 0.5
+    erf += 0.5
+    out[inner] = erf
+    near = z < 8.0
+    for mask, num, den in ((near & ~inner, _ERFC_P, _ERFC_Q),
+                           (~near & (z < 27.0), _ERFC_R, _ERFC_S)):
+        z_m = z[mask]
+        e = z_m * z_m
+        under = e > _MAXLOG
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        e[under] = 0.0
+        half_erfc = _rational(e, z_m, num, den)
+        half_erfc *= 0.5
+        np.subtract(1.0, half_erfc, out=half_erfc, where=x[mask] > 0.0)
+        out[mask] = half_erfc
+    return out
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method.
+
+    Converges fast for x < (a + 1) / (a + b + 2); callers swap a and b beyond.
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        m2 = 2 * m
+        for coef in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                     -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + coef / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= sys.float_info.epsilon:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge "
+                          f"(a={a}, b={b}, x={x})")
 
 
 @dataclass(frozen=True)
@@ -164,13 +270,22 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
 
 
 def f_sf(f: float, df1: int, df2: int) -> float:
-    """Upper tail of the F distribution via the regularized incomplete beta."""
-    from scipy.special import betainc
-
+    """Upper tail of the F distribution: I_x(df2/2, df1/2) at x = df2/(df2 + df1 f)."""
     if f <= 0:
         return 1.0
-    x = df2 / (df2 + df1 * f)
-    return float(betainc(df2 / 2.0, df1 / 2.0, x))
+    a, b = df2 / 2.0, df1 / 2.0
+    s = df2 + df1 * f
+    # y from f directly: 1 - x loses the low bits of a small y
+    x, y = df2 / s, df1 * f / s
+    if y == 0.0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
 
 
 def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
@@ -192,7 +307,7 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
 
     f = (ss_between / df_between) / (ss_within / df_within)
     p = f_sf(f, df_between, df_within)
-    if 0.0 < p < P_CLAMP:
+    if p < P_CLAMP:  # an underflow to 0.0 included
         return AnovaResult(f, 0.0, df_between, df_within, p_approx_zero=True)
     return AnovaResult(f, p, df_between, df_within)
 
@@ -204,7 +319,6 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     pooled standard deviation u, over t = log u, on fixed nodes.
     """
     import numpy as np
-    from scipy.special import ndtr
 
     if q <= 0:
         return 0.0
@@ -216,7 +330,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     density = t_weights * np.exp(log_norm + df * t - df * np.exp(2.0 * t) / 2.0)
     # normal-range CDF at r = q*u for every u node, over the z nodes
     z, phi_w, cdf_z = _z_grid()
-    spread = cdf_z - ndtr(z - q * np.exp(t)[:, None])
+    spread = cdf_z - _ndtr(z - q * np.exp(t)[:, None])
     range_cdf = k * (spread ** (k - 1) @ phi_w)
     return min(1.0, float(range_cdf @ density))
 

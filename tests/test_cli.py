@@ -40,6 +40,25 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_run_and_stats_load_no_scipy(fixture_archive_path, tmp_path):
+    src = str(Path(persona_miner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from persona_miner.cli import main\n"
+        "from persona_miner.stats import one_way_anova, tukey_hsd\n"
+        f"main(['run', '--archive', {str(fixture_archive_path)!r}, "
+        f"'--output-dir', {str(tmp_path / 'run')!r}], standalone_mode=False)\n"
+        "groups = [[1.0, 2.0, 3.5], [4.0, 5.5, 6.0], [2.0, 2.5, 9.0]]\n"
+        "assert one_way_anova(groups).p_value > 0.0\n"
+        "assert len(tukey_hsd(groups).pairs) == 3\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert (tmp_path / "run" / "stats.json").exists()
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_cli_import_loads_no_numpy():
     src = str(Path(persona_miner.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -184,14 +203,16 @@ def test_report_subcommand(runner, fixture_archive_path, tmp_path):
                                                "composition.csv"}
 
 
-@pytest.mark.parametrize("k_max", [10, 3])
-def test_subcommands_reproduce_run_outputs(runner, fixture_archive_path, tmp_path, k_max):
+@pytest.mark.parametrize("k_max, flags", [(10, []), (3, []), (10, ["--exclude-bots"])],
+                         ids=["10", "3", "10-exclude-bots"])
+def test_subcommands_reproduce_run_outputs(runner, fixture_archive_path, tmp_path,
+                                           k_max, flags):
     archive, run_dir = str(fixture_archive_path), tmp_path / "run"
-    _invoke(runner, ["run", "--archive", archive, "--k-max", str(k_max),
+    _invoke(runner, ["run", "--archive", archive, "--k-max", str(k_max), *flags,
                      "--output-dir", str(run_dir)])
     metrics, labels = str(run_dir / "metrics.csv"), str(run_dir / "labels.csv")
 
-    _invoke(runner, ["report", "--archive", archive, "--labels", labels,
+    _invoke(runner, ["report", "--archive", archive, "--labels", labels, *flags,
                      "--output-dir", str(tmp_path / "report")])
     for name in ("totals.csv", "upset.json", "composition.csv"):
         assert (tmp_path / "report" / name).read_bytes() == (run_dir / name).read_bytes()
@@ -307,6 +328,11 @@ def test_filter_bad_summaries_exit_4(runner, tmp_path):
                          ("unique_committers", "many"), ("age_days", None),
                          ("age_days", -1)):
         cases.append((json.dumps([good, {**good, field: value}]), "summary entry 1: "))
+    for field, value, rule in (("is_fork", "false", "must be true or false"),
+                               ("languages", "Python", "must be a list of strings"),
+                               ("languages", ["Python", 3], "must be a list of strings")):
+        cases.append((json.dumps([good, {**good, field: value}]),
+                      f"summary entry 1: TypeError: {field} {rule}, not {value!r}"))
     for text, message in cases:
         summaries.write_text(text)
         result = runner.invoke(main, ["filter", "--summaries", str(summaries),

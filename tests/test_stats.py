@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from persona_miner import stats
@@ -100,6 +101,40 @@ def test_f_sf_matches_scipy():
         )
 
 
+@pytest.mark.parametrize("df1", range(1, 20))
+def test_f_sf_oracle_grid(df1):
+    for df2 in (2, 3, 5, 10, 30, 100, 498, 1000, 5000, 20000):
+        fs = scipy.stats.f.isf(np.geomspace(1e-250, 0.999, 40), df1, df2)
+        fs = fs[np.isfinite(fs)]
+        expected = scipy.stats.f.sf(fs, df1, df2)
+        assert expected.min() >= 1e-250
+        got = [f_sf(float(f), df1, df2) for f in fs]
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12,
+                                   err_msg=f"df1={df1} df2={df2}")
+
+
+def test_f_sf_bounded_and_monotone_in_f():
+    for df1, df2 in ((1, 2), (2, 10), (4, 498), (19, 20000)):
+        values = np.array([f_sf(float(f), df1, df2)
+                           for f in np.geomspace(1e-6, 1e4, 400)])
+        assert np.all(np.diff(values) <= 0.0), (df1, df2)
+        assert values[0] <= 1.0 and values[-1] >= 0.0
+        for f in (0.0, -1.0, 1e-320):
+            assert f_sf(f, df1, df2) == 1.0
+        assert f_sf(math.inf, df1, df2) == 0.0
+
+
+def test_ndtr_matches_scipy():
+    a = np.linspace(-40.0, 40.0, 400_001)
+    got, expected = stats._ndtr(a), scipy.special.ndtr(a)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=2e-16)
+    # below 0 it is 0.5 * erfc(|x|), so also relative to its size above the subnormals
+    lower = (a < 0.0) & (expected > 1e-300)
+    np.testing.assert_allclose(got[lower], expected[lower], rtol=2e-15, atol=0)
+    assert np.array_equal(got[expected == 0.0], expected[expected == 0.0])
+    assert np.array_equal(got[expected == 1.0], expected[expected == 1.0])
+
+
 def test_anova_equal_means_f_zero():
     result = one_way_anova([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
     assert result.f_statistic == pytest.approx(0.0, abs=1e-12)
@@ -144,6 +179,14 @@ def test_anova_matches_scipy_on_random_groups():
 def test_anova_zero_within_distinct_means():
     result = one_way_anova([[1.0, 1.0], [2.0, 2.0]])
     assert result.f_statistic == math.inf
+    assert result.p_value == 0.0
+    assert result.p_approx_zero
+
+
+def test_anova_p_value_underflow_is_flagged():
+    rng = np.random.default_rng(0)
+    result = one_way_anova([rng.normal(0.0, 1e-3, 400), rng.normal(1.0, 1e-3, 400)])
+    assert result.f_statistic > 1e6
     assert result.p_value == 0.0
     assert result.p_approx_zero
 
