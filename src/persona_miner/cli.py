@@ -29,10 +29,10 @@ from .github import GitHubClient
 from .metrics import metric_table, read_metrics_csv, write_metrics_csv
 from .models import RepoSlug
 from .personas import assign_persona, load_profiles, write_personas_csv
-from .pipeline import RunConfig, feature_matrix, run_pipeline, write_stats_json
+from .pipeline import (RunConfig, check_k_range, feature_matrix, run_pipeline,
+                       write_stats_json)
 from .report import read_labels_csv, write_labels_csv, write_reports
 from .sampling import (
-    CriteriaConfig,
     apply_inclusion_criteria,
     load_repo_summaries,
     subsample,
@@ -127,8 +127,7 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
 @_guard
 def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str):
     """Apply the seven inclusion criteria and seeded sub-sampling."""
-    cfg = CriteriaConfig()
-    decisions = [apply_inclusion_criteria(summary, cfg)
+    decisions = [apply_inclusion_criteria(summary)
                  for summary in load_repo_summaries(summaries_path)]
     write_eligibility_report(decisions, output_path)
     eligible = [d.slug for d in decisions if d.eligible]
@@ -172,6 +171,7 @@ def classify(archive_path: str, output_path: str):
 def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
             dendrogram_output: str | None):
     """Cluster metric vectors and emit labels (and optionally the merge tree)."""
+    check_k_range(k_min, k_max)
     vectors = read_metrics_csv(metrics_path)
     if len(vectors) < 3:
         _fail(EXIT_DATA, "clustering needs at least 3 metric rows")

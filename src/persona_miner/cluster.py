@@ -38,14 +38,10 @@ class Dendrogram:
     n_leaves: int
     merges: tuple[tuple[int, int, float, int], ...]  # (a, b, height, new_size)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n_leaves": self.n_leaves,
-            "merges": [[a, b, h, s] for a, b, h, s in self.merges],
-        }
-
     def save_json(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj(), indent=2) + "\n", "utf-8")
+        obj = {"n_leaves": self.n_leaves,
+               "merges": [[a, b, h, s] for a, b, h, s in self.merges]}
+        Path(path).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
 
 
 @dataclass(frozen=True)

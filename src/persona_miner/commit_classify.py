@@ -1,12 +1,15 @@
 """Commit classification by message keywords, size, and changed-file types.
 
 Three independent classifiers, each total and deterministic:
-- development type from verb-stem matching on the commit message;
-- size class from the number of changed files;
+- development type from the first word of the commit message, matched
+  against verb-stem prefixes;
+- size class from the number of changed files, with the fixed bounds
+  TINY_MAX, SMALL_MAX and MEDIUM_MAX;
 - activity type from ordered pattern rules over changed paths.
 
-The stem and pattern tables are shipped as editable data files; the built-in
-defaults are a documented, replaceable approximation.
+The stem and pattern tables are shipped as data files, and
+``classify_message``/``classify_files`` take a replacement table or rule
+set; ``classify_commit`` always uses the shipped ones.
 """
 
 from __future__ import annotations
@@ -39,17 +42,10 @@ class SizeClass(str, Enum):
     LARGE = "Large"
 
 
-@dataclass(frozen=True)
-class SizeThresholds:
-    """Upper bounds (inclusive) for Tiny/Small/Medium; above medium is Large."""
-
-    tiny_max: int = 5
-    small_max: int = 25
-    medium_max: int = 125
-
-    def __post_init__(self):
-        if not self.tiny_max < self.small_max < self.medium_max:
-            raise ConfigError("size thresholds must be strictly increasing")
+# inclusive upper bounds on the changed-file count; above MEDIUM_MAX is Large
+TINY_MAX = 5
+SMALL_MAX = 25
+MEDIUM_MAX = 125
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,6 @@ class KeywordTable:
     """Ordered verb-stem table; first-token stem match, case-insensitive."""
 
     stems: tuple[tuple[DevelopmentType, tuple[str, ...]], ...]
-    match_anywhere: bool = False
 
     def __post_init__(self):
         seen: dict[str, DevelopmentType] = {}
@@ -102,7 +97,7 @@ def load_keyword_table(path: Optional[Union[str, Path]] = None) -> KeywordTable:
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad keyword table: {exc}") from exc
-    return KeywordTable(stems=stems, match_anywhere=bool(raw.get("match_anywhere", False)))
+    return KeywordTable(stems=stems)
 
 
 def load_activity_rules(path: Optional[Union[str, Path]] = None) -> ActivityRules:
@@ -125,7 +120,6 @@ def load_activity_rules(path: Optional[Union[str, Path]] = None) -> ActivityRule
 
 DEFAULT_KEYWORD_TABLE = load_keyword_table()
 DEFAULT_ACTIVITY_RULES = load_activity_rules()
-DEFAULT_SIZE_THRESHOLDS = SizeThresholds()
 
 
 def classify_message(message: str,
@@ -136,27 +130,23 @@ def classify_message(message: str,
         return DevelopmentType.UNCLASSIFIED
     first_word = text.split()[0]
     for dev_type, stems in table.stems:
-        if table.match_anywhere:
-            if any(stem in text for stem in stems):
-                return dev_type
-        elif first_word.startswith(stems):
+        if first_word.startswith(stems):
             return dev_type
     return DevelopmentType.UNCLASSIFIED
 
 
-def classify_size(n_files: int,
-                  thresholds: SizeThresholds = DEFAULT_SIZE_THRESHOLDS) -> SizeClass:
+def classify_size(n_files: int) -> SizeClass:
     """Bucket a commit by number of changed files."""
     if n_files < 1:
         raise DataValidationError(
             "a commit with a payload must list at least one file; "
             "payload-absent commits skip size classification"
         )
-    if n_files <= thresholds.tiny_max:
+    if n_files <= TINY_MAX:
         return SizeClass.TINY
-    if n_files <= thresholds.small_max:
+    if n_files <= SMALL_MAX:
         return SizeClass.SMALL
-    if n_files <= thresholds.medium_max:
+    if n_files <= MEDIUM_MAX:
         return SizeClass.MEDIUM
     return SizeClass.LARGE
 
@@ -180,19 +170,16 @@ class CommitClassification:
     activity_type: str
 
 
-def classify_commit(sha: str, repo: str, payload: Optional[CommitPayload],
-                    table: KeywordTable = DEFAULT_KEYWORD_TABLE,
-                    rules: ActivityRules = DEFAULT_ACTIVITY_RULES,
-                    thresholds: SizeThresholds = DEFAULT_SIZE_THRESHOLDS,
-                    ) -> CommitClassification:
+def classify_commit(sha: str, repo: str,
+                    payload: Optional[CommitPayload]) -> CommitClassification:
     message = payload.message if payload else ""
     files = list(payload.changed_files) if payload else []
     return CommitClassification(
         sha=sha,
         repo=repo,
-        dev_type=classify_message(message, table),
-        size_class=classify_size(len(files), thresholds) if files else None,
-        activity_type=classify_files(files, rules),
+        dev_type=classify_message(message),
+        size_class=classify_size(len(files)) if files else None,
+        activity_type=classify_files(files),
     )
 
 

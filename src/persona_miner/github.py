@@ -33,6 +33,7 @@ from .transport import Transport
 logger = logging.getLogger(__name__)
 
 GITHUB_API = "https://api.github.com"
+PAGE_SIZE = 100  # the REST API's largest per_page
 BOT_SUFFIX = "[bot]"
 
 
@@ -59,12 +60,10 @@ def is_bot_login(login: str, deny_list: frozenset[str] = frozenset()) -> bool:
 @dataclass
 class GitHubClient:
     transport: Transport
-    base_url: str = GITHUB_API
-    page_size: int = 100
 
     def _paginate(self, url: str, params: Optional[dict] = None) -> Iterator[dict]:
         params = dict(params or {})
-        params["per_page"] = self.page_size
+        params["per_page"] = PAGE_SIZE
         page = 1
         while True:
             params["page"] = page
@@ -75,12 +74,12 @@ class GitHubClient:
             if not items:
                 return
             yield from items
-            if len(items) < self.page_size:
+            if len(items) < PAGE_SIZE:
                 return
             page += 1
 
     def _repo_url(self, slug: RepoSlug, *parts: str) -> str:
-        return "/".join([self.base_url, "repos", slug.owner, slug.name, *parts])
+        return "/".join([GITHUB_API, "repos", slug.owner, slug.name, *parts])
 
     # -- summary ----------------------------------------------------------
 
@@ -126,12 +125,11 @@ class GitHubClient:
             is_fork=bool(body.get("fork", False)),
             created_at=created_at,
             age_days=age_days,
-            default_branch=default_branch,
         )
 
     # -- interactions -----------------------------------------------------
 
-    def fetch_interactions(self, slug: RepoSlug, fetch_commit_files: bool = True,
+    def fetch_interactions(self, slug: RepoSlug,
                            now: Optional[datetime] = None) -> InteractionSet:
         """Fetch all six event kinds for a public repository.
 
@@ -141,7 +139,7 @@ class GitHubClient:
         events: list[InteractionEvent] = []
         incomplete = False
         try:
-            events.extend(self._commit_events(slug, fetch_commit_files))
+            events.extend(self._commit_events(slug))
             events.extend(self._issue_events(slug))
             events.extend(self._pr_events(slug))
         except RetryableFetchError:
@@ -154,8 +152,7 @@ class GitHubClient:
             incomplete=incomplete,
         )
 
-    def _commit_events(self, slug: RepoSlug,
-                       fetch_files: bool) -> Iterator[InteractionEvent]:
+    def _commit_events(self, slug: RepoSlug) -> Iterator[InteractionEvent]:
         for commit in self._paginate(self._repo_url(slug, "commits")):
             actor = commit_identity(commit)
             if actor is None:
@@ -165,11 +162,10 @@ class GitHubClient:
             sha = commit["sha"]
             message = commit.get("commit", {}).get("message", "")
             changed: tuple[str, ...] = ()
-            if fetch_files:
-                detail = self.transport.get(self._repo_url(slug, "commits", sha))
-                if detail.status < 400 and detail.body:
-                    names = (f.get("filename") for f in detail.body.get("files") or ())
-                    changed = tuple(p for p in dict.fromkeys(names) if p)
+            detail = self.transport.get(self._repo_url(slug, "commits", sha))
+            if detail.status < 400 and detail.body:
+                names = (f.get("filename") for f in detail.body.get("files") or ())
+                changed = tuple(p for p in dict.fromkeys(names) if p)
             yield InteractionEvent(
                 actor=actor,
                 kind=InteractionKind.COMMIT_CREATED,

@@ -82,7 +82,6 @@ class RepoSummary:
     is_fork: bool = False
     created_at: Optional[datetime] = None
     age_days: int = 0
-    default_branch: str = "main"
 
     def __post_init__(self):
         if self.age_days < 0:

@@ -117,20 +117,12 @@ def label_subcluster(
     return best_name, best_dist
 
 
-def assign_persona(
-    v: MetricVector,
-    profiles: Sequence[PersonaProfile] = DEFAULT_PROFILES,
-    cluster_path: Optional[tuple[int, int]] = None,
-) -> PersonaAssignment:
+def assign_persona(v: MetricVector,
+                   profiles: Sequence[PersonaProfile] = DEFAULT_PROFILES,
+                   ) -> PersonaAssignment:
     """Direct-mode labeling of one individual by its six RC values only."""
     name, dist = label_subcluster(v.features[:6], profiles)
-    return PersonaAssignment(
-        repo=v.repo,
-        login=v.login,
-        persona=name,
-        distance=dist,
-        cluster_path=cluster_path,
-    )
+    return PersonaAssignment(repo=v.repo, login=v.login, persona=name, distance=dist)
 
 
 def write_personas_csv(assignments: Sequence[PersonaAssignment],

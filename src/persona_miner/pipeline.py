@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -36,6 +36,13 @@ if TYPE_CHECKING:  # numpy is imported where it is used, keeping it off CLI star
     import numpy as np
 
 logger = logging.getLogger(__name__)
+
+
+def check_k_range(k_min: int, k_max: int) -> None:
+    """CH needs k >= 2, so a k range must have 2 <= k_min <= k_max. Clamping
+    k_max to n - 1 comes later, once the data are known."""
+    if not 2 <= k_min <= k_max:
+        raise ConfigError(f"k range [{k_min}, {k_max}] needs 2 <= k_min <= k_max")
 
 
 # RunConfig fields a JSON config file could give a value of the wrong type
@@ -68,6 +75,7 @@ class RunConfig:
                 not all(isinstance(login, str) for login in deny):
             raise ConfigError("run configuration 'bot_deny_list' must be a list of "
                               f"strings, not {deny!r}")
+        check_k_range(self.k_min, self.k_max)
         if not self.archive_path:
             raise DataValidationError("archive_path is required")
 
@@ -84,7 +92,6 @@ class PipelineResult:
     output_dir: Path
     n_individuals: int
     initial_k: int
-    persona_counts: dict[str, int] = field(default_factory=dict)
 
 
 def feature_matrix(vectors: list[MetricVector]) -> np.ndarray:
@@ -185,7 +192,7 @@ def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
         for f_idx, name in enumerate(FEATURE_NAMES):
             groups = [[rows[i, f_idx] for i in m] for m in members]
             block["anova"][name] = asdict(one_way_anova(groups))
-            block["tukey"][name] = [asdict(p) for p in tukey_hsd(groups).pairs]
+            block["tukey"][name] = [asdict(p) for p in tukey_hsd(groups)]
     return block
 
 
@@ -268,5 +275,4 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         output_dir=out,
         n_individuals=len(vectors),
         initial_k=diagnostics["initial_k"],
-        persona_counts=persona_counts,
     )

@@ -7,7 +7,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Union
 
@@ -15,14 +14,15 @@ from .errors import ConfigError, DataValidationError
 from .models import RepoSlug, RepoSummary, Visibility, parse_utc
 
 
-def _defaults() -> dict:
-    with resources.files("persona_miner.data").joinpath(
-        "sampling_defaults.json"
-    ).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-_DEFAULTS = _defaults()
+# the seven inclusion criteria: public, MIN_COMMITTERS <= committers <
+# MAX_COMMITTERS, an allowed license, an allowed language, not a fork, and at
+# least MIN_AGE_DAYS old
+MIN_COMMITTERS = 10
+MAX_COMMITTERS = 307
+MIN_AGE_DAYS = 1000
+ALLOWED_LICENSES = ("MIT", "BSD-2-Clause", "BSD-3-Clause", "Apache-2.0", "ISC")
+ALLOWED_LANGUAGES = ("Python", "R", "C", "C++", "Java", "JavaScript", "MATLAB",
+                     "Shell", "Fortran", "Ruby")
 
 # stable criterion identifiers used in EligibilityDecision.failed_criteria
 CRITERION_PUBLIC = "public"
@@ -32,23 +32,6 @@ CRITERION_LICENSE = "license"
 CRITERION_LANGUAGE = "language"
 CRITERION_FORK = "fork"
 CRITERION_AGE = "age"
-
-
-@dataclass(frozen=True)
-class CriteriaConfig:
-    min_committers: int = 10
-    max_committers: int = 307
-    min_age_days: int = 1000
-    allowed_licenses: tuple[str, ...] = tuple(_DEFAULTS["allowed_licenses"])
-    allowed_languages: tuple[str, ...] = tuple(_DEFAULTS["allowed_languages"])
-    exclude_forks: bool = True
-    require_public: bool = True
-
-    def __post_init__(self):
-        if self.min_committers > self.max_committers:
-            raise ValueError("min_committers must be <= max_committers")
-        if self.min_age_days < 0:
-            raise ValueError("min_age_days must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,7 +76,6 @@ def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
                 is_fork=is_fork,
                 created_at=parse_utc(created_at) if created_at else None,
                 age_days=int(obj.get("age_days", 0)),
-                default_branch=obj.get("default_branch", "main"),
             ))
         except (AttributeError, KeyError, TypeError, ValueError,
                 DataValidationError) as exc:
@@ -102,36 +84,35 @@ def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
     return summaries
 
 
-def apply_inclusion_criteria(summary: RepoSummary,
-                             cfg: CriteriaConfig = CriteriaConfig()) -> EligibilityDecision:
+def apply_inclusion_criteria(summary: RepoSummary) -> EligibilityDecision:
     """Evaluate every criterion (no short-circuit) so the failure list is complete."""
     failed: list[tuple[str, str]] = []
 
-    if cfg.require_public and summary.visibility != Visibility.PUBLIC:
+    if summary.visibility != Visibility.PUBLIC:
         failed.append((CRITERION_PUBLIC,
                        f"repository is {summary.visibility.value}, not public"))
-    if summary.unique_committers < cfg.min_committers:
+    if summary.unique_committers < MIN_COMMITTERS:
         failed.append((CRITERION_MIN_COMMITTERS,
-                       f"{summary.unique_committers} committers < {cfg.min_committers}"))
-    if summary.unique_committers >= cfg.max_committers:
+                       f"{summary.unique_committers} committers < {MIN_COMMITTERS}"))
+    if summary.unique_committers >= MAX_COMMITTERS:
         failed.append((CRITERION_MAX_COMMITTERS,
-                       f"{summary.unique_committers} committers >= {cfg.max_committers}"))
-    if summary.license_id in cfg.allowed_licenses:
+                       f"{summary.unique_committers} committers >= {MAX_COMMITTERS}"))
+    if summary.license_id in ALLOWED_LICENSES:
         pass
     elif summary.license_id is None:
         failed.append((CRITERION_LICENSE, "no license visible"))
     else:
         failed.append((CRITERION_LICENSE,
                        f"unrecognized license {summary.license_id!r}"))
-    if not any(lang in cfg.allowed_languages for lang in summary.languages):
+    if not any(lang in ALLOWED_LANGUAGES for lang in summary.languages):
         failed.append((CRITERION_LANGUAGE,
                        "no repository language is in the allowed list"
                        if summary.languages else "unrecognized"))
-    if cfg.exclude_forks and summary.is_fork:
+    if summary.is_fork:
         failed.append((CRITERION_FORK, "repository is a fork"))
-    if summary.age_days < cfg.min_age_days:
+    if summary.age_days < MIN_AGE_DAYS:
         failed.append((CRITERION_AGE,
-                       f"{summary.age_days} days old < {cfg.min_age_days}"))
+                       f"{summary.age_days} days old < {MIN_AGE_DAYS}"))
 
     return EligibilityDecision(
         slug=summary.slug,

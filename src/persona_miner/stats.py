@@ -33,6 +33,8 @@ if TYPE_CHECKING:
 
 # p-values below this are indistinguishable from zero and reported as 0.0
 P_CLAMP = 1e-300
+# Tukey HSD rejects a pair whose adjusted p-value is below this
+ALPHA = 0.05
 
 # Cephes ndtr.c coefficients: erf(x) = x T(x^2) / U(x^2) for |x| < 1;
 # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8 and exp(-x^2) R(x) / S(x)
@@ -190,12 +192,6 @@ class TukeyPair:
 
 
 @dataclass(frozen=True)
-class TukeyResult:
-    pairs: tuple[TukeyPair, ...]
-    alpha: float
-
-
-@dataclass(frozen=True)
 class FeatureImportance:
     # per component: (feature name, signed loading * 100), ranked by |loading|
     rankings: tuple[tuple[tuple[str, float], ...], ...]
@@ -335,7 +331,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     return min(1.0, float(range_cdf @ density))
 
 
-def tukey_hsd(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> TukeyResult:
+def tukey_hsd(groups: Sequence[Sequence[float]]) -> tuple[TukeyPair, ...]:
     """Tukey-Kramer pairwise comparisons against the studentized range."""
     arrays = _check_groups(groups)
     k = len(arrays)
@@ -359,6 +355,6 @@ def tukey_hsd(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> TukeyRe
             group_b=b,
             mean_diff=diff,
             p_adjusted=p_adj,
-            reject=p_adj < alpha,
+            reject=p_adj < ALPHA,
         ))
-    return TukeyResult(pairs=tuple(pairs), alpha=alpha)
+    return tuple(pairs)

@@ -13,6 +13,10 @@ from typing import Any, Callable, Optional, Protocol
 
 from .errors import RateBudgetError, RetryableFetchError
 
+MAX_RETRIES = 4
+BACKOFF_BASE = 1.0  # seconds; attempt i waits BACKOFF_BASE * 2**i
+TIMEOUT = 30.0  # seconds per request
+
 
 @dataclass
 class Response:
@@ -65,26 +69,23 @@ class RequestsTransport:
     """
 
     headers: dict[str, str] = field(default_factory=dict)
-    max_retries: int = 4
-    backoff_base: float = 1.0
     bucket: Optional[TokenBucket] = None
-    timeout: float = 30.0
     sleep: Callable[[float], None] = time.sleep
 
     def get(self, url: str, params: Optional[dict] = None) -> Response:
         import requests
 
         last_error: Optional[Exception] = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if self.bucket is not None:
                 self.bucket.acquire()
             try:
                 resp = requests.get(
-                    url, params=params, headers=self.headers, timeout=self.timeout
+                    url, params=params, headers=self.headers, timeout=TIMEOUT
                 )
             except requests.RequestException as exc:
                 last_error = exc
-                self.sleep(self.backoff_base * 2**attempt)
+                self.sleep(BACKOFF_BASE * 2**attempt)
                 continue
 
             headers = {k: v for k, v in resp.headers.items()}
@@ -96,10 +97,10 @@ class RequestsTransport:
             if resp.status_code == 429 or (
                 resp.status_code == 403 and "Retry-After" in headers
             ):
-                self.sleep(float(headers.get("Retry-After", self.backoff_base * 2**attempt)))
+                self.sleep(float(headers.get("Retry-After", BACKOFF_BASE * 2**attempt)))
                 continue
             if resp.status_code >= 500:
-                self.sleep(self.backoff_base * 2**attempt)
+                self.sleep(BACKOFF_BASE * 2**attempt)
                 continue
 
             body = None

@@ -216,11 +216,11 @@ def test_criterion_6_anova_and_tukey():
 
     groups = [[10.0, 10.5, 9.5, 10.2], [10.1, 10.4, 9.8, 10.0],
               [50.0, 50.5, 49.5, 50.2]]
-    result = tukey_hsd(groups, alpha=0.05)
-    rejected = {(p.group_a, p.group_b) for p in result.pairs if p.reject}
+    pairs = tukey_hsd(groups)
+    rejected = {(p.group_a, p.group_b) for p in pairs if p.reject}
     assert rejected == {(0, 2), (1, 2)}  # exactly the two outlier pairs
     oracle = scipy.stats.tukey_hsd(*groups)
-    for pair in result.pairs:
+    for pair in pairs:
         assert abs(pair.p_adjusted
                    - oracle.pvalue[pair.group_a, pair.group_b]) <= 1e-6
 

@@ -51,7 +51,7 @@ def test_run_and_stats_load_no_scipy(fixture_archive_path, tmp_path):
         f"'--output-dir', {str(tmp_path / 'run')!r}], standalone_mode=False)\n"
         "groups = [[1.0, 2.0, 3.5], [4.0, 5.5, 6.0], [2.0, 2.5, 9.0]]\n"
         "assert one_way_anova(groups).p_value > 0.0\n"
-        "assert len(tukey_hsd(groups).pairs) == 3\n"
+        "assert len(tukey_hsd(groups)) == 3\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
@@ -302,6 +302,39 @@ def test_filter_subcommand(runner, tmp_path):
     assert "org/good" in result.output
 
 
+GOLDEN_ELIGIBILITY_CSV = (
+    b"repo,eligible,failed_criteria\r\n"
+    b"org/good,true,\r\n"
+    b'org/private,false,"public: repository is private, not public"\r\n'
+    b"org/few,false,min_committers: 9 committers < 10\r\n"
+    b"org/many,false,max_committers: 307 committers >= 307\r\n"
+    b"org/gpl,false,license: unrecognized license 'GPL-3.0'\r\n"
+    b"org/haskell,false,language: no repository language is in the allowed list\r\n"
+    b"org/fork,false,fork: repository is a fork\r\n"
+    b"org/young,false,age: 999 days old < 1000\r\n"
+)
+
+
+def test_filter_golden_output(runner, tmp_path):
+    # one summary on every inclusive bound, then one failing each criterion
+    good = {"repo": "org/good", "visibility": "public", "unique_committers": 10,
+            "license_id": "MIT", "languages": ["Python"], "is_fork": False,
+            "age_days": 1000}
+    summaries = tmp_path / "summaries.json"
+    summaries.write_text(json.dumps([good] + [
+        {**good, "repo": f"org/{name}", field: value} for name, field, value in (
+            ("private", "visibility", "private"), ("few", "unique_committers", 9),
+            ("many", "unique_committers", 307), ("gpl", "license_id", "GPL-3.0"),
+            ("haskell", "languages", ["Haskell"]), ("fork", "is_fork", True),
+            ("young", "age_days", 999))]))
+    out = tmp_path / "eligibility.csv"
+    result = _invoke(runner, ["filter", "--summaries", str(summaries),
+                              "--output", str(out)])
+    assert result.exit_code == 0
+    assert result.output == "1 eligible; sampled 1\norg/good\n"
+    assert out.read_bytes() == GOLDEN_ELIGIBILITY_CSV
+
+
 def test_filter_bad_fraction_exit_2(runner, tmp_path):
     summaries = tmp_path / "summaries.json"
     eligible = {"repo": "org/good", "visibility": "public", "unique_committers": 50,
@@ -489,3 +522,50 @@ def test_cluster_too_few_rows_exit_4(runner, tmp_path):
     result = runner.invoke(main, ["cluster", "--metrics", str(metrics),
                                   "--labels-output", str(tmp_path / "l.csv")])
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize("k_min, k_max", [(0, 10), (1, 10), (5, 3), (2, 1)])
+def test_run_bad_k_range_exit_2_before_output(runner, fixture_archive_path, tmp_path,
+                                              k_min, k_max):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
+                               "output_dir": str(out), "k_min": k_min, "k_max": k_max}))
+    result = runner.invoke(main, ["run", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert f"error: k range [{k_min}, {k_max}] needs 2 <= k_min <= k_max" in result.output
+    assert not out.exists()
+
+
+def test_run_k_max_option_below_2_exit_2(runner, fixture_archive_path, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--archive", str(fixture_archive_path),
+                                  "--k-max", "1", "--output-dir", str(out)])
+    assert result.exit_code == 2
+    assert "error: k range [2, 1] needs 2 <= k_min <= k_max" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k_min, k_max", [(0, 10), (1, 10), (5, 3), (2, 1)])
+def test_cluster_bad_k_range_exit_2(runner, tmp_path, k_min, k_max):
+    metrics = tmp_path / "sim.csv"
+    _invoke(runner, ["simulate", "--count", "2", "--seed", "0",
+                     "--metrics-output", str(metrics)])
+    labels = tmp_path / "labels.csv"
+    result = runner.invoke(main, ["cluster", "--metrics", str(metrics),
+                                  "--k-min", str(k_min), "--k-max", str(k_max),
+                                  "--labels-output", str(labels)])
+    assert result.exit_code == 2
+    assert f"error: k range [{k_min}, {k_max}] needs 2 <= k_min <= k_max" in result.output
+    assert not labels.exists()
+
+
+def test_k_min_above_rows_is_a_data_error(runner, tmp_path):
+    # the clamp of k_max to n - 1 depends on the data, so it stays exit 4
+    metrics = tmp_path / "sim.csv"
+    _invoke(runner, ["simulate", "--count", "1", "--seed", "0",
+                     "--metrics-output", str(metrics)])
+    result = runner.invoke(main, ["cluster", "--metrics", str(metrics), "--k-min", "7",
+                                  "--labels-output", str(tmp_path / "labels.csv")])
+    assert result.exit_code == 4
+    assert "error: empty k range [7, 6]" in result.output

@@ -11,7 +11,6 @@ from persona_miner.commit_classify import (
     DEFAULT_KEYWORD_TABLE,
     DevelopmentType,
     SizeClass,
-    SizeThresholds,
     classify_archive,
     classify_commit,
     classify_files,
@@ -90,11 +89,6 @@ def test_size_zero_rejected():
         classify_size(0)
 
 
-def test_bad_thresholds_rejected():
-    with pytest.raises(ConfigError):
-        SizeThresholds(tiny_max=10, small_max=5, medium_max=125)
-
-
 def test_files_empty_unknown():
     assert classify_files([]) == "unknown"
 
@@ -144,12 +138,12 @@ def test_bad_pattern_fails_at_load(tmp_path):
 
 def test_custom_keyword_table_load(tmp_path):
     path = tmp_path / "kw.json"
-    path.write_text(json.dumps({
-        "stems": {"ForwardEngineering": ["implement"]},
-        "match_anywhere": True,
-    }))
+    path.write_text(json.dumps({"stems": {"ForwardEngineering": ["implement"]}}))
     table = load_keyword_table(path)
-    assert classify_message("please implement this", table) is D.FORWARD_ENGINEERING
+    assert classify_message("Implemented this", table) is D.FORWARD_ENGINEERING
+    # only the first word is matched, and only against the table's stems
+    assert classify_message("please implement this", table) is D.UNCLASSIFIED
+    assert classify_message("fix this", table) is D.UNCLASSIFIED
 
 
 def test_classify_commit_payload_absent():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -144,9 +145,10 @@ def test_interactivity_nonstandard_k():
 def test_personas_csv(tmp_path):
     base = next(p for p in DEFAULT_PROFILES
                 if p.name == "Ephemeral Contributor")
-    a = assign_persona(_vector(list(base.centroid)), cluster_path=(0, 1))
+    a = assign_persona(_vector(list(base.centroid)))
     out = tmp_path / "personas.csv"
-    write_personas_csv([a], out)
+    write_personas_csv([replace(a, cluster_path=(0, 1)), a], out)
     lines = out.read_text().splitlines()
     assert lines[0] == "repo,login,persona,distance,cluster,subcluster"
     assert lines[1] == "org/repo,ada,Ephemeral Contributor,0.0,0,1"
+    assert lines[2] == "org/repo,ada,Ephemeral Contributor,0.0,,"

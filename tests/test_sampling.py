@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from persona_miner.models import RepoSlug, RepoSummary, Visibility
 from persona_miner.sampling import (
-    CriteriaConfig,
     apply_inclusion_criteria,
     subsample,
     write_eligibility_report,
@@ -87,14 +86,7 @@ def test_seven_way_failure_fixture():
 
 def test_purity():
     summary = _summary()
-    cfg = CriteriaConfig()
-    assert apply_inclusion_criteria(summary, cfg) == \
-        apply_inclusion_criteria(summary, cfg)
-
-
-def test_bad_config_rejected():
-    with pytest.raises(ValueError):
-        CriteriaConfig(min_committers=100, max_committers=10)
+    assert apply_inclusion_criteria(summary) == apply_inclusion_criteria(summary)
 
 
 # -- subsample -------------------------------------------------------------

@@ -237,8 +237,8 @@ def test_tukey_calls_range_cdf_once_per_pair(monkeypatch, k):
 
     monkeypatch.setattr(stats, "studentized_range_cdf", counting)
     groups = [[float(g), g + 1.0, g + 3.0] for g in range(k)]
-    result = tukey_hsd(groups)
-    assert len(calls) == math.comb(k, 2) == len(result.pairs)
+    pairs = tukey_hsd(groups)
+    assert len(calls) == math.comb(k, 2) == len(pairs)
     assert set(calls) == {(k, 2 * k)}
 
 
@@ -246,17 +246,17 @@ def test_tukey_far_outlier_rejects_exactly_two_pairs():
     a = [10.0, 10.5, 9.5, 10.2]
     b = [10.1, 10.4, 9.8, 10.0]
     c = [50.0, 50.5, 49.5, 50.2]
-    result = tukey_hsd([a, b, c], alpha=0.05)
-    rejected = {(p.group_a, p.group_b) for p in result.pairs if p.reject}
+    pairs = tukey_hsd([a, b, c])
+    rejected = {(p.group_a, p.group_b) for p in pairs if p.reject}
     assert rejected == {(0, 2), (1, 2)}
 
 
 def test_tukey_pvalues_match_scipy():
     rng = np.random.default_rng(23)
     groups = [rng.normal(m, 1.0, n) for m, n in [(0.0, 8), (1.0, 10), (0.4, 7)]]
-    result = tukey_hsd(groups)
+    pairs = tukey_hsd(groups)
     oracle = scipy.stats.tukey_hsd(*groups)
-    for pair in result.pairs:
+    for pair in pairs:
         assert pair.p_adjusted == pytest.approx(
             oracle.pvalue[pair.group_a, pair.group_b], abs=1e-6
         )
@@ -269,11 +269,11 @@ def test_tukey_group_reorder_invariance():
     groups = [[1.0, 2.0, 1.5], [5.0, 5.5, 4.5], [1.1, 2.1, 1.4]]
     forward = tukey_hsd(groups)
     backward = tukey_hsd(groups[::-1])
-    assert sorted(round(p.p_adjusted, 10) for p in forward.pairs) == \
-        sorted(round(p.p_adjusted, 10) for p in backward.pairs)
+    assert sorted(round(p.p_adjusted, 10) for p in forward) == \
+        sorted(round(p.p_adjusted, 10) for p in backward)
 
 
 def test_tukey_identical_groups_accept_all():
-    result = tukey_hsd([[1.0, 2.0, 3.0]] * 3)
-    assert all(not p.reject for p in result.pairs)
-    assert all(p.p_adjusted > 0.99 for p in result.pairs)
+    pairs = tukey_hsd([[1.0, 2.0, 3.0]] * 3)
+    assert all(not p.reject for p in pairs)
+    assert all(p.p_adjusted > 0.99 for p in pairs)

@@ -50,20 +50,21 @@ def test_success_returns_decoded_json():
 
 def test_retries_5xx_then_succeeds():
     sleeps = []
-    transport = RequestsTransport(sleep=sleeps.append, backoff_base=0.5)
+    transport = RequestsTransport(sleep=sleeps.append)
     responses = [_resp(502), _resp(503), _resp(200, json_body=[])]
     with mock.patch("requests.get", side_effect=responses) as getter:
         response = transport.get("https://api.example/x")
     assert response.status == 200
     assert getter.call_count == 3
-    assert sleeps == [0.5, 1.0]  # exponential backoff
+    assert sleeps == [1.0, 2.0]  # exponential backoff
 
 
 def test_gives_up_after_max_retries():
-    transport = RequestsTransport(sleep=lambda s: None, max_retries=2)
-    with mock.patch("requests.get", return_value=_resp(500)):
+    transport = RequestsTransport(sleep=lambda s: None)
+    with mock.patch("requests.get", return_value=_resp(500)) as getter:
         with pytest.raises(RetryableFetchError):
             transport.get("https://api.example/x")
+    assert getter.call_count == 5  # the first try and four retries
 
 
 def test_primary_rate_limit_raises_budget_error():
