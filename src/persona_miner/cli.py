@@ -40,7 +40,7 @@ from .sampling import (
 )
 from .simgen import default_archetypes, generate, load_archetype_specs
 from .transport import RequestsTransport, TokenBucket
-from .zenodo import ZenodoQueryConfig, extract_github_slug, query_zenodo_software_records
+from .zenodo import discover_github_slugs
 
 EXIT_CONFIG = 2
 EXIT_NETWORK = 3
@@ -102,18 +102,13 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
     """Fetch interaction data into an offline archive (network required)."""
     transport = _live_transport()
     client = GitHubClient(transport=transport)
-    slugs: list[RepoSlug] = []
     if repos:
         slugs = [RepoSlug.parse(r.strip()) for r in repos.split(",") if r.strip()]
     else:
-        records = query_zenodo_software_records(
-            transport, ZenodoQueryConfig(), page_limit=page_limit
-        )
-        for record in records:
-            slug = extract_github_slug(record)
-            if slug:
-                slugs.append(slug)
-    sets = [client.fetch_interactions(slug) for slug in slugs]
+        slugs = discover_github_slugs(transport, page_limit)
+    # Zenodo often holds one record per release of the same repository;
+    # fetch and archive each repository once, at its first occurrence
+    sets = [client.fetch_interactions(slug) for slug in dict.fromkeys(slugs)]
     save_archive(sets, output_path)
     click.echo(f"archived {len(sets)} repositories to {output_path}")
 

@@ -77,10 +77,6 @@ class ActivityRules:
     rules: tuple[ActivityRule, ...]
     fallback: str = "unknown"
 
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return tuple(r.category for r in self.rules) + (self.fallback,)
-
 
 def _data_text(name: str) -> str:
     return resources.files("persona_miner.data").joinpath(name).read_text("utf-8")

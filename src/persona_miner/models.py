@@ -57,20 +57,6 @@ class RepoSlug:
 
 
 @dataclass(frozen=True)
-class ZenodoRecord:
-    """One deposit record as returned by the Zenodo search API."""
-
-    record_id: str
-    resource_type: str
-    access_right: str
-    related_urls: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.record_id:
-            raise DataValidationError("record_id must be non-empty")
-
-
-@dataclass(frozen=True)
 class RepoSummary:
     """Summary repository facts used by the eligibility criteria."""
 

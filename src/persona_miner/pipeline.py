@@ -182,10 +182,9 @@ def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
             "explained_variance_ratio": list(pca_result.explained_variance_ratio),
             "components": [list(c) for c in pca_result.components],
         }
-        fi = feature_importance(pca_result, FEATURE_NAMES)
         block["feature_importance"] = [
             [{"feature": name, "value": value} for name, value in ranking]
-            for ranking in fi.rankings
+            for ranking in feature_importance(pca_result, FEATURE_NAMES)
         ]
 
     if len(members) >= 2 and all(len(m) >= 2 for m in members):
@@ -215,9 +214,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     sets = load_archive(cfg.archive_path)
     individuals, vectors = metric_table(sets, exclude_bots=cfg.exclude_bots,
                                         bot_deny_list=frozenset(cfg.bot_deny_list))
-    write_metrics_csv(vectors, out / "metrics.csv")
-    write_classification_csv(classify_archive(sets), out / "classification.csv")
-
+    # cluster before the first writer, so that a k range the data cannot
+    # hold fails with no partial output
     profiles = load_profiles(cfg.persona_profile_path)
     rows = feature_matrix(vectors)
     initial, sub_labels, assignments, diagnostics = cluster_and_label(
@@ -225,6 +223,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         unmatched_distance=cfg.unmatched_distance, rows=rows,
     )
     members = initial.members()
+
+    write_metrics_csv(vectors, out / "metrics.csv")
+    write_classification_csv(classify_archive(sets), out / "classification.csv")
 
     dendro = agglomerate(rows) if vectors else Dendrogram(n_leaves=0, merges=())
     dendro.save_json(out / "dendrogram.json")

@@ -37,12 +37,11 @@ CRITERION_AGE = "age"
 @dataclass(frozen=True)
 class EligibilityDecision:
     slug: RepoSlug
-    eligible: bool
     failed_criteria: tuple[tuple[str, str], ...]  # (criterion id, reason)
 
-    def __post_init__(self):
-        if self.eligible != (len(self.failed_criteria) == 0):
-            raise ValueError("eligible must mirror an empty failed_criteria list")
+    @property
+    def eligible(self) -> bool:
+        return not self.failed_criteria
 
 
 def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
@@ -114,11 +113,7 @@ def apply_inclusion_criteria(summary: RepoSummary) -> EligibilityDecision:
         failed.append((CRITERION_AGE,
                        f"{summary.age_days} days old < {MIN_AGE_DAYS}"))
 
-    return EligibilityDecision(
-        slug=summary.slug,
-        eligible=not failed,
-        failed_criteria=tuple(failed),
-    )
+    return EligibilityDecision(slug=summary.slug, failed_criteria=tuple(failed))
 
 
 def subsample(eligible: list[RepoSlug], fraction: float, seed: int) -> list[RepoSlug]:

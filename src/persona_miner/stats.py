@@ -170,7 +170,6 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 class PCAResult:
     components: tuple[tuple[float, ...], ...]  # unit-length loading vectors
     explained_variance_ratio: tuple[float, ...]
-    n_components: int
 
 
 @dataclass(frozen=True)
@@ -189,12 +188,6 @@ class TukeyPair:
     mean_diff: float
     p_adjusted: float
     reject: bool
-
-
-@dataclass(frozen=True)
-class FeatureImportance:
-    # per component: (feature name, signed loading * 100), ranked by |loading|
-    rankings: tuple[tuple[tuple[str, float], ...], ...]
 
 
 def pca(rows, n_components: int) -> PCAResult:
@@ -232,13 +225,13 @@ def pca(rows, n_components: int) -> PCAResult:
     return PCAResult(
         components=tuple(components),
         explained_variance_ratio=tuple(float(r) for r in ratios[:n_components]),
-        n_components=n_components,
     )
 
 
-def feature_importance(result: PCAResult,
-                       feature_names: Sequence[str]) -> FeatureImportance:
-    """Rank features per component by absolute loading, reporting signed x100."""
+def feature_importance(result: PCAResult, feature_names: Sequence[str]
+                       ) -> tuple[tuple[tuple[str, float], ...], ...]:
+    """Per component, the (feature name, signed loading x100) pairs ranked by
+    absolute loading."""
     if len(feature_names) != len(result.components[0]):
         raise DataValidationError("feature_names length must match the feature count")
     rankings = []
@@ -247,7 +240,7 @@ def feature_importance(result: PCAResult,
             zip(feature_names, comp), key=lambda nv: abs(nv[1]), reverse=True
         )
         rankings.append(tuple((name, value * 100.0) for name, value in ranked))
-    return FeatureImportance(rankings=tuple(rankings))
+    return tuple(rankings)
 
 
 def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:

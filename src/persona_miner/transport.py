@@ -75,17 +75,19 @@ class RequestsTransport:
     def get(self, url: str, params: Optional[dict] = None) -> Response:
         import requests
 
-        last_error: Optional[Exception] = None
+        last_error: object = None
         for attempt in range(MAX_RETRIES + 1):
+            if attempt:  # only a try that follows a failed one waits
+                self.sleep(wait)
             if self.bucket is not None:
                 self.bucket.acquire()
+            wait = BACKOFF_BASE * 2**attempt  # unless a Retry-After says otherwise
             try:
                 resp = requests.get(
                     url, params=params, headers=self.headers, timeout=TIMEOUT
                 )
             except requests.RequestException as exc:
                 last_error = exc
-                self.sleep(BACKOFF_BASE * 2**attempt)
                 continue
 
             headers = {k: v for k, v in resp.headers.items()}
@@ -97,10 +99,11 @@ class RequestsTransport:
             if resp.status_code == 429 or (
                 resp.status_code == 403 and "Retry-After" in headers
             ):
-                self.sleep(float(headers.get("Retry-After", BACKOFF_BASE * 2**attempt)))
+                last_error = f"HTTP {resp.status_code}"
+                wait = float(headers.get("Retry-After", wait))
                 continue
             if resp.status_code >= 500:
-                self.sleep(BACKOFF_BASE * 2**attempt)
+                last_error = f"HTTP {resp.status_code}"
                 continue
 
             body = None

@@ -1,19 +1,23 @@
-"""Zenodo search client and GitHub URL extraction."""
+"""Zenodo search client: the GitHub repository of each open software record."""
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import RetryableFetchError
-from .models import RepoSlug, ZenodoRecord
+from .models import RepoSlug
 from .transport import Transport
 
 logger = logging.getLogger(__name__)
 
 ZENODO_API = "https://zenodo.org/api/records"
+# open-access software records with a related identifier naming github.com;
+# the server filters on all three, so hits are not checked again here
+QUERY = ('resource_type.type:software AND access_right:open '
+         'AND related_identifiers.identifier:"github.com"')
+PAGE_SIZE = 100
 
 # owner/name after github.com, dropping deeper path segments and .git suffixes
 _GITHUB_URL_RE = re.compile(
@@ -22,57 +26,29 @@ _GITHUB_URL_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ZenodoQueryConfig:
-    resource_type: str = "software"
-    access_right: str = "open"
-    related_url_substring: str = "github.com"
-    page_size: int = 100
-    base_url: str = ZENODO_API
+def _github_slug(hit: dict) -> Optional[RepoSlug]:
+    """The first related URL of a hit parseable as github.com/owner/name, or
+    None when no URL matches; this is not an error."""
+    for rel in hit.get("metadata", {}).get("related_identifiers", []):
+        m = _GITHUB_URL_RE.search(rel.get("identifier") or "")
+        if m:
+            owner, name = m.group(1), m.group(2).removesuffix(".git")
+            if name:
+                return RepoSlug(owner, name)
+    return None
 
 
-def _parse_record(hit: dict) -> Optional[ZenodoRecord]:
-    try:
-        record_id = str(hit["id"])
-        meta = hit.get("metadata", {})
-        resource_type = meta.get("resource_type", {}).get("type", "")
-        access_right = meta.get("access_right", "")
-        urls = []
-        for rel in meta.get("related_identifiers", []):
-            ident = rel.get("identifier", "")
-            if ident:
-                urls.append(ident)
-        return ZenodoRecord(
-            record_id=record_id,
-            resource_type=resource_type,
-            access_right=access_right,
-            related_urls=tuple(urls),
-        )
-    except (KeyError, TypeError) as exc:
-        logger.warning("skipping malformed Zenodo record: %s", exc)
-        return None
-
-
-def query_zenodo_software_records(
-    transport: Transport,
-    config: ZenodoQueryConfig = ZenodoQueryConfig(),
-    page_limit: int = 10,
-) -> list[ZenodoRecord]:
-    """Page through the Zenodo search API collecting matching records.
+def discover_github_slugs(transport: Transport, page_limit: int) -> list[RepoSlug]:
+    """Page through at most ``page_limit`` pages of the Zenodo search and
+    return the GitHub repository of each hit that names one, in hit order.
 
     Malformed hits are logged and skipped; the batch never aborts on a single
     bad record. Transport failures propagate as retryable errors.
     """
-    records: list[ZenodoRecord] = []
-    query = (
-        f'resource_type.type:{config.resource_type} '
-        f'AND access_right:{config.access_right} '
-        f'AND related_identifiers.identifier:"{config.related_url_substring}"'
-    )
+    slugs: list[RepoSlug] = []
     for page in range(1, page_limit + 1):
         resp = transport.get(
-            config.base_url,
-            params={"q": query, "size": config.page_size, "page": page},
+            ZENODO_API, params={"q": QUERY, "size": PAGE_SIZE, "page": page}
         )
         if resp.status >= 400:
             raise RetryableFetchError(
@@ -82,26 +58,13 @@ def query_zenodo_software_records(
         if not hits:
             break
         for hit in hits:
-            rec = _parse_record(hit)
-            if rec is not None:
-                records.append(rec)
-        if len(hits) < config.page_size:
+            try:
+                slug = _github_slug(hit)
+            except (AttributeError, TypeError) as exc:
+                logger.warning("skipping malformed Zenodo record: %s", exc)
+                continue
+            if slug is not None:
+                slugs.append(slug)
+        if len(hits) < PAGE_SIZE:
             break
-    return records
-
-
-def extract_github_slug(record: ZenodoRecord) -> Optional[RepoSlug]:
-    """Return the first related URL parseable as github.com/owner/name.
-
-    Path segments beyond owner/name (tree/, releases/, ...) are stripped.
-    Returns None when no URL matches; this is not an error.
-    """
-    for url in record.related_urls:
-        m = _GITHUB_URL_RE.search(url)
-        if m:
-            owner, name = m.group(1), m.group(2)
-            if name.endswith(".git"):
-                name = name[: -len(".git")]
-            if owner and name:
-                return RepoSlug(owner, name)
-    return None
+    return slugs

@@ -569,3 +569,16 @@ def test_k_min_above_rows_is_a_data_error(runner, tmp_path):
                                   "--labels-output", str(tmp_path / "labels.csv")])
     assert result.exit_code == 4
     assert "error: empty k range [7, 6]" in result.output
+
+
+def test_run_k_min_above_rows_fails_before_output(runner, fixture_archive_path,
+                                                  tmp_path):
+    # 11 individuals clamp k_max to 10, below k_min
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
+                               "output_dir": str(out), "k_min": 11, "k_max": 12}))
+    result = runner.invoke(main, ["run", "--config", str(cfg)])
+    assert result.exit_code == 4
+    assert "error: empty k range [11, 10]" in result.output
+    assert list(out.iterdir()) == []

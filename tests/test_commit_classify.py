@@ -32,6 +32,11 @@ from persona_miner.models import (
 D = DevelopmentType
 
 
+# every category the shipped rules can return
+CATEGORIES = {r.category for r in DEFAULT_ACTIVITY_RULES.rules} | {
+    DEFAULT_ACTIVITY_RULES.fallback}
+
+
 def test_empty_message_unclassified():
     assert classify_message("") is D.UNCLASSIFIED
     assert classify_message("   ") is D.UNCLASSIFIED
@@ -72,6 +77,14 @@ def test_duplicate_stem_rejected():
             (D.FORWARD_ENGINEERING, ("add",)),
             (D.CORRECTIVE_ENGINEERING, ("add",)),
         ))
+
+
+def test_shipped_stems_are_single_lowercase_tokens():
+    # only the lowercased first token is matched, so any other stem is dead
+    for _dev_type, stems in DEFAULT_KEYWORD_TABLE.stems:
+        for stem in stems:
+            assert stem.split() == [stem.lower()], stem
+    assert classify_message("code review fixes") is D.UNCLASSIFIED
 
 
 def test_size_boundaries():
@@ -116,14 +129,13 @@ def test_rule_order_permutation_changes_output():
 
 
 def test_files_totality_over_samples():
-    cats = set(DEFAULT_ACTIVITY_RULES.categories)
     samples = [
         ["src/app.py"], ["tests/test_app.py"], ["Makefile"], ["setup.cfg"],
         ["data/input.csv"], ["logo.png"], ["locale/de/LC_MESSAGES/app.po"],
         ["LICENSE"], ["mystery.xyz"], [],
     ]
     for paths in samples:
-        assert classify_files(paths) in cats
+        assert classify_files(paths) in CATEGORIES
 
 
 def test_bad_pattern_fails_at_load(tmp_path):
@@ -169,7 +181,7 @@ def test_determinism_and_totality_property(message, paths):
     assert classify_message(message) in set(D)
     first = classify_files(paths)
     assert first == classify_files(paths)
-    assert first in set(DEFAULT_ACTIVITY_RULES.categories)
+    assert first in CATEGORIES
 
 
 def test_classification_csv(tmp_path):

@@ -84,7 +84,7 @@ def test_feature_importance_ranked_signed():
     rows = np.array([[x, 0.1 * x] for x in np.linspace(-2, 2, 30)])
     result = pca(rows, n_components=1)
     imp = feature_importance(result, ["big", "small"])
-    (first, second) = imp.rankings[0]
+    (first, second) = imp[0]
     assert first[0] == "big"
     assert abs(first[1]) > abs(second[1])
     assert first[1] == pytest.approx(result.components[0][0] * 100)

@@ -60,11 +60,28 @@ def test_retries_5xx_then_succeeds():
 
 
 def test_gives_up_after_max_retries():
-    transport = RequestsTransport(sleep=lambda s: None)
+    sleeps = []
+    transport = RequestsTransport(sleep=sleeps.append)
     with mock.patch("requests.get", return_value=_resp(500)) as getter:
-        with pytest.raises(RetryableFetchError):
+        with pytest.raises(RetryableFetchError, match="after retries: HTTP 500$"):
             transport.get("https://api.example/x")
     assert getter.call_count == 5  # the first try and four retries
+    assert sleeps == [1.0, 2.0, 4.0, 8.0]  # no sleep after the last try
+
+
+def test_no_sleep_after_last_connection_error_or_429():
+    import requests
+
+    for effect, sleeps_wanted, message in (
+        (requests.ConnectionError("boom"), [1.0, 2.0, 4.0, 8.0], "boom"),
+        (_resp(429, headers={"Retry-After": "7"}), [7.0] * 4, "HTTP 429"),
+    ):
+        sleeps = []
+        transport = RequestsTransport(sleep=sleeps.append)
+        with mock.patch("requests.get", side_effect=[effect] * 5):
+            with pytest.raises(RetryableFetchError, match=f"after retries: {message}$"):
+                transport.get("https://api.example/x")
+        assert sleeps == sleeps_wanted
 
 
 def test_primary_rate_limit_raises_budget_error():

@@ -1,9 +1,12 @@
-from persona_miner.models import RepoSlug, ZenodoRecord
-from persona_miner.zenodo import (
-    ZenodoQueryConfig,
-    extract_github_slug,
-    query_zenodo_software_records,
-)
+import pytest
+from click.testing import CliRunner
+
+from persona_miner import cli
+from persona_miner.archive import load_archive
+from persona_miner.errors import RetryableFetchError
+from persona_miner.models import RepoSlug
+from persona_miner.transport import Response
+from persona_miner.zenodo import discover_github_slugs
 
 from conftest import FakeTransport
 
@@ -21,77 +24,126 @@ def _hit(record_id, urls):
     }
 
 
+def _slugs(*hits):
+    """The slugs discovered in one page holding ``hits``."""
+    transport = FakeTransport({API: {"hits": {"hits": list(hits)}}})
+    return [str(s) for s in discover_github_slugs(transport, page_limit=1)]
+
+
 def test_empty_response_page():
     transport = FakeTransport({API: {"hits": {"hits": []}}})
-    assert query_zenodo_software_records(transport, page_limit=3) == []
+    assert discover_github_slugs(transport, page_limit=3) == []
+    assert len(transport.calls) == 1
 
 
 def test_three_record_fixture():
-    hits = [
+    assert _slugs(
         _hit(1, ["https://github.com/a/x"]),
         _hit(2, ["https://github.com/b/y"]),
         _hit(3, ["https://doi.org/10.1/zen", "https://github.com/c/z"]),
-    ]
-    transport = FakeTransport({API: {"hits": {"hits": hits}}})
-    records = query_zenodo_software_records(transport, page_limit=3)
-    assert len(records) == 3
-    assert records[0].record_id == "1"
-    assert records[2].related_urls[1] == "https://github.com/c/z"
+    ) == ["a/x", "b/y", "c/z"]
 
 
-def test_malformed_record_skipped_not_fatal():
-    hits = [_hit(1, ["https://github.com/a/x"]), {"no_id": True}]
-    transport = FakeTransport({API: {"hits": {"hits": hits}}})
-    records = query_zenodo_software_records(transport, page_limit=1)
-    assert [r.record_id for r in records] == ["1"]
+def test_malformed_record_skipped_not_fatal(caplog):
+    assert _slugs(
+        {"id": 1, "metadata": None},
+        {"id": 2, "metadata": {"related_identifiers": [None]}},
+        {"id": 3, "metadata": {"related_identifiers": [{"identifier": 42}]}},
+        _hit(4, ["https://github.com/a/x"]),
+    ) == ["a/x"]
+    assert sum("malformed Zenodo record" in r.getMessage()
+               for r in caplog.records) == 3
 
 
 def test_pagination_consumes_all_pages():
-    hits = [_hit(i, [f"https://github.com/o/r{i}"]) for i in range(5)]
-
-    def handler(params):
-        page = int(params["page"])
-        size = int(params["size"])
-        start = (page - 1) * size
-        return {"hits": {"hits": hits[start:start + size]}}
-
-    transport = FakeTransport({API: handler})
-    config = ZenodoQueryConfig(page_size=2)
-    records = query_zenodo_software_records(transport, config, page_limit=10)
-    assert len(records) == 5
+    hits = [_hit(i, [f"https://github.com/o/r{i}"]) for i in range(205)]
+    for page_limit, pages, n_slugs in ((10, [1, 2, 3], 205), (2, [1, 2], 200)):
+        transport = FakeTransport({API: _paged_hits(hits)})
+        slugs = discover_github_slugs(transport, page_limit=page_limit)
+        assert slugs == [RepoSlug("o", f"r{i}") for i in range(n_slugs)]
+        assert [p["page"] for _url, p in transport.calls] == pages
 
 
-def _record(url):
-    return ZenodoRecord(record_id="r", resource_type="software",
-                        access_right="open", related_urls=(url,))
+def test_query_error_is_retryable():
+    transport = FakeTransport({API: lambda params: Response(502, {}, None)})
+    with pytest.raises(RetryableFetchError, match="HTTP 502 on page 1"):
+        discover_github_slugs(transport, page_limit=1)
 
 
 def test_slug_canonical_form():
-    assert extract_github_slug(
-        _record("https://github.com/owner/repo")
-    ) == RepoSlug("owner", "repo")
+    assert _slugs(_hit(1, ["https://github.com/owner/repo"])) == ["owner/repo"]
 
 
 def test_slug_strips_deep_paths():
-    assert extract_github_slug(
-        _record("https://github.com/owner/repo/tree/v1.0")
-    ) == RepoSlug("owner", "repo")
-    assert extract_github_slug(
-        _record("https://github.com/owner/repo/releases/tag/v2")
-    ) == RepoSlug("owner", "repo")
+    assert _slugs(_hit(1, ["https://github.com/owner/repo/tree/v1.0"]),
+                  _hit(2, ["https://github.com/owner/repo/releases/tag/v2"])) \
+        == ["owner/repo", "owner/repo"]
 
 
 def test_slug_non_matching_host():
-    assert extract_github_slug(_record("https://gitlab.example.com/x/y")) is None
+    assert _slugs(_hit(1, ["https://gitlab.example.com/x/y"])) == []
 
 
 def test_slug_git_suffix_removed():
-    assert extract_github_slug(
-        _record("https://github.com/owner/repo.git")
-    ) == RepoSlug("owner", "repo")
+    assert _slugs(_hit(1, ["https://github.com/owner/repo.git"])) == ["owner/repo"]
 
 
 def test_slug_none_when_no_urls():
-    rec = ZenodoRecord(record_id="r", resource_type="software",
-                       access_right="open", related_urls=())
-    assert extract_github_slug(rec) is None
+    assert _slugs(_hit(1, []), {"id": 2}) == []
+
+
+QUERY = ('resource_type.type:software AND access_right:open '
+         'AND related_identifiers.identifier:"github.com"')
+
+
+def _paged_hits(hits):
+    def handler(params):
+        start = (int(params["page"]) - 1) * int(params["size"])
+        return {"hits": {"hits": hits[start:start + int(params["size"])]}}
+
+    return handler
+
+
+def _fetch(monkeypatch, tmp_path, routes, *args):
+    """Run ``persona-miner fetch`` against canned routes; GitHub API calls
+    get 404s, so each repo is archived as an empty, incomplete set."""
+    transport = FakeTransport(routes)
+    monkeypatch.setattr(cli, "_live_transport", lambda: transport)
+    out = tmp_path / "archive.jsonl"
+    result = CliRunner().invoke(cli.main, ["fetch", "--output", str(out), *args],
+                                catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return transport, result, [str(s.repo) for s in load_archive(out)]
+
+
+def test_fetch_discovers_github_slugs_across_pages(monkeypatch, tmp_path, caplog):
+    hits = [_hit(i, [f"https://github.com/org/repo{i}"]) for i in range(230)]
+    hits[5] = _hit(5, ["https://doi.org/10.5281/zenodo.5"])  # no GitHub URL
+    hits[17] = {"id": 17, "metadata": {"related_identifiers": 17}}  # malformed
+    hits[101] = _hit(101, ["https://github.com/org/repo101.git"])
+    hits[150] = _hit(150, ["https://doi.org/10.1/x",
+                           "https://github.com/org/repo150/tree/v1",
+                           "https://github.com/other/later"])
+    hits[229] = ["https://github.com/org/repo229"]  # malformed: not an object
+    transport, result, slugs = _fetch(monkeypatch, tmp_path,
+                                      {API: _paged_hits(hits)})
+    assert slugs == [f"org/repo{i}" for i in range(230) if i not in (5, 17, 229)]
+    assert result.output.endswith(f"archived 227 repositories to {tmp_path}/archive.jsonl\n")
+    assert [params for url, params in transport.calls if url == API] == [
+        {"q": QUERY, "size": 100, "page": page} for page in (1, 2, 3)
+    ]
+    malformed = [r for r in caplog.records if "malformed Zenodo record" in r.getMessage()]
+    assert len(malformed) == 2
+
+
+def test_fetch_archives_each_repo_once(monkeypatch, tmp_path):
+    hits = [_hit(1, ["https://github.com/a/b/releases/tag/v1"]),
+            _hit(2, ["https://github.com/c/d"]),
+            _hit(3, ["https://github.com/a/b/releases/tag/v2"])]
+    for routes, args in (({API: {"hits": {"hits": hits}}}, []),
+                         ({}, ["--repos", "a/b, c/d,a/b"])):
+        transport, _result, slugs = _fetch(monkeypatch, tmp_path, routes, *args)
+        assert slugs == ["a/b", "c/d"]
+        github_calls = [url for url, _params in transport.calls if url != API]
+        assert github_calls == ["https://api.github.com/repos/a/b/commits",
+                                "https://api.github.com/repos/c/d/commits"]
