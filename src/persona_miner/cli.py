@@ -8,7 +8,6 @@ variable for live fetches.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import os
 import sys
@@ -256,46 +255,26 @@ def simulate(specs_path: str | None, count: int, noise_sd: float, seed: int,
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(),
-              help="JSON run configuration file.")
-@click.option("--archive", "archive_path", type=click.Path())
-@click.option("--seed", type=int, help="Recorded in the run manifest.")
-@click.option("--output-dir", type=click.Path())
-@click.option("--exclude-bots", is_flag=True, default=None)
-@click.option("--k-max", type=int)
+@click.option("--archive", "archive_path", required=True, type=click.Path(exists=True))
+@click.option("--output-dir", default="out", show_default=True, type=click.Path())
+@click.option("--seed", default=0, show_default=True, help="Recorded in the run manifest.")
+@click.option("--exclude-bots", is_flag=True)
+@click.option("--k-min", default=2, show_default=True)
+@click.option("--k-max", default=10, show_default=True)
+@click.option("--profiles", "profiles_path", type=click.Path(exists=True))
+@click.option("--bot-deny-list", multiple=True, metavar="LOGIN",
+              help="A login flagged as a bot besides those ending in [bot]; repeatable.")
 @_guard
-def run(config_path: str | None, archive_path: str | None, seed: int | None,
-        output_dir: str | None, exclude_bots: bool | None, k_max: int | None):
+def run(archive_path: str, output_dir: str, seed: int, exclude_bots: bool, k_min: int,
+        k_max: int, profiles_path: str | None, bot_deny_list: tuple[str, ...]):
     """Run the full pipeline: metrics, clustering, stats, personas, reports."""
-    base: dict = {}
-    if config_path:
-        if not Path(config_path).exists():
-            raise ConfigError(f"config file not found: {config_path}")
-        try:
-            base = json.loads(Path(config_path).read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"unparseable config {config_path}: {exc}") from exc
-    overrides = {
-        "archive_path": archive_path,
-        "seed": seed,
-        "output_dir": output_dir,
-        "exclude_bots": exclude_bots,
-        "k_max": k_max,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
-    try:
-        cfg = RunConfig(**base)
-    except TypeError as exc:
-        raise ConfigError(f"bad run configuration: {exc}") from exc
-    if cfg.archive_path and not Path(cfg.archive_path).exists():
-        raise ConfigError(f"archive not found: {cfg.archive_path}")
-    result = run_pipeline(cfg)
-    click.echo(
-        f"pipeline complete: {result.n_individuals} individuals, "
-        f"k={result.initial_k}, outputs in {result.output_dir}"
-    )
+    result = run_pipeline(RunConfig(
+        archive_path=archive_path, seed=seed, k_min=k_min, k_max=k_max,
+        persona_profile_path=profiles_path, output_dir=output_dir,
+        exclude_bots=exclude_bots, bot_deny_list=bot_deny_list,
+    ))
+    click.echo(f"pipeline complete: {result.n_individuals} individuals, "
+               f"k={result.initial_k}, outputs in {result.output_dir}")
 
 
 if __name__ == "__main__":

@@ -240,9 +240,10 @@ def select_k(vectors, k_min: int = 2, k_max: int = 10,
 
 
 def subcluster(rows, k_min: int = 2, k_max: int = 10) -> ClusterLabels:
-    """Re-cluster the rows of one parent cluster; under 3 rows stay one cluster."""
+    """Re-cluster the rows of one parent cluster. A parent of at most ``k_min``
+    rows stays one cluster: clamped to n - 1, its k range is empty."""
     n = len(rows)
-    if n < 3:
+    if n <= k_min:
         return ClusterLabels(labels=(0,) * n, k=1)
     k_best, _scores = select_k(rows, k_min=k_min, k_max=k_max)
     return cut(agglomerate(rows), k_best)

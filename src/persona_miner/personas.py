@@ -20,7 +20,7 @@ from .metrics import MetricVector
 from .models import RepoSlug
 
 UNMATCHED = "Unmatched persona"
-DEFAULT_UNMATCHED_DISTANCE = 25.0
+UNMATCHED_DISTANCE = 25.0  # run's sub-cluster centroids beyond it are UNMATCHED
 
 INTERACTIVITY_LEVELS = ("Low", "Moderate", "High")
 

@@ -22,7 +22,7 @@ from .commit_classify import classify_archive, write_classification_csv
 from .errors import ConfigError, DataValidationError
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
 from .personas import (
-    DEFAULT_UNMATCHED_DISTANCE,
+    UNMATCHED_DISTANCE,
     PersonaAssignment,
     load_profiles,
     order_clusters_by_interactivity,
@@ -45,11 +45,6 @@ def check_k_range(k_min: int, k_max: int) -> None:
         raise ConfigError(f"k range [{k_min}, {k_max}] needs 2 <= k_min <= k_max")
 
 
-# RunConfig fields a JSON config file could give a value of the wrong type
-_JSON_TYPES = {"seed": int, "k_min": int, "k_max": int, "exclude_bots": bool,
-               "unmatched_distance": float, "upset_min_fraction": float}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     archive_path: Optional[str] = None
@@ -60,21 +55,8 @@ class RunConfig:
     output_dir: str = "out"
     exclude_bots: bool = False
     bot_deny_list: tuple[str, ...] = ()
-    unmatched_distance: float = DEFAULT_UNMATCHED_DISTANCE
-    upset_min_fraction: float = 0.0
 
     def __post_init__(self):
-        for name, want in _JSON_TYPES.items():
-            value = getattr(self, name)  # exact types: a bool is no int here
-            if type(value) is not want and not (want is float and type(value) is int):
-                raise ConfigError(f"run configuration {name!r} must be "
-                                  f"{'a number' if want is float else want.__name__}, "
-                                  f"not {value!r}")
-        deny = self.bot_deny_list
-        if not isinstance(deny, (list, tuple)) or \
-                not all(isinstance(login, str) for login in deny):
-            raise ConfigError("run configuration 'bot_deny_list' must be a list of "
-                              f"strings, not {deny!r}")
         check_k_range(self.k_min, self.k_max)
         if not self.archive_path:
             raise DataValidationError("archive_path is required")
@@ -106,7 +88,6 @@ def cluster_and_label(
     profiles,
     k_min: int = 2,
     k_max: int = 10,
-    unmatched_distance: float = DEFAULT_UNMATCHED_DISTANCE,
     rows: Optional[np.ndarray] = None,
 ):
     """Cluster, sub-cluster, and label sub-cluster centroids with personas.
@@ -121,8 +102,7 @@ def cluster_and_label(
     if n < 3:
         initial = ClusterLabels(labels=(0,) * n, k=1 if n else 0)
         sub = (0,) * n
-        assignments = _assign_by_centroid(vectors, rows, initial.labels, sub,
-                                          profiles, unmatched_distance)
+        assignments = _assign_by_centroid(vectors, rows, initial.labels, sub, profiles)
         return initial, sub, assignments, {"initial_k": initial.k,
                                            "scores": {}, "sub_k": {}}
 
@@ -139,20 +119,20 @@ def cluster_and_label(
         sub_k[parent] = result.k
 
     assignments = _assign_by_centroid(vectors, rows, initial.labels, tuple(sub_labels),
-                                      profiles, unmatched_distance)
+                                      profiles)
     diagnostics = {"initial_k": k_best, "scores": scores, "sub_k": sub_k}
     return initial, tuple(sub_labels), assignments, diagnostics
 
 
-def _assign_by_centroid(vectors, rows, initial_labels, sub_labels, profiles,
-                        unmatched_distance) -> list[PersonaAssignment]:
+def _assign_by_centroid(vectors, rows, initial_labels, sub_labels,
+                        profiles) -> list[PersonaAssignment]:
     groups: dict[tuple[int, int], list[int]] = {}
     for idx, path in enumerate(zip(initial_labels, sub_labels)):
         groups.setdefault(path, []).append(idx)
 
     labels_by_group = {
         path: label_subcluster(tuple(float(x) for x in rows[members, :6].mean(axis=0)),
-                               profiles, max_distance=unmatched_distance)
+                               profiles, max_distance=UNMATCHED_DISTANCE)
         for path, members in groups.items()
     }
 
@@ -219,9 +199,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     profiles = load_profiles(cfg.persona_profile_path)
     rows = feature_matrix(vectors)
     initial, sub_labels, assignments, diagnostics = cluster_and_label(
-        vectors, profiles, k_min=cfg.k_min, k_max=cfg.k_max,
-        unmatched_distance=cfg.unmatched_distance, rows=rows,
-    )
+        vectors, profiles, k_min=cfg.k_min, k_max=cfg.k_max, rows=rows)
     members = initial.members()
 
     write_metrics_csv(vectors, out / "metrics.csv")
@@ -249,7 +227,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "interactivity_levels": {str(k): v for k, v in (levels or {}).items()},
     })
 
-    write_reports(individuals, initial.labels, out, cfg.upset_min_fraction)
+    write_reports(individuals, initial.labels, out)
 
     persona_counts: dict[str, int] = {}
     for a in assignments:

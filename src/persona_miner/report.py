@@ -31,22 +31,14 @@ def interaction_totals(
     }
 
 
-def upset_counts(individuals: Sequence[RepoIndividual],
-                 min_fraction: float = 0.0) -> dict[tuple[str, ...], int]:
+def upset_counts(individuals: Sequence[RepoIndividual]) -> dict[tuple[str, ...], int]:
     """Count individuals per exact combination of nonzero interaction kinds,
-    keyed by the kinds' values in ALL_KINDS order.
-
-    ``min_fraction`` optionally drops combinations below a display cutoff
-    (expressed as a fraction of all individuals); the unfiltered counts always
-    sum to the individual count.
-    """
+    keyed by the kinds' values in ALL_KINDS order; the counts sum to the
+    individual count."""
     counts: dict[tuple[str, ...], int] = {}
     for ind in individuals:
         combo = tuple(k.value for k in ALL_KINDS if ind.counts[k] > 0)
         counts[combo] = counts.get(combo, 0) + 1
-    if min_fraction > 0.0 and individuals:
-        floor = min_fraction * len(individuals)
-        counts = {c: n for c, n in counts.items() if n >= floor}
     return counts
 
 
@@ -135,10 +127,10 @@ def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> tuple[int,
 
 
 def write_reports(individuals: Sequence[RepoIndividual], labels: Sequence[int],
-                  output_dir: Union[str, Path], upset_min_fraction: float = 0.0) -> None:
+                  output_dir: Union[str, Path]) -> None:
     """Write totals.csv, upset.json and composition.csv into ``output_dir``;
     ``labels`` holds each individual's cluster."""
     out = Path(output_dir)
     write_totals_csv(interaction_totals(individuals), out / "totals.csv")
-    write_upset_json(upset_counts(individuals, upset_min_fraction), out / "upset.json")
+    write_upset_json(upset_counts(individuals), out / "upset.json")
     write_composition_csv(composition(individuals, labels), out / "composition.csv")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from typing import Any, Callable, Optional, Protocol
 
 from .errors import RateBudgetError, RetryableFetchError
@@ -59,6 +61,22 @@ class TokenBucket:
             self._sleep(wait)
 
 
+def _retry_after(value: Optional[str], backoff: float) -> float:
+    """Seconds a Retry-After header asks to wait: a number of seconds, or an
+    HTTP date to wait until; without the header, or with neither, ``backoff``."""
+    try:
+        return max(0.0, float(value))
+    except (TypeError, ValueError):
+        pass
+    try:
+        until = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return backoff
+    if until.tzinfo is None:  # a "-0000" zone: UTC by convention
+        until = until.replace(tzinfo=timezone.utc)
+    return max(0.0, (until - datetime.now(timezone.utc)).total_seconds())
+
+
 @dataclass
 class RequestsTransport:
     """Live transport backed by ``requests`` with exponential backoff.
@@ -100,7 +118,7 @@ class RequestsTransport:
                 resp.status_code == 403 and "Retry-After" in headers
             ):
                 last_error = f"HTTP {resp.status_code}"
-                wait = float(headers.get("Retry-After", wait))
+                wait = _retry_after(headers.get("Retry-After"), wait)
                 continue
             if resp.status_code >= 500:
                 last_error = f"HTTP {resp.status_code}"

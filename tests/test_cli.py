@@ -395,10 +395,6 @@ def test_bad_profiles_file_exit_2(runner, fixture_archive_path, tmp_path):
                      "--output", str(metrics)])
     profile = {"name": "Only", "interactivity": "High", "centroid": [50] * 6}
     profiles = tmp_path / "profiles.json"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
-                               "persona_profile_path": str(profiles),
-                               "output_dir": str(tmp_path / "out")}))
     for text in ("{not json",
                  json.dumps({"profiles": [{**profile, "interactivity": None}]}),
                  json.dumps({"profiles": [{k: v for k, v in profile.items()
@@ -408,7 +404,8 @@ def test_bad_profiles_file_exit_2(runner, fixture_archive_path, tmp_path):
         profiles.write_text(text)
         for args in (["assign", "--metrics", str(metrics), "--profiles", str(profiles),
                       "--output", str(tmp_path / "personas.csv")],
-                     ["run", "--config", str(cfg)]):
+                     ["run", "--archive", str(fixture_archive_path), "--profiles",
+                      str(profiles), "--output-dir", str(tmp_path / "out")]):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (text, args[0])
             assert f"error: {profiles}: bad persona profiles (" in result.output
@@ -429,65 +426,59 @@ def test_run_full_pipeline_deterministic(runner, fixture_archive_path, tmp_path)
         assert path.read_bytes() == (outputs[1] / path.name).read_bytes()
 
 
-def test_run_with_config_file(runner, fixture_archive_path, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "archive_path": str(fixture_archive_path),
-        "output_dir": str(tmp_path / "out"),
-        "seed": 7,
-        "exclude_bots": True,
-    }))
-    result = _invoke(runner, ["run", "--config", str(cfg)])
+def test_run_records_seed_in_manifest(runner, fixture_archive_path, tmp_path):
+    result = _invoke(runner, ["run", "--archive", str(fixture_archive_path),
+                              "--output-dir", str(tmp_path / "out"), "--seed", "7",
+                              "--exclude-bots"])
     assert result.exit_code == 0
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["seed"] == 7
 
 
-def test_run_missing_config_file_exit_2(runner):
-    result = runner.invoke(main, ["run", "--config", "/nonexistent/cfg.json"])
-    assert result.exit_code == 2
-
-
-def test_run_unparseable_config_exit_2(runner, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    result = runner.invoke(main, ["run", "--config", str(cfg)])
-    assert result.exit_code == 2
-
-
-def test_run_unknown_config_key_exit_2(runner, fixture_archive_path, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    for key, value in (("bogus_key", 1), ("fraction", 0.5),
-                       ("reference_date", "2024-01-01"), ("live", True),
-                       # known keys with values of the wrong JSON type
-                       ("exclude_bots", "false"), ("exclude_bots", 0),
-                       ("seed", "7"), ("seed", True), ("k_min", 2.0),
-                       ("k_max", None), ("unmatched_distance", "20"),
-                       ("upset_min_fraction", False), ("bot_deny_list", "ada"),
-                       ("bot_deny_list", ["ada", 1])):
-        cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
-                                   key: value}))
-        result = runner.invoke(main, ["run", "--config", str(cfg)])
-        assert result.exit_code == 2, key
-    # a list of logins is still taken
-    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
-                               "exclude_bots": True, "bot_deny_list": ["ada"],
-                               "output_dir": str(tmp_path / "out")}))
-    result = _invoke(runner, ["run", "--config", str(cfg)])
+def test_run_bot_deny_list(runner, fixture_archive_path, tmp_path):
+    # the fixture's 11 individuals less its [bot] login and the listed ada
+    result = _invoke(runner, ["run", "--archive", str(fixture_archive_path),
+                              "--exclude-bots", "--bot-deny-list", "ada",
+                              "--output-dir", str(tmp_path / "out")])
     assert result.exit_code == 0
     assert "pipeline complete: 9 individuals" in result.output
 
 
 def test_run_missing_archive_is_nonzero(runner, tmp_path):
-    # config names an archive that does not exist
+    # an archive that does not exist, or none at all, is a usage error
+    for args in (["--archive", str(tmp_path / "missing.jsonl")], []):
+        result = runner.invoke(main, ["run", *args, "--output-dir", str(tmp_path / "x")])
+        assert result.exit_code == 2, args
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_config_option_is_gone(runner, fixture_archive_path, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"archive_path": str(tmp_path / "missing.jsonl")}))
+    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path)}))
     result = runner.invoke(main, ["run", "--config", str(cfg)])
     assert result.exit_code == 2
-    # no data source at all is a validation failure
-    result = runner.invoke(main, ["run", "--seed", "1",
-                                  "--output-dir", str(tmp_path / "x")])
-    assert result.exit_code == 4
+    assert "No such option" in result.output and "--config" in result.output
+
+
+def test_run_help_lists_its_flags(runner):
+    options = {word for word in _invoke(runner, ["run", "--help"]).output.split()
+               if word.startswith("--")}
+    assert options == {"--archive", "--output-dir", "--seed", "--exclude-bots",
+                       "--k-min", "--k-max", "--profiles", "--bot-deny-list", "--help"}
+
+
+def test_run_three_clusters_get_interactivity_levels(runner, fixture_archive_path,
+                                                     tmp_path):
+    out = tmp_path / "out"
+    _invoke(runner, ["run", "--archive", str(fixture_archive_path), "--k-min", "3",
+                     "--k-max", "3", "--output-dir", str(out)])
+    stats = json.loads((out / "stats.json").read_text("utf-8"))
+    assert stats["diagnostics"]["initial_k"] == 3
+    levels = stats["diagnostics"]["interactivity_levels"]
+    assert sorted(levels) == ["0", "1", "2"]
+    assert sorted(levels.values()) == ["High", "Low", "Moderate"]
+    clusters = {row["cluster"] for row in csv.DictReader((out / "labels.csv").open())}
+    assert clusters == {"0", "1", "2"}
 
 
 def test_bad_archive_exit_4(runner, fixture_archive_path, tmp_path):
@@ -528,10 +519,9 @@ def test_cluster_too_few_rows_exit_4(runner, tmp_path):
 def test_run_bad_k_range_exit_2_before_output(runner, fixture_archive_path, tmp_path,
                                               k_min, k_max):
     out = tmp_path / "out"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
-                               "output_dir": str(out), "k_min": k_min, "k_max": k_max}))
-    result = runner.invoke(main, ["run", "--config", str(cfg)])
+    result = runner.invoke(main, ["run", "--archive", str(fixture_archive_path),
+                                  "--k-min", str(k_min), "--k-max", str(k_max),
+                                  "--output-dir", str(out)])
     assert result.exit_code == 2
     assert f"error: k range [{k_min}, {k_max}] needs 2 <= k_min <= k_max" in result.output
     assert not out.exists()
@@ -575,10 +565,9 @@ def test_run_k_min_above_rows_fails_before_output(runner, fixture_archive_path,
                                                   tmp_path):
     # 11 individuals clamp k_max to 10, below k_min
     out = tmp_path / "out"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"archive_path": str(fixture_archive_path),
-                               "output_dir": str(out), "k_min": 11, "k_max": 12}))
-    result = runner.invoke(main, ["run", "--config", str(cfg)])
+    result = runner.invoke(main, ["run", "--archive", str(fixture_archive_path),
+                                  "--k-min", "11", "--k-max", "12",
+                                  "--output-dir", str(out)])
     assert result.exit_code == 4
     assert "error: empty k range [11, 10]" in result.output
     assert list(out.iterdir()) == []

@@ -338,6 +338,13 @@ def test_subcluster_tiny_parent_unsplittable():
     assert result.labels == (0,)
 
 
+def test_subcluster_parent_of_k_min_rows_stays_whole():
+    # 3 rows clamp k_max to 2, below k_min = 3: no k to try, so one cluster
+    result = subcluster(np.array([[0.0], [1.0], [50.0]]), k_min=3)
+    assert result.k == 1
+    assert result.labels == (0, 0, 0)
+
+
 def test_dendrogram_json_round_trip(tmp_path):
     import json
 

@@ -61,12 +61,6 @@ def test_upset_exact_combinations():
     assert sum(counts.values()) == len(inds)
 
 
-def test_upset_min_fraction_filters():
-    inds = [_individual(f"u{i}", commit_created=1) for i in range(9)]
-    inds.append(_individual("solo", pr_created=1))
-    assert upset_counts(inds, min_fraction=0.2) == {("CommitCreated",): 9}
-
-
 def test_upset_empty_combination_forbidden():
     # the empty combination cannot reach upset_counts: an individual needs an
     # interaction

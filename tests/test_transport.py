@@ -104,6 +104,22 @@ def test_secondary_limit_honours_retry_after():
     assert sleeps == [7.0]
 
 
+@pytest.mark.parametrize("retry_after, wait", [
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # an HTTP date already past
+    ("Wed, 21 Oct 2015 07:28:00 -0000", 0.0),  # the same, its zone unstated
+    ("soon", 1.0),  # neither seconds nor a date: the first backoff wait
+])
+def test_secondary_limit_retry_after_date_or_garbage(retry_after, wait):
+    sleeps = []
+    transport = RequestsTransport(sleep=sleeps.append)
+    responses = [_resp(429, headers={"Retry-After": retry_after}),
+                 _resp(200, json_body={})]
+    with mock.patch("requests.get", side_effect=responses):
+        response = transport.get("https://api.example/x")
+    assert response.status == 200
+    assert sleeps == [wait]
+
+
 def test_connection_error_retried():
     import requests
 
