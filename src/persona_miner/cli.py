@@ -37,7 +37,7 @@ from .sampling import (
     subsample,
     write_eligibility_report,
 )
-from .simgen import default_archetypes, generate, load_archetype_specs
+from .simgen import generate
 from .transport import RequestsTransport, TokenBucket
 from .zenodo import discover_github_slugs
 
@@ -230,20 +230,18 @@ def report(archive_path: str, labels_path: str | None, output_dir: str,
 
 
 @main.command()
-@click.option("--specs", "specs_path", type=click.Path(exists=True),
-              help="Archetype spec file; defaults to the seven reference personas.")
-@click.option("--count", default=200, show_default=True)
+@click.option("--profiles", "profiles_path", type=click.Path(exists=True))
+@click.option("--count", default=200, show_default=True, help="Rows per profile.")
 @click.option("--noise-sd", default=2.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--metrics-output", required=True, type=click.Path())
 @click.option("--truth-output", type=click.Path())
 @_guard
-def simulate(specs_path: str | None, count: int, noise_sd: float, seed: int,
+def simulate(profiles_path: str | None, count: int, noise_sd: float, seed: int,
              metrics_output: str, truth_output: str | None):
-    """Generate synthetic metric vectors from persona archetypes."""
-    specs = load_archetype_specs(specs_path) if specs_path else \
-        default_archetypes(count=count, noise_sd=noise_sd)
-    vectors, truth = generate(specs, seed=seed)
+    """Generate synthetic metric vectors around persona centroids."""
+    vectors, truth = generate(load_profiles(profiles_path), count=count,
+                              noise_sd=noise_sd, seed=seed)
     write_metrics_csv(vectors, metrics_output)
     if truth_output:
         with Path(truth_output).open("w", newline="", encoding="utf-8") as fh:

@@ -82,36 +82,24 @@ def _data_text(name: str) -> str:
     return resources.files("persona_miner.data").joinpath(name).read_text("utf-8")
 
 
-def load_keyword_table(path: Optional[Union[str, Path]] = None) -> KeywordTable:
-    raw = json.loads(Path(path).read_text("utf-8")) if path else json.loads(
-        _data_text("commit_keywords.json")
-    )
-    try:
-        stems = tuple(
-            (DevelopmentType(name), tuple(words))
-            for name, words in raw["stems"].items()
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad keyword table: {exc}") from exc
-    return KeywordTable(stems=stems)
+def load_keyword_table() -> KeywordTable:
+    raw = json.loads(_data_text("commit_keywords.json"))
+    return KeywordTable(stems=tuple(
+        (DevelopmentType(name), tuple(words)) for name, words in raw["stems"].items()
+    ))
 
 
-def load_activity_rules(path: Optional[Union[str, Path]] = None) -> ActivityRules:
-    raw = json.loads(Path(path).read_text("utf-8")) if path else json.loads(
-        _data_text("activity_rules.json")
+def load_activity_rules() -> ActivityRules:
+    raw = json.loads(_data_text("activity_rules.json"))
+    return ActivityRules(
+        rules=tuple(
+            ActivityRule(category=entry["category"],
+                         patterns=tuple(re.compile(pattern, re.IGNORECASE)
+                                        for pattern in entry["patterns"]))
+            for entry in raw["rules"]
+        ),
+        fallback=raw["fallback"],
     )
-    rules = []
-    for entry in raw["rules"]:
-        compiled = []
-        for pattern in entry["patterns"]:
-            try:
-                compiled.append(re.compile(pattern, re.IGNORECASE))
-            except re.error as exc:
-                raise ConfigError(
-                    f"bad activity pattern {pattern!r} in {entry['category']}: {exc}"
-                ) from exc
-        rules.append(ActivityRule(category=entry["category"], patterns=tuple(compiled)))
-    return ActivityRules(rules=tuple(rules), fallback=raw.get("fallback", "unknown"))
 
 
 DEFAULT_KEYWORD_TABLE = load_keyword_table()

@@ -51,11 +51,11 @@ class PersonaAssignment:
 
 def load_profiles(path: Optional[Union[str, Path]] = None) -> tuple[PersonaProfile, ...]:
     """Profiles from ``path``, else the bundled ``personas.json``; a file that
-    cannot be read as profiles is a ConfigError naming it."""
+    cannot be read as profiles, or holds none, is a ConfigError naming it."""
     source = Path(path) if path is not None else \
         resources.files("persona_miner.data").joinpath("personas.json")
     try:
-        return tuple(
+        profiles = tuple(
             PersonaProfile(
                 name=p["name"],
                 interactivity=p["interactivity"],
@@ -66,6 +66,9 @@ def load_profiles(path: Optional[Union[str, Path]] = None) -> tuple[PersonaProfi
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: bad persona profiles "
                           f"({type(exc).__name__}: {exc})") from exc
+    if not profiles:
+        raise ConfigError(f"{source}: bad persona profiles (none listed)")
+    return profiles
 
 
 DEFAULT_PROFILES = load_profiles()

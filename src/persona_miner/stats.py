@@ -4,7 +4,9 @@ Both special functions are computed here, so scipy is not a run-time
 dependency; the test suite keeps ``scipy.special`` and ``scipy.stats`` as
 their oracles. The F-test p-value is the regularized incomplete beta
 function by its continued fraction, evaluated with the modified Lentz
-method (Numerical Recipes, 3rd ed., section 6.4). The normal CDF ``_ndtr``
+method (Numerical Recipes, 3rd ed., section 6.4); from df2 = 20 on, its
+prefactor takes lgamma(a + b) - lgamma(a) from Stirling's series, as TOMS 708
+(DiDonato & Morris 1992) does. The normal CDF ``_ndtr``
 ports Cephes ``ndtr``, which rests on Cody's rational approximations to erf
 and erfc (Cody 1969, Math. Comp. 23). The studentized range CDF is R's
 ``ptukey`` method (Copenhaver & Holland 1988): fixed 16-point
@@ -58,6 +60,10 @@ _SQRT1_2 = 0.70710678118654752440
 
 _CF_TINY = 1e-300  # Lentz: stands in for a zero denominator
 _CF_MAX_TERMS = 1000  # far above the <= 60 seen for df1 <= 50, df2 <= 2e6
+# lgamma's Stirling series: the coefficients B_2k / (2k (2k - 1)), k = 1..7, of
+# z^(1 - 2k); from z = 10 the first omitted term is below 3e-17
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_STIRLING_MIN = 10.0
 
 
 @functools.cache
@@ -258,6 +264,15 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
     return arrays
 
 
+def _stirling_w(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), for z >= _STIRLING_MIN."""
+    r = 1.0 / (z * z)
+    w = 0.0
+    for c in reversed(_STIRLING):
+        w = w * r + c
+    return w / z
+
+
 def f_sf(f: float, df1: int, df2: int) -> float:
     """Upper tail of the F distribution: I_x(df2/2, df1/2) at x = df2/(df2 + df1 f)."""
     if f <= 0:
@@ -270,8 +285,16 @@ def f_sf(f: float, df1: int, df2: int) -> float:
         return 1.0
     if x == 0.0:
         return 0.0
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    if a >= _STIRLING_MIN:
+        # the prefactor's lgamma(a + b) - lgamma(a) + a log x in Stirling
+        # form, free of the cancellation between terms of size a log a
+        log_front = (b * math.log((a + b) * y) + (a - 0.5) * math.log1p(b / a) - b
+                     + _stirling_w(a + b) - _stirling_w(a)
+                     - a * math.log1p(df1 * f / df2) - math.lgamma(b))
+    else:
+        log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                      + a * math.log(x) + b * math.log(y))
+    front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, y) / b

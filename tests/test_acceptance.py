@@ -41,7 +41,7 @@ from persona_miner.models import (
 from persona_miner.personas import DEFAULT_PROFILES, assign_persona
 from persona_miner.pipeline import RunConfig, cluster_and_label, run_pipeline
 from persona_miner.sampling import apply_inclusion_criteria, subsample
-from persona_miner.simgen import default_archetypes, generate
+from persona_miner.simgen import generate
 from persona_miner.stats import one_way_anova, pca, tukey_hsd
 
 
@@ -185,8 +185,7 @@ def test_criterion_5_persona_round_trip():
         name, dist = label_subcluster(profile.centroid)
         assert name == profile.name and dist == 0.0
 
-    specs = default_archetypes(count=200, noise_sd=2.0)
-    vectors, truth = generate(specs, seed=0)
+    vectors, truth = generate(DEFAULT_PROFILES, count=200, noise_sd=2.0, seed=0)
 
     direct_hits = sum(assign_persona(v).persona == t
                       for v, t in zip(vectors, truth))

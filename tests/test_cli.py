@@ -161,6 +161,30 @@ def test_simulate_assign_round_trip(runner, tmp_path):
     assert hits / len(rows) >= 0.99
 
 
+# sha256 of simulate's metrics.csv and truth.csv: one normal draw over all
+# rows must give the bits of one draw per persona in profile order
+GOLDEN_SIMULATE_DIGESTS = {
+    ("--count", "72", "--noise-sd", "1.5", "--seed", "1"): (
+        "c8d71709febf7687bd078355b1940b89fc75bcc43e9b110d5ce8ebb31a60ac1b",
+        "4a95b96728716adc9e9bc6c1a5e732e2fb394aef4e686236f7f344ef5478b5fe"),
+    ("--count", "20", "--seed", "0"): (
+        "c7a0a2e65e459bf461e7d5919c137157c1282b8c18f9ba1308e7e47470c79f87",
+        "e4c62070a454816a8be089adc8faf94b8fd56a6a8e7cbe09371f18602388f4ea"),
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_SIMULATE_DIGESTS))
+def test_simulate_golden_digests(runner, tmp_path, args):
+    bundled = Path(persona_miner.__file__).parent / "data" / "personas.json"
+    for profiles in ([], ["--profiles", str(bundled)]):
+        metrics, truth = tmp_path / "sim.csv", tmp_path / "truth.csv"
+        _invoke(runner, ["simulate", *args, *profiles, "--metrics-output", str(metrics),
+                         "--truth-output", str(truth)])
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (metrics, truth))
+        assert digests == GOLDEN_SIMULATE_DIGESTS[args], profiles
+
+
 def test_cluster_subcommand_on_blob_metrics(runner, tmp_path):
     metrics = tmp_path / "sim.csv"
     _invoke(runner, ["simulate", "--count", "30", "--noise-sd", "1.0",
@@ -374,19 +398,16 @@ def test_filter_bad_summaries_exit_4(runner, tmp_path):
         assert f"error: {summaries}: {message}" in result.output, text
 
 
-def test_simulate_bad_specs_exit_2(runner, tmp_path):
-    specs = tmp_path / "specs.json"
-    spec = {"name": "a", "centroid": [10] * 6, "count": 3}
-    for text in ("{not json",
-                 json.dumps([spec]),
-                 json.dumps({"archetypes": [{"name": "a"}]}),
-                 json.dumps({"archetypes": [{**spec, "centroid": [10] * 5}]}),
-                 json.dumps({"archetypes": [{**spec, "count": "many"}]})):
-        specs.write_text(text)
-        result = runner.invoke(main, ["simulate", "--specs", str(specs),
-                                      "--metrics-output", str(tmp_path / "sim.csv")])
-        assert result.exit_code == 2, text
-        assert f"error: {specs}: bad archetype specs (" in result.output, text
+def test_simulate_bad_values_exit_2(runner, tmp_path):
+    metrics = tmp_path / "sim.csv"
+    for args, message in ((["--count", "-1"], "error: count must be >= 0"),
+                          (["--noise-sd", "-0.5"], "error: noise_sd must be >= 0"),
+                          (["--noise-sd", "nan"], "error: noise_sd must be >= 0"),
+                          (["--specs", "specs.json"], "No such option")):
+        result = runner.invoke(main, ["simulate", *args, "--metrics-output", str(metrics)])
+        assert result.exit_code == 2, args
+        assert message in result.output, args
+        assert not metrics.exists()
 
 
 def test_bad_profiles_file_exit_2(runner, fixture_archive_path, tmp_path):
@@ -396,16 +417,20 @@ def test_bad_profiles_file_exit_2(runner, fixture_archive_path, tmp_path):
     profile = {"name": "Only", "interactivity": "High", "centroid": [50] * 6}
     profiles = tmp_path / "profiles.json"
     for text in ("{not json",
+                 json.dumps([profile]),
                  json.dumps({"profiles": [{**profile, "interactivity": None}]}),
                  json.dumps({"profiles": [{k: v for k, v in profile.items()
                                            if k != "interactivity"}]}),
                  json.dumps({"profiles": [{k: v for k, v in profile.items()
-                                           if k != "centroid"}]})):
+                                           if k != "centroid"}]}),
+                 json.dumps({"profiles": []})):
         profiles.write_text(text)
         for args in (["assign", "--metrics", str(metrics), "--profiles", str(profiles),
                       "--output", str(tmp_path / "personas.csv")],
                      ["run", "--archive", str(fixture_archive_path), "--profiles",
-                      str(profiles), "--output-dir", str(tmp_path / "out")]):
+                      str(profiles), "--output-dir", str(tmp_path / "out")],
+                     ["simulate", "--profiles", str(profiles),
+                      "--metrics-output", str(tmp_path / "sim.csv")]):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (text, args[0])
             assert f"error: {profiles}: bad persona profiles (" in result.output

@@ -1,4 +1,3 @@
-import json
 from datetime import datetime, timezone
 
 import pytest
@@ -10,14 +9,13 @@ from persona_miner.commit_classify import (
     DEFAULT_ACTIVITY_RULES,
     DEFAULT_KEYWORD_TABLE,
     DevelopmentType,
+    KeywordTable,
     SizeClass,
     classify_archive,
     classify_commit,
     classify_files,
     classify_message,
     classify_size,
-    load_activity_rules,
-    load_keyword_table,
     write_classification_csv,
 )
 from persona_miner.errors import ConfigError, DataValidationError
@@ -70,8 +68,6 @@ def test_message_totality_property():
 
 
 def test_duplicate_stem_rejected():
-    from persona_miner.commit_classify import KeywordTable
-
     with pytest.raises(ConfigError):
         KeywordTable(stems=(
             (D.FORWARD_ENGINEERING, ("add",)),
@@ -138,20 +134,8 @@ def test_files_totality_over_samples():
         assert classify_files(paths) in CATEGORIES
 
 
-def test_bad_pattern_fails_at_load(tmp_path):
-    bad = tmp_path / "rules.json"
-    bad.write_text(json.dumps({
-        "rules": [{"category": "code", "patterns": ["[unclosed"]}],
-        "fallback": "unknown",
-    }))
-    with pytest.raises(ConfigError):
-        load_activity_rules(bad)
-
-
-def test_custom_keyword_table_load(tmp_path):
-    path = tmp_path / "kw.json"
-    path.write_text(json.dumps({"stems": {"ForwardEngineering": ["implement"]}}))
-    table = load_keyword_table(path)
+def test_custom_keyword_table_load():
+    table = KeywordTable(stems=((D.FORWARD_ENGINEERING, ("implement",)),))
     assert classify_message("Implemented this", table) is D.FORWARD_ENGINEERING
     # only the first word is matched, and only against the table's stems
     assert classify_message("please implement this", table) is D.UNCLASSIFIED

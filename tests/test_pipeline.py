@@ -8,7 +8,7 @@ import pytest
 from persona_miner.errors import DataValidationError
 from persona_miner.personas import DEFAULT_PROFILES, load_profiles
 from persona_miner.pipeline import RunConfig, cluster_and_label, run_pipeline
-from persona_miner.simgen import default_archetypes, generate
+from persona_miner.simgen import generate
 
 TIMESTAMP_KEYS = {"started_at", "finished_at"}
 
@@ -81,7 +81,7 @@ def test_config_hash_tracks_settings(fixture_archive_path):
 
 
 def test_cluster_and_label_small_population():
-    vectors, _ = generate(default_archetypes(count=1, noise_sd=0.0)[:2], seed=0)
+    vectors, _ = generate(DEFAULT_PROFILES[:2], count=1, noise_sd=0.0, seed=0)
     initial, sub, assignments, diag = cluster_and_label(
         vectors, DEFAULT_PROFILES)
     assert initial.k == 1
@@ -90,8 +90,7 @@ def test_cluster_and_label_small_population():
 
 
 def test_cluster_and_label_synthetic_recovery():
-    specs = default_archetypes(count=25, noise_sd=1.0)
-    vectors, truth = generate(specs, seed=3)
+    vectors, truth = generate(DEFAULT_PROFILES, count=25, noise_sd=1.0, seed=3)
     _initial, _sub, assignments, diag = cluster_and_label(vectors,
                                                           DEFAULT_PROFILES)
     hits = sum(a.persona == t for a, t in zip(assignments, truth))
@@ -106,7 +105,7 @@ def test_cluster_and_label_synthetic_recovery():
 @pytest.mark.parametrize("noise_sd, initial_k, floor", [(1.5, 7, 0.98), (2.0, 6, 0.95)])
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_run_path_recovers_personas(seed, noise_sd, initial_k, floor):
-    vectors, truth = generate(default_archetypes(count=72, noise_sd=noise_sd), seed)
+    vectors, truth = generate(DEFAULT_PROFILES, count=72, noise_sd=noise_sd, seed=seed)
     _initial, _sub, assignments, diag = cluster_and_label(vectors, load_profiles(None))
     assert diag["initial_k"] == initial_k
     hits = sum(a.persona == t for a, t in zip(assignments, truth))

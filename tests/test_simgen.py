@@ -1,31 +1,23 @@
-import json
-
 import pytest
 
 from persona_miner.errors import ConfigError
 from persona_miner.metrics import FEATURE_NAMES
-from persona_miner.personas import DEFAULT_PROFILES, assign_persona
-from persona_miner.simgen import (
-    ArchetypeSpec,
-    default_archetypes,
-    generate,
-    load_archetype_specs,
-)
+from persona_miner.personas import DEFAULT_PROFILES, PersonaProfile, assign_persona
+from persona_miner.simgen import generate
 
 
 def _feature(v, name):
     return v.features[FEATURE_NAMES.index(name)]
 
 
-def test_default_archetypes_cover_all_profiles():
-    specs = default_archetypes(count=10, noise_sd=1.5)
-    assert [s.name for s in specs] == [p.name for p in DEFAULT_PROFILES]
-    assert all(s.count == 10 and s.noise_sd == 1.5 for s in specs)
+def test_generate_covers_all_profiles():
+    vectors, truth = generate(DEFAULT_PROFILES, count=10, noise_sd=1.5, seed=0)
+    assert truth == [p.name for p in DEFAULT_PROFILES for _ in range(10)]
+    assert len(vectors) == len(truth)
 
 
 def test_zero_noise_reproduces_centroids_exactly():
-    specs = default_archetypes(count=3, noise_sd=0.0)
-    vectors, truth = generate(specs, seed=0)
+    vectors, truth = generate(DEFAULT_PROFILES, count=3, noise_sd=0.0, seed=0)
     assert len(vectors) == 3 * len(DEFAULT_PROFILES)
     by_name = {p.name: p.centroid for p in DEFAULT_PROFILES}
     for v, name in zip(vectors, truth):
@@ -33,18 +25,16 @@ def test_zero_noise_reproduces_centroids_exactly():
 
 
 def test_determinism_per_seed():
-    specs = default_archetypes(count=20, noise_sd=2.0)
-    a, ta = generate(specs, seed=99)
-    b, tb = generate(specs, seed=99)
+    a, ta = generate(DEFAULT_PROFILES, count=20, noise_sd=2.0, seed=99)
+    b, tb = generate(DEFAULT_PROFILES, count=20, noise_sd=2.0, seed=99)
     assert a == b and ta == tb
-    c, _ = generate(specs, seed=100)
+    c, _ = generate(DEFAULT_PROFILES, count=20, noise_sd=2.0, seed=100)
     assert a != c
 
 
 def test_values_clamped_and_consistent():
-    specs = [ArchetypeSpec("edge", (0.0, 100.0, 50.0, 0.0, 100.0, 50.0),
-                           noise_sd=30.0, count=500)]
-    vectors, _ = generate(specs, seed=1)
+    edge = PersonaProfile("edge", "Low", (0.0, 100.0, 50.0, 0.0, 100.0, 50.0))
+    vectors, _ = generate([edge], count=500, noise_sd=30.0, seed=1)
     for v in vectors:
         rcs = v.features[:6]
         assert all(0.0 <= x <= 100.0 for x in rcs)
@@ -55,8 +45,7 @@ def test_values_clamped_and_consistent():
 
 
 def test_direct_labeling_recovers_at_least_99_percent():
-    specs = default_archetypes(count=200, noise_sd=2.0)
-    vectors, truth = generate(specs, seed=0)
+    vectors, truth = generate(DEFAULT_PROFILES, count=200, noise_sd=2.0, seed=0)
     hits = sum(assign_persona(v).persona == name
                for v, name in zip(vectors, truth))
     assert hits / len(vectors) >= 0.99
@@ -64,7 +53,7 @@ def test_direct_labeling_recovers_at_least_99_percent():
 
 def test_recovery_degrades_with_noise():
     def recovery(sd):
-        vectors, truth = generate(default_archetypes(count=100, noise_sd=sd),
+        vectors, truth = generate(DEFAULT_PROFILES, count=100, noise_sd=sd,
                                   seed=5)
         return sum(assign_persona(v).persona == t
                    for v, t in zip(vectors, truth)) / len(vectors)
@@ -73,27 +62,12 @@ def test_recovery_degrades_with_noise():
 
 
 def test_unique_logins():
-    vectors, _ = generate(default_archetypes(count=50, noise_sd=1.0), seed=2)
+    vectors, _ = generate(DEFAULT_PROFILES, count=50, noise_sd=1.0, seed=2)
     logins = [v.login for v in vectors]
     assert len(set(logins)) == len(logins)
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        ArchetypeSpec("bad", (0.0,) * 6, noise_sd=-1.0, count=5)
-    with pytest.raises(ConfigError):
-        ArchetypeSpec("bad", (0.0,) * 5, noise_sd=1.0, count=5)
-    with pytest.raises(ConfigError):
-        ArchetypeSpec("bad", (0.0,) * 6, noise_sd=1.0, count=-1)
-    with pytest.raises(ConfigError):
-        generate([], seed=0)
-
-
-def test_load_specs_from_file(tmp_path):
-    path = tmp_path / "specs.json"
-    path.write_text(json.dumps({"archetypes": [
-        {"name": "A", "centroid": [1, 2, 3, 4, 5, 6], "count": 4},
-    ]}))
-    specs = load_archetype_specs(path)
-    assert specs == [ArchetypeSpec("A", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
-                                   noise_sd=0.0, count=4)]
+    for count, noise_sd in ((5, -1.0), (5, float("nan")), (-1, 1.0)):
+        with pytest.raises(ConfigError):
+            generate(DEFAULT_PROFILES, count=count, noise_sd=noise_sd, seed=0)

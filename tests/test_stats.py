@@ -113,6 +113,43 @@ def test_f_sf_oracle_grid(df1):
                                    err_msg=f"df1={df1} df2={df2}")
 
 
+# I_x(df2/2, df1/2) at x = df2/(df2 + df1 f), f = 0.5, 1.5, 3.0 and 8.0, from
+# mpmath.betainc at 60 digits, keyed by (df1, df2)
+F_SF_MPMATH = {
+    (1, 498): (0.4798308621127382, 0.22125036519484628, 0.08388371322034772,
+               0.00486629489902402),
+    (6, 498): (0.8084714598621421, 0.17610408502609168, 0.006879928043280783,
+               2.9499951197734746e-08),
+    (19, 498): (0.9627609156633445, 0.07995962648204884, 2.4274268796544696e-05,
+                1.7448098482383381e-19),
+    (1, 10000): (0.4795165990456243, 0.22070021108002258, 0.08329535272931847,
+                 0.004687039623317417),
+    (6, 10000): (0.8088280105966996, 0.17370457211166135, 0.006263721712995665,
+                 1.2402412206532439e-08),
+    (19, 10000): (0.964148617485919, 0.07455286270687136, 1.1899374160394634e-05,
+                  1.4151013603425913e-22),
+    (1, 100000): (0.4795017699011423, 0.22067424690564597, 0.08326760027014629,
+                  0.004678665040381435),
+    (6, 100000): (0.8088449479440076, 0.17359072437918285, 0.006235344293616404,
+                  1.1873697848852436e-08),
+    (19, 100000): (0.9642142744377005, 0.07429601261508532, 1.147283240592139e-05,
+                   9.428661400323708e-23),
+    (1, 1000000): (0.47950028695865554, 0.2206716504191245, 0.08326482502421001,
+                   0.004677827982931296),
+    (6, 1000000): (0.8088466422726522, 0.17357933629045064, 0.00623250999035346,
+                   1.1821912948117896e-08),
+    (19, 1000000): (0.9642208410932072, 0.07427031895436981, 1.1430850643602404e-05,
+                    9.049613274201768e-23),
+}
+
+
+@pytest.mark.parametrize("df1, df2", list(F_SF_MPMATH))
+def test_f_sf_large_df2_matches_mpmath(df1, df2):
+    # the continued fraction's terms in x = 1 - y still lose about df2 ulps
+    got = [f_sf(f, df1, df2) for f in (0.5, 1.5, 3.0, 8.0)]
+    np.testing.assert_allclose(got, F_SF_MPMATH[df1, df2], rtol=2e-16 * df2, atol=0)
+
+
 def test_f_sf_bounded_and_monotone_in_f():
     for df1, df2 in ((1, 2), (2, 10), (4, 498), (19, 20000)):
         values = np.array([f_sf(float(f), df1, df2)
