@@ -4,8 +4,8 @@ Format: JSON Lines. The first line is a header object
 ``{"format": "persona-miner-archive", "version": 1}``; each following line is
 either a repo marker or an event. A marker's events are the event lines that
 follow it up to the next marker: each must carry the marker's ``"repo"``
-string, and their number must equal the marker's ``n_events``. Round-trips
-are exact field-for-field.
+string, and their number must equal the marker's ``n_events``. Each repo has
+one marker. Round-trips are exact field-for-field.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
 
     Raises :class:`ArchiveFormatError` on a missing/unknown header, and with
     the ``path:line`` at fault on a malformed line, an event whose repo is
-    not its marker's, or a repo whose event count is not its ``n_events``.
+    not its marker's, a repo whose event count is not its ``n_events``, or a
+    second marker for one repo.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -122,6 +123,7 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
         sets: list[InteractionSet] = []
         head: InteractionSet | None = None  # the open repo's set, without events
         marker_at, repo, n_events = 0, "", 0  # its marker's line and fields
+        marker_lines: dict[str, int] = {}  # every repo's marker line
         events: list[InteractionEvent] = []
 
         def close_repo():
@@ -147,6 +149,10 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                 if kind == "repo":
                     close_repo()
                     marker_at, repo, n_events = lineno, obj["repo"], obj["n_events"]
+                    if marker_lines.setdefault(repo, lineno) != lineno:
+                        raise ArchiveFormatError(
+                            f"{path}:{lineno}: repo {repo} is listed again; its first "
+                            f"marker is at line {marker_lines[repo]}")
                     events = []
                     head = InteractionSet(
                         repo=RepoSlug.parse(repo),

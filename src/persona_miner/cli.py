@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from .archive import load_archive, save_archive
-from .cluster import ClusterLabels, agglomerate, cut, select_k
+from .cluster import agglomerate, cut, select_k
 from .commit_classify import classify_archive, write_classification_csv
 from .errors import (
     ConfigError,
@@ -167,8 +167,6 @@ def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
     """Cluster metric vectors and emit labels (and optionally the merge tree)."""
     check_k_range(k_min, k_max)
     vectors = read_metrics_csv(metrics_path)
-    if len(vectors) < 3:
-        _fail(EXIT_DATA, "clustering needs at least 3 metric rows")
     rows = feature_matrix(vectors)
     k_best, _scores = select_k(rows, k_min=k_min, k_max=k_max)
     dendro = agglomerate(rows)
@@ -191,8 +189,7 @@ def analyze(metrics_path: str, labels_path: str, output_path: str):
     """Validate a clustering: PCA, feature importance, per-feature ANOVA/Tukey."""
     vectors = read_metrics_csv(metrics_path)
     labels = read_labels_csv(labels_path, vectors)
-    initial = ClusterLabels(labels=labels, k=max(labels) + 1 if labels else 0)
-    write_stats_json(feature_matrix(vectors), initial.members(), output_path)
+    write_stats_json(feature_matrix(vectors), labels.members(), output_path)
     click.echo(f"analysis written to {output_path}")
 
 
@@ -223,7 +220,7 @@ def report(archive_path: str, labels_path: str | None, output_dir: str,
     out.mkdir(parents=True, exist_ok=True)
     individuals, _vectors = metric_table(load_archive(archive_path),
                                          exclude_bots=exclude_bots)
-    labels = read_labels_csv(labels_path, individuals) if labels_path else \
+    labels = read_labels_csv(labels_path, individuals).labels if labels_path else \
         (0,) * len(individuals)
     write_reports(individuals, labels, out)
     click.echo(f"reports written to {out}")

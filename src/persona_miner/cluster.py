@@ -221,14 +221,11 @@ def select_k(vectors, k_min: int = 2, k_max: int = 10,
              ) -> tuple[int, dict[int, float]]:
     """Scan cut(d, k) over [k_min, k_max] and return the CH argmax.
 
-    k_max is clamped to n-1; ties (and multiple +inf degenerate scores) break
-    toward the smallest k.
+    k_max is clamped to n-1, so n <= k_min leaves an empty range, an error.
+    Ties (and multiple +inf degenerate scores) break toward the smallest k.
     """
     rows = _validate_rows(vectors)
-    n = rows.shape[0]
-    if n < 3:
-        raise DataValidationError("k selection needs at least 3 rows")
-    k_max = min(k_max, n - 1)
+    k_max = min(k_max, rows.shape[0] - 1)
     if k_min > k_max:
         raise DataValidationError(f"empty k range [{k_min}, {k_max}]")
     dendro = agglomerate(rows)

@@ -34,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 GITHUB_API = "https://api.github.com"
 PAGE_SIZE = 100  # the REST API's largest per_page
-BOT_SUFFIX = "[bot]"
 
 
 def commit_identity(commit_obj: dict) -> Optional[str]:
@@ -51,10 +50,6 @@ def commit_identity(commit_obj: dict) -> Optional[str]:
     if email:
         return f"email:{email}"
     return None
-
-
-def is_bot_login(login: str, deny_list: frozenset[str] = frozenset()) -> bool:
-    return login.endswith(BOT_SUFFIX) or login in deny_list
 
 
 @dataclass
@@ -123,7 +118,6 @@ class GitHubClient:
             license_id=license_obj.get("spdx_id"),
             languages=languages,
             is_fork=bool(body.get("fork", False)),
-            created_at=created_at,
             age_days=age_days,
         )
 

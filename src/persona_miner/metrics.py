@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .errors import DataValidationError
-from .github import is_bot_login
 from .models import ALL_KINDS, InteractionKind, InteractionSet, RepoSlug
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -32,6 +31,12 @@ FEATURE_NAMES: tuple[str, ...] = (
     "pct_sum_n_interactions",
     "pct_interaction_days",
 )
+
+_BOT_SUFFIX = "[bot]"
+
+
+def _is_bot_login(login: str, deny_list: frozenset[str]) -> bool:
+    return login.endswith(_BOT_SUFFIX) or login in deny_list
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ def build_repo_individuals(
             login=login,
             counts=counts[login],
             active_dates=frozenset(dates[login]),
-            is_bot_flagged=is_bot_login(login, bot_deny_list),
+            is_bot_flagged=_is_bot_login(login, bot_deny_list),
         )
         for login in sorted(counts)
     ]

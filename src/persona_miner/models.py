@@ -66,7 +66,6 @@ class RepoSummary:
     license_id: Optional[str] = None
     languages: tuple[str, ...] = ()
     is_fork: bool = False
-    created_at: Optional[datetime] = None
     age_days: int = 0
 
     def __post_init__(self):

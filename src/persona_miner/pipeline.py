@@ -1,7 +1,7 @@
 """End-to-end orchestration: archive in, report directory out.
 
 Each stage persists its output file so expensive steps never repeat; a rerun
-with the same archive, config, and seed yields byte-identical outputs except
+with the same archive and settings yields byte-identical outputs except
 for the timestamps inside run_manifest.json.
 """
 
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from . import __version__
 from .archive import load_archive
-from .cluster import ClusterLabels, Dendrogram, agglomerate, cut, select_k, subcluster
+from .cluster import agglomerate, cut, select_k, subcluster
 from .commit_classify import classify_archive, write_classification_csv
 from .errors import ConfigError, DataValidationError
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
@@ -98,19 +98,11 @@ def cluster_and_label(
     """
     if rows is None:
         rows = feature_matrix(vectors)
-    n = len(vectors)
-    if n < 3:
-        initial = ClusterLabels(labels=(0,) * n, k=1 if n else 0)
-        sub = (0,) * n
-        assignments = _assign_by_centroid(vectors, rows, initial.labels, sub, profiles)
-        return initial, sub, assignments, {"initial_k": initial.k,
-                                           "scores": {}, "sub_k": {}}
-
     k_best, scores = select_k(rows, k_min=k_min, k_max=k_max)
     dendro = agglomerate(rows)
     initial = cut(dendro, k_best)
 
-    sub_labels = [0] * n
+    sub_labels = [0] * len(vectors)
     sub_k: dict[int, int] = {}
     for parent, members in enumerate(initial.members()):
         result = subcluster(rows[members], k_min=k_min, k_max=k_max)
@@ -205,8 +197,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     write_metrics_csv(vectors, out / "metrics.csv")
     write_classification_csv(classify_archive(sets), out / "classification.csv")
 
-    dendro = agglomerate(rows) if vectors else Dendrogram(n_leaves=0, merges=())
-    dendro.save_json(out / "dendrogram.json")
+    agglomerate(rows).save_json(out / "dendrogram.json")
 
     write_labels_csv(
         [(v.repo, v.login, initial.labels[i], sub_labels[i])

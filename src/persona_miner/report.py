@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 from typing import Sequence, Union
 
+from .cluster import ClusterLabels
 from .errors import DataValidationError
 from .metrics import RepoIndividual
 from .models import ALL_KINDS, InteractionKind, RepoSlug
@@ -105,10 +106,10 @@ def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
             writer.writerow([str(repo), login, cluster, sub])
 
 
-def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> tuple[int, ...]:
-    """The cluster column of a labels file for each of ``individuals`` (anything
-    with ``repo`` and ``login``), in their order; one with no row, or a row
-    whose cluster is not a non-negative integer, is an error."""
+def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLabels:
+    """The clusters a labels file gives ``individuals`` (anything with ``repo``
+    and ``login``), in their order. An individual with no row, a cluster that
+    is not a non-negative integer, or ids that do not run 0..k-1 is an error."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
@@ -121,9 +122,12 @@ def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> tuple[int,
                                           f"non-negative integer, not {cluster!r}")
             labels[(row["repo"], row["login"])] = int(cluster)
     try:
-        return tuple(labels[(str(ind.repo), ind.login)] for ind in individuals)
+        ids = tuple(labels[(str(ind.repo), ind.login)] for ind in individuals)
+        return ClusterLabels(labels=ids, k=max(ids, default=-1) + 1)
     except KeyError as exc:
         raise DataValidationError(f"no cluster label for individual {exc}") from exc
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
 
 
 def write_reports(individuals: Sequence[RepoIndividual], labels: Sequence[int],

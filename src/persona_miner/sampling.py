@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ConfigError, DataValidationError
-from .models import RepoSlug, RepoSummary, Visibility, parse_utc
+from .models import RepoSlug, RepoSummary, Visibility
 
 
 # the seven inclusion criteria: public, MIN_COMMITTERS <= committers <
@@ -44,6 +44,13 @@ class EligibilityDecision:
         return not self.failed_criteria
 
 
+def _count(obj: dict, field: str) -> int:
+    value = obj.get(field, 0)
+    if type(value) is not int:  # a JSON integer; bool is an int subclass
+        raise TypeError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
     """The summaries in a JSON list of objects; only ``repo`` is required. A
     file or entry that cannot be read is a DataValidationError naming it."""
@@ -58,7 +65,6 @@ def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
         try:
             if not isinstance(obj, dict):
                 raise TypeError(f"expected an object, not {type(obj).__name__}")
-            created_at = obj.get("created_at")
             languages = obj.get("languages", [])
             if not (isinstance(languages, list)
                     and all(isinstance(lang, str) for lang in languages)):
@@ -69,12 +75,11 @@ def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
             summaries.append(RepoSummary(
                 slug=RepoSlug.parse(obj["repo"]),
                 visibility=Visibility(obj.get("visibility", "public")),
-                unique_committers=int(obj.get("unique_committers", 0)),
+                unique_committers=_count(obj, "unique_committers"),
                 license_id=obj.get("license_id"),
                 languages=tuple(languages),
                 is_fork=is_fork,
-                created_at=parse_utc(created_at) if created_at else None,
-                age_days=int(obj.get("age_days", 0)),
+                age_days=_count(obj, "age_days"),
             ))
         except (AttributeError, KeyError, TypeError, ValueError,
                 DataValidationError) as exc:

@@ -31,7 +31,7 @@ def test_fixture_save_is_byte_identical(fixture_archive_path, tmp_path):
     assert out.read_bytes() == fixture_archive_path.read_bytes()
 
 
-@given(sets=st.lists(interaction_sets(), max_size=4))
+@given(sets=st.lists(interaction_sets(), max_size=4, unique_by=lambda s: s.repo))
 @settings(max_examples=50, deadline=None)
 def test_round_trip_identity_property(tmp_path_factory, sets):
     path = tmp_path_factory.mktemp("arch") / "a.jsonl"
@@ -137,6 +137,19 @@ def test_whitespace_padded_lines_load(fixture_archive_path, tmp_path):
     padded = tmp_path / "padded.jsonl"
     padded.write_text("\n".join(lines) + "\n")
     assert load_archive(padded) == load_archive(fixture_archive_path)
+
+
+def test_repeated_repo_marker_rejected(fixture_archive_path, tmp_path):
+    # a repo listed twice would count each individual twice at half the share
+    lines = fixture_archive_path.read_text().splitlines()
+    n_events = json.loads(lines[1])["n_events"]
+    block = lines[1:2 + n_events]
+    bad = tmp_path / "twice.jsonl"
+    bad.write_text("\n".join(lines + block) + "\n")
+    with pytest.raises(ArchiveFormatError, match=re.escape(
+            f"{bad}:{len(lines) + 1}: repo astro-lab/spectra is listed again; "
+            f"its first marker is at line 2")):
+        load_archive(bad)
 
 
 def test_truncated_archive_rejected(fixture_archive_path, tmp_path):

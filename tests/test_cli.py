@@ -287,6 +287,25 @@ def test_labels_missing_an_individual_exit_4(runner, fixture_archive_path, tmp_p
             assert message in result.output
 
 
+def test_gapped_cluster_ids_exit_4(runner, fixture_archive_path, tmp_path):
+    # ids {0, 1, 5} leave clusters 2-4 empty: analyze and report reject them alike
+    archive, run_dir = str(fixture_archive_path), tmp_path / "run"
+    _invoke(runner, ["run", "--archive", archive, "--k-max", "2",
+                     "--output-dir", str(run_dir)])
+    lines = (run_dir / "labels.csv").read_text().splitlines()
+    repo, login, _cluster, sub = lines[1].split(",")
+    bad = tmp_path / "labels.csv"
+    bad.write_text("\n".join([lines[0], f"{repo},{login},5,{sub}", *lines[2:]]) + "\n")
+    assert {r["cluster"] for r in csv.DictReader(bad.open())} == {"0", "1", "5"}
+    for args in (["report", "--archive", archive, "--output-dir", str(tmp_path / "rep")],
+                 ["analyze", "--metrics", str(run_dir / "metrics.csv"),
+                  "--output", str(tmp_path / "stats.json")]):
+        result = runner.invoke(main, [*args, "--labels", str(bad)])
+        assert result.exit_code == 4
+        assert f"error: {bad}: labels must cover 0..k-1 with no empty cluster" \
+            in result.output
+
+
 def test_bad_metrics_row_exit_4(runner, fixture_archive_path, tmp_path):
     run_dir = tmp_path / "run"
     _invoke(runner, ["run", "--archive", str(fixture_archive_path),
@@ -381,10 +400,15 @@ def test_filter_bad_summaries_exit_4(runner, tmp_path):
              (json.dumps(good), "expected a JSON list"),
              (json.dumps([good, "org/bad"]), "summary entry 1: TypeError"),
              (json.dumps([{"unique_committers": 5}]), "summary entry 0: KeyError: 'repo'")]
-    for field, value in (("visibility", "weird"), ("created_at", "yesterday"),
-                         ("unique_committers", "many"), ("age_days", None),
-                         ("age_days", -1)):
+    for field, value in (("visibility", "weird"), ("unique_committers", "many"),
+                         ("age_days", None), ("age_days", -1)):
         cases.append((json.dumps([good, {**good, field: value}]), "summary entry 1: "))
+    # the counts are JSON integers: no string, float or bool stands in for one
+    for field, value in (("unique_committers", "12"), ("age_days", 1000.9),
+                         ("unique_committers", True)):
+        cases.append((json.dumps([good, {**good, field: value}]),
+                      f"summary entry 1: TypeError: {field} must be an integer, "
+                      f"not {value!r}"))
     for field, value, rule in (("is_fork", "false", "must be true or false"),
                                ("languages", "Python", "must be a list of strings"),
                                ("languages", ["Python", 3], "must be a list of strings")):
@@ -538,6 +562,31 @@ def test_cluster_too_few_rows_exit_4(runner, tmp_path):
     result = runner.invoke(main, ["cluster", "--metrics", str(metrics),
                                   "--labels-output", str(tmp_path / "l.csv")])
     assert result.exit_code == 4
+
+
+def test_two_individuals_exit_4_for_run_and_cluster(runner, tmp_path):
+    # two rows clamp k_max to 1, below k_min: run and cluster give one answer
+    archive = tmp_path / "two.jsonl"
+    archive.write_text("\n".join([
+        '{"format": "persona-miner-archive", "version": 1}',
+        '{"type": "repo", "repo": "org/a", "fetched_at": "2024-01-01T00:00:00Z", '
+        '"incomplete": false, "n_events": 2}',
+        *(f'{{"type": "event", "repo": "org/a", "actor": "{login}", "kind": '
+          f'"CommitCreated", "timestamp": "2024-01-01T00:00:00Z", "subject_id": "c{i}"}}'
+          for i, login in enumerate(("ada", "bob")))]) + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--archive", str(archive),
+                                  "--output-dir", str(out)])
+    assert result.exit_code == 4
+    assert "error: empty k range [2, 1]" in result.output
+    assert list(out.iterdir()) == []
+
+    metrics = tmp_path / "metrics.csv"
+    _invoke(runner, ["metrics", "--archive", str(archive), "--output", str(metrics)])
+    result = runner.invoke(main, ["cluster", "--metrics", str(metrics),
+                                  "--labels-output", str(tmp_path / "labels.csv")])
+    assert result.exit_code == 4
+    assert "error: empty k range [2, 1]" in result.output
 
 
 @pytest.mark.parametrize("k_min, k_max", [(0, 10), (1, 10), (5, 3), (2, 1)])

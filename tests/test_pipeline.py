@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import persona_miner
 from persona_miner.errors import DataValidationError
 from persona_miner.personas import DEFAULT_PROFILES, load_profiles
 from persona_miner.pipeline import RunConfig, cluster_and_label, run_pipeline
@@ -81,12 +85,21 @@ def test_config_hash_tracks_settings(fixture_archive_path):
 
 
 def test_cluster_and_label_small_population():
+    # two rows clamp k_max to 1, below k_min: the same error as any empty k range
     vectors, _ = generate(DEFAULT_PROFILES[:2], count=1, noise_sd=0.0, seed=0)
-    initial, sub, assignments, diag = cluster_and_label(
-        vectors, DEFAULT_PROFILES)
-    assert initial.k == 1
-    assert len(assignments) == 2
-    assert diag["initial_k"] == 1
+    with pytest.raises(DataValidationError, match=r"empty k range \[2, 1\]"):
+        cluster_and_label(vectors, DEFAULT_PROFILES)
+
+
+def test_pipeline_import_loads_no_fetch_layer():
+    src = str(Path(persona_miner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, persona_miner.pipeline; "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('persona_miner.github', 'persona_miner.transport')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cluster_and_label_synthetic_recovery():

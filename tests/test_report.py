@@ -3,6 +3,7 @@ from datetime import date
 
 import pytest
 
+from persona_miner.cluster import ClusterLabels
 from persona_miner.errors import DataValidationError
 from persona_miner.metrics import RepoIndividual
 from persona_miner.models import ALL_KINDS, InteractionKind, RepoSlug
@@ -122,12 +123,13 @@ def test_composition_csv(tmp_path):
 
 def test_labels_csv(tmp_path):
     out = tmp_path / "labels.csv"
-    write_labels_csv([(RepoSlug("org", "x"), "ada", 2, 0),
+    write_labels_csv([(RepoSlug("org", "x"), "ada", 1, 0),
                       (RepoSlug("org", "x"), "bob", 0, 1)], out)
     lines = out.read_text().splitlines()
-    assert lines == ["repo,login,cluster,subcluster", "org/x,ada,2,0", "org/x,bob,0,1"]
+    assert lines == ["repo,login,cluster,subcluster", "org/x,ada,1,0", "org/x,bob,0,1"]
     ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
-    assert read_labels_csv(out, [bob, ada]) == (0, 2)
+    assert read_labels_csv(out, [bob, ada]) == ClusterLabels(labels=(0, 1), k=2)
+    assert read_labels_csv(out, []) == ClusterLabels(labels=(), k=0)
     with pytest.raises(DataValidationError,
                        match=r"no cluster label for individual \('org/y', 'ada'\)"):
         read_labels_csv(out, [ada, _individual("ada", "org/y", commit_created=1)])
