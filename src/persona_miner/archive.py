@@ -11,6 +11,7 @@ one marker. Round-trips are exact field-for-field.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Union
@@ -76,7 +77,11 @@ def _event_from_obj(obj: dict) -> InteractionEvent:
 
 
 def save_archive(sets: list[InteractionSet], path: Union[str, Path]) -> None:
-    """Write interaction sets to ``path`` as a versioned JSON Lines archive."""
+    """Write interaction sets to ``path`` as a versioned JSON Lines archive;
+    a repo listed twice, which :func:`load_archive` rejects, raises first."""
+    repeated = [repo for repo, n in Counter(str(s.repo) for s in sets).items() if n > 1]
+    if repeated:
+        raise DataValidationError(f"repo {repeated[0]} is listed again")
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": ARCHIVE_FORMAT, "version": ARCHIVE_VERSION}))

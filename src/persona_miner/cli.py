@@ -47,6 +47,10 @@ EXIT_DATA = 4
 
 logger = logging.getLogger(__name__)
 
+_bot_deny_list_option = click.option(
+    "--bot-deny-list", multiple=True, metavar="LOGIN",
+    help="A login flagged as a bot besides those ending in [bot]; repeatable.")
+
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
@@ -135,11 +139,13 @@ def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str
 @click.option("--archive", "archive_path", required=True, type=click.Path(exists=True))
 @click.option("--output", "output_path", required=True, type=click.Path())
 @click.option("--exclude-bots", is_flag=True)
+@_bot_deny_list_option
 @_guard
-def metrics(archive_path: str, output_path: str, exclude_bots: bool):
+def metrics(archive_path: str, output_path: str, exclude_bots: bool,
+            bot_deny_list: tuple[str, ...]):
     """Compute the ten-feature metric table from an archive."""
-    _individuals, vectors = metric_table(load_archive(archive_path),
-                                         exclude_bots=exclude_bots)
+    _individuals, vectors = metric_table(load_archive(archive_path), exclude_bots,
+                                         frozenset(bot_deny_list))
     write_metrics_csv(vectors, output_path)
     click.echo(f"wrote {len(vectors)} metric rows to {output_path}")
 
@@ -212,14 +218,15 @@ def assign(metrics_path: str, profiles_path: str | None, output_path: str):
 @click.option("--labels", "labels_path", type=click.Path(exists=True))
 @click.option("--output-dir", required=True, type=click.Path())
 @click.option("--exclude-bots", is_flag=True)
+@_bot_deny_list_option
 @_guard
 def report(archive_path: str, labels_path: str | None, output_dir: str,
-           exclude_bots: bool):
+           exclude_bots: bool, bot_deny_list: tuple[str, ...]):
     """Emit totals, UpSet counts, and composition from an archive."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    individuals, _vectors = metric_table(load_archive(archive_path),
-                                         exclude_bots=exclude_bots)
+    individuals, _vectors = metric_table(load_archive(archive_path), exclude_bots,
+                                         frozenset(bot_deny_list))
     labels = read_labels_csv(labels_path, individuals).labels if labels_path else \
         (0,) * len(individuals)
     write_reports(individuals, labels, out)
@@ -257,8 +264,7 @@ def simulate(profiles_path: str | None, count: int, noise_sd: float, seed: int,
 @click.option("--k-min", default=2, show_default=True)
 @click.option("--k-max", default=10, show_default=True)
 @click.option("--profiles", "profiles_path", type=click.Path(exists=True))
-@click.option("--bot-deny-list", multiple=True, metavar="LOGIN",
-              help="A login flagged as a bot besides those ending in [bot]; repeatable.")
+@_bot_deny_list_option
 @_guard
 def run(archive_path: str, output_dir: str, seed: int, exclude_bots: bool, k_min: int,
         k_max: int, profiles_path: str | None, bot_deny_list: tuple[str, ...]):

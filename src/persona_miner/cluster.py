@@ -1,4 +1,4 @@
-"""Agglomerative hierarchical clustering with Ward linkage.
+"""Ward-linkage clustering, with k chosen by CH from its merge heights.
 
 The merge loop runs the Lance-Williams recurrence on squared Euclidean
 distances over an updateable n*n dissimilarity matrix. Reported merge heights
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
@@ -192,46 +193,29 @@ def cut(dendrogram: Dendrogram, k: int) -> ClusterLabels:
     return ClusterLabels(labels=labels, k=k)
 
 
-def ch_index(vectors, labels: ClusterLabels) -> float:
-    """Calinski-Harabasz score; zero within-cluster scatter reports +inf."""
-    import numpy as np
-
-    rows = _validate_rows(vectors)
-    n = rows.shape[0]
-    k = labels.k
-    if k < 2:
-        raise DataValidationError("CH index needs k >= 2")
-    if n <= k:
-        raise DataValidationError("CH index needs n > k")
-    lab = np.asarray(labels.labels)
-    grand_mean = rows.mean(axis=0)
-    between = 0.0
-    within = 0.0
-    for c in range(k):
-        members = rows[lab == c]
-        centroid = members.mean(axis=0)
-        between += len(members) * float(np.sum((centroid - grand_mean) ** 2))
-        within += float(np.sum((members - centroid) ** 2))
-    if within == 0.0:
-        return math.inf
-    return (between / (k - 1)) / (within / (n - k))
-
-
 def select_k(vectors, k_min: int = 2, k_max: int = 10,
              ) -> tuple[int, dict[int, float]]:
-    """Scan cut(d, k) over [k_min, k_max] and return the CH argmax.
+    """Return the Calinski-Harabasz (CH) argmax over [k_min, k_max] and the scores.
 
+    A Ward merge at height h adds h**2 / 2 to the within-cluster sum of
+    squares, so W(k), that sum over the first n-k merges, gives CH(k) =
+    ((W(1) - W(k)) / (k - 1)) / (W(k) / (n - k)), and +inf if W(k) == 0.
     k_max is clamped to n-1, so n <= k_min leaves an empty range, an error.
     Ties (and multiple +inf degenerate scores) break toward the smallest k.
     """
     rows = _validate_rows(vectors)
-    k_max = min(k_max, rows.shape[0] - 1)
+    n = rows.shape[0]
+    k_max = min(k_max, n - 1)
     if k_min > k_max:
         raise DataValidationError(f"empty k range [{k_min}, {k_max}]")
-    dendro = agglomerate(rows)
+    if k_min < 2:
+        raise DataValidationError("CH index needs k >= 2")
+    merges = agglomerate(rows).merges
+    within = list(accumulate((h * h / 2 for _a, _b, h, _s in merges), initial=0.0))
     scores: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
-        scores[k] = ch_index(rows, cut(dendro, k))
+        w = within[n - k]
+        scores[k] = math.inf if w == 0.0 else ((within[-1] - w) / (k - 1)) / (w / (n - k))
     best = max(sorted(scores), key=lambda k: scores[k])
     return best, scores
 

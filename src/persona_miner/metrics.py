@@ -188,14 +188,23 @@ def write_metrics_csv(vectors: list[MetricVector], path: Union[str, Path]) -> No
                              "true" if v.is_bot_flagged else "false"])
 
 
+def check_row_once(first_lines: dict, key: tuple[str, str], path, line: int) -> None:
+    """Note ``line`` as the first of (repo, login) ``key`` in a CSV file, or
+    fail naming ``path:line`` and the first line: a key may have one row."""
+    if first_lines.setdefault(key, line) != line:
+        raise DataValidationError(f"{path}:{line}: repeated row for {key}; the first "
+                                  f"is at line {first_lines[key]}")
+
+
 def read_metrics_csv(path: Union[str, Path]) -> list[MetricVector]:
-    """Read a metrics file; a malformed row is an error naming ``path:line``."""
+    """Read a metrics file; a malformed row, or a second row for one
+    (repo, login), is an error naming ``path:line``."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != METRICS_CSV_COLUMNS:
             raise DataValidationError(f"{path}: unexpected metrics CSV header")
-        vectors = []
+        vectors, first_lines = [], {}
         for row in reader:
             try:
                 if len(row) != len(METRICS_CSV_COLUMNS):
@@ -210,4 +219,6 @@ def read_metrics_csv(path: Union[str, Path]) -> list[MetricVector]:
             except (ValueError, DataValidationError) as exc:
                 raise DataValidationError(
                     f"{path}:{reader.line_num}: malformed metrics row ({exc})") from exc
+            check_row_once(first_lines, (str(vectors[-1].repo), login), path,
+                           reader.line_num)
     return vectors

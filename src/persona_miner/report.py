@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 from .cluster import ClusterLabels
 from .errors import DataValidationError
-from .metrics import RepoIndividual
+from .metrics import RepoIndividual, check_row_once
 from .models import ALL_KINDS, InteractionKind, RepoSlug
 
 
@@ -108,19 +108,22 @@ def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
 
 def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLabels:
     """The clusters a labels file gives ``individuals`` (anything with ``repo``
-    and ``login``), in their order. An individual with no row, a cluster that
-    is not a non-negative integer, or ids that do not run 0..k-1 is an error."""
+    and ``login``), in their order. An individual with no row, a second row
+    for one (repo, login), a cluster that is not a non-negative integer, or
+    ids that do not run 0..k-1 is an error."""
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
             raise DataValidationError(f"{path}: unexpected labels header")
-        labels = {}
+        labels, first_lines = {}, {}
         for row in reader:
             cluster = row["cluster"]  # None in a row cut short
             if cluster is None or not cluster.isdecimal():
                 raise DataValidationError(f"{path}:{reader.line_num}: cluster must be a "
                                           f"non-negative integer, not {cluster!r}")
-            labels[(row["repo"], row["login"])] = int(cluster)
+            key = (row["repo"], row["login"])
+            check_row_once(first_lines, key, path, reader.line_num)
+            labels[key] = int(cluster)
     try:
         ids = tuple(labels[(str(ind.repo), ind.login)] for ind in individuals)
         return ClusterLabels(labels=ids, k=max(ids, default=-1) + 1)

@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import scipy.stats
 
-from persona_miner.cluster import ClusterLabels, agglomerate, ch_index, select_k
+from persona_miner.cluster import agglomerate, select_k
 from persona_miner.commit_classify import (
     ActivityRules,
     DEFAULT_ACTIVITY_RULES,
@@ -99,8 +99,7 @@ def test_criterion_1_ward_matches_naive_oracle_100_seeds():
 
 def test_criterion_2_ch_fixture_and_blob_k_selection():
     fixture = [[0.0], [1.0], [10.0], [11.0]]
-    labels = ClusterLabels(labels=(0, 0, 1, 1), k=2)
-    assert abs(ch_index(fixture, labels) - 200.0) <= 1e-9  # pinned
+    assert abs(select_k(fixture, 2, 3)[1][2] - 200.0) <= 1e-9  # pinned
 
     hits = 0
     centers = [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0)]  # separation 20 = 20x sd

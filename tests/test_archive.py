@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persona_miner.archive import load_archive, save_archive
-from persona_miner.errors import ArchiveFormatError
+from persona_miner.errors import ArchiveFormatError, DataValidationError
 
 from conftest import interaction_sets
 
@@ -150,6 +150,16 @@ def test_repeated_repo_marker_rejected(fixture_archive_path, tmp_path):
             f"{bad}:{len(lines) + 1}: repo astro-lab/spectra is listed again; "
             f"its first marker is at line 2")):
         load_archive(bad)
+
+
+def test_save_archive_rejects_repeated_repo(fixture_archive_path, tmp_path):
+    # the writer refuses the archive that load_archive would reject
+    sets = load_archive(fixture_archive_path)
+    out = tmp_path / "twice.jsonl"
+    with pytest.raises(DataValidationError,
+                       match=re.escape("repo astro-lab/spectra is listed again")):
+        save_archive(sets + sets[:1], out)
+    assert not out.exists()
 
 
 def test_truncated_archive_rejected(fixture_archive_path, tmp_path):

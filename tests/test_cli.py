@@ -227,14 +227,21 @@ def test_report_subcommand(runner, fixture_archive_path, tmp_path):
                                                "composition.csv"}
 
 
-@pytest.mark.parametrize("k_max, flags", [(10, []), (3, []), (10, ["--exclude-bots"])],
-                         ids=["10", "3", "10-exclude-bots"])
+@pytest.mark.parametrize("k_max, flags, n_individuals", [
+    (10, [], 11), (3, [], 11), (10, ["--exclude-bots"], 10),
+    (10, ["--exclude-bots", "--bot-deny-list", "ada"], 9),
+], ids=["10", "3", "10-exclude-bots", "10-exclude-bots-deny-ada"])
 def test_subcommands_reproduce_run_outputs(runner, fixture_archive_path, tmp_path,
-                                           k_max, flags):
+                                           k_max, flags, n_individuals):
     archive, run_dir = str(fixture_archive_path), tmp_path / "run"
     _invoke(runner, ["run", "--archive", archive, "--k-max", str(k_max), *flags,
                      "--output-dir", str(run_dir)])
     metrics, labels = str(run_dir / "metrics.csv"), str(run_dir / "labels.csv")
+
+    _invoke(runner, ["metrics", "--archive", archive, *flags,
+                     "--output", str(tmp_path / "metrics.csv")])
+    assert (tmp_path / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+    assert len(Path(metrics).read_text("utf-8").splitlines()) == 1 + n_individuals
 
     _invoke(runner, ["report", "--archive", archive, "--labels", labels, *flags,
                      "--output-dir", str(tmp_path / "report")])
@@ -276,7 +283,11 @@ def test_labels_missing_an_individual_exit_4(runner, fixture_archive_path, tmp_p
             ([*lines[:2], f"{repo},{login},-1,{sub}", *lines[3:]],
              f"error: {bad}:3: cluster must be a non-negative integer, not '-1'"),
             ([*lines[:2], f"{repo},{login}", *lines[3:]],
-             f"error: {bad}:3: cluster must be a non-negative integer, not None")):
+             f"error: {bad}:3: cluster must be a non-negative integer, not None"),
+            # a second row for one individual, whichever cluster it names
+            ([*lines, "astro-lab/spectra,carol,3,0"],
+             f"error: {bad}:{len(lines) + 1}: repeated row for "
+             f"('astro-lab/spectra', 'carol'); the first is at line 4")):
         bad.write_text("\n".join(kept) + "\n")
         for args in (["report", "--archive", archive,
                       "--output-dir", str(tmp_path / "rep")],
@@ -304,6 +315,23 @@ def test_gapped_cluster_ids_exit_4(runner, fixture_archive_path, tmp_path):
         assert result.exit_code == 4
         assert f"error: {bad}: labels must cover 0..k-1 with no empty cluster" \
             in result.output
+
+
+def test_repeated_metrics_row_exit_4(runner, fixture_archive_path, tmp_path):
+    run_dir = tmp_path / "run"
+    _invoke(runner, ["run", "--archive", str(fixture_archive_path),
+                     "--output-dir", str(run_dir)])
+    lines = (run_dir / "metrics.csv").read_text().splitlines()
+    bad = tmp_path / "metrics.csv"
+    bad.write_text("\n".join([*lines, lines[2]]) + "\n")
+    for args in (["cluster", "--labels-output", str(tmp_path / "labels.csv")],
+                 ["analyze", "--labels", str(run_dir / "labels.csv"),
+                  "--output", str(tmp_path / "stats.json")],
+                 ["assign", "--output", str(tmp_path / "personas.csv")]):
+        result = runner.invoke(main, [*args, "--metrics", str(bad)])
+        assert result.exit_code == 4, args[0]
+        assert f"error: {bad}:{len(lines) + 1}: repeated row for " \
+            f"('astro-lab/spectra', 'bob'); the first is at line 3" in result.output
 
 
 def test_bad_metrics_row_exit_4(runner, fixture_archive_path, tmp_path):

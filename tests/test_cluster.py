@@ -9,7 +9,6 @@ from persona_miner.cluster import (
     ClusterLabels,
     Dendrogram,
     agglomerate,
-    ch_index,
     cut,
     select_k,
     subcluster,
@@ -100,6 +99,30 @@ def _reference_ward(rows):
         size[i] = ni + nj
         node_id[i] = n + step
     return tuple(merges)
+
+
+def ch_index(vectors, labels: ClusterLabels) -> float:
+    """Test-only oracle: Calinski-Harabasz from the clusters' centroids;
+    zero within-cluster scatter reports +inf."""
+    rows = np.asarray(vectors, dtype=float)
+    n = rows.shape[0]
+    k = labels.k
+    if k < 2:
+        raise DataValidationError("CH index needs k >= 2")
+    if n <= k:
+        raise DataValidationError("CH index needs n > k")
+    lab = np.asarray(labels.labels)
+    grand_mean = rows.mean(axis=0)
+    between = 0.0
+    within = 0.0
+    for c in range(k):
+        members = rows[lab == c]
+        centroid = members.mean(axis=0)
+        between += len(members) * float(np.sum((centroid - grand_mean) ** 2))
+        within += float(np.sum((members - centroid) ** 2))
+    if within == 0.0:
+        return math.inf
+    return (between / (k - 1)) / (within / (n - k))
 
 
 def test_single_point():
@@ -321,6 +344,48 @@ def test_select_k_tie_prefers_smallest_k():
     best, scores = select_k(rows, 2, 5)
     assert best == 2
     assert scores[2] == math.inf
+
+
+@pytest.mark.parametrize("d", [1, 10])
+def test_select_k_repeated_rows_pick_k2(d):
+    # two groups of exact repeats: W(k) is exactly 0 at every k >= 2, so every
+    # score is +inf and the tie goes to k = 2, never a split of equal rows
+    rows = [[0.1] * d] * 3 + [[0.7] * d] * 3
+    best, scores = select_k(rows, 2, 5)
+    assert best == 2
+    assert scores == {k: math.inf for k in range(2, 6)}
+    result = subcluster(np.array(rows))
+    assert (result.k, result.labels) == (2, (0, 0, 0, 1, 1, 1))
+
+
+def _score_inputs(family, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 61))
+    d = int(rng.integers(1, 7))
+    if family == "normal":
+        return rng.normal(size=(n, d))
+    if family == "lattice":  # integer rows: tied distances and exact repeats
+        return rng.integers(-2, 3, size=(n, d)).astype(float)
+    # repeats of 12 or more distinct rows, more than the largest k, so no cut
+    # has zero scatter, where the oracle's centroids carry rounding noise
+    base = rng.normal(size=(max(n, 12), d))
+    rows = np.concatenate([base, base[rng.integers(0, len(base), size=n)]])
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("family", ["normal", "lattice", "duplicates"])
+def test_select_k_scores_match_ch_oracle(family):
+    for seed in range(30):
+        rows = _score_inputs(family, seed)
+        best, scores = select_k(rows, 2, 10)
+        tree = agglomerate(rows)
+        oracle = {k: ch_index(rows, cut(tree, k)) for k in scores}
+        for k, score in scores.items():
+            if oracle[k] == math.inf:
+                assert score == math.inf, (seed, k)
+            else:
+                assert abs(score - oracle[k]) <= 1e-12 * oracle[k], (seed, k)
+        assert best == max(sorted(oracle), key=lambda k: oracle[k]), seed
 
 
 def test_subcluster_splits_parent():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -229,6 +230,16 @@ def test_metrics_csv_round_trip(tmp_path, fixture_archive_path):
     path = tmp_path / "metrics.csv"
     write_metrics_csv(vectors, path)
     assert read_metrics_csv(path) == vectors
+
+
+def test_read_metrics_csv_rejects_repeated_row(tmp_path, fixture_archive_path):
+    _individuals, vectors = metric_table(load_archive(fixture_archive_path))
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(vectors + vectors[1:2], path)
+    with pytest.raises(DataValidationError, match=re.escape(
+            f"{path}:{len(vectors) + 2}: repeated row for ('astro-lab/spectra', 'bob'); "
+            f"the first is at line 3")):
+        read_metrics_csv(path)
 
 
 def _events(spec):

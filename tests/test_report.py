@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 
 import pytest
@@ -140,6 +141,16 @@ def test_read_labels_csv_rejects_other_header(tmp_path):
     path.write_text("repo,login,cluster\norg/x,ada,2\n", "utf-8")
     with pytest.raises(DataValidationError, match="unexpected labels header"):
         read_labels_csv(path, [])
+
+
+def test_read_labels_csv_rejects_repeated_row(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("repo,login,cluster,subcluster\norg/x,ada,0,0\norg/x,bob,1,0\n"
+                    "org/x,ada,1,0\n", "utf-8")
+    ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
+    with pytest.raises(DataValidationError, match=re.escape(
+            f"{path}:4: repeated row for ('org/x', 'ada'); the first is at line 2")):
+        read_labels_csv(path, [ada, bob])
 
 
 def test_emission_is_byte_stable(tmp_path):
