@@ -11,6 +11,7 @@ import csv
 import logging
 import os
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -86,6 +87,14 @@ def _live_transport() -> RequestsTransport:
     )
 
 
+def _reset_time(reset_at) -> str:
+    """An X-RateLimit-Reset value (Unix seconds) as a UTC time, when it is one."""
+    try:
+        return datetime.fromtimestamp(int(reset_at), timezone.utc).isoformat()
+    except (TypeError, ValueError, OverflowError, OSError):
+        return "an unknown time" if reset_at is None else str(reset_at)
+
+
 @click.group()
 @click.option("--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
@@ -111,7 +120,17 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
         slugs = discover_github_slugs(transport, page_limit)
     # Zenodo often holds one record per release of the same repository;
     # fetch and archive each repository once, at its first occurrence
-    sets = [client.fetch_interactions(slug) for slug in dict.fromkeys(slugs)]
+    slugs = list(dict.fromkeys(slugs))
+    sets = []
+    try:
+        for slug in slugs:
+            sets.append(client.fetch_interactions(slug))
+    except RateBudgetError as exc:
+        # the repositories fetched in full before the budget ran out are kept
+        save_archive(sets, output_path)
+        _fail(EXIT_NETWORK, f"{exc}; archived {len(sets)} of {len(slugs)} repositories "
+                            f"to {output_path}; the rate limit resets at "
+                            f"{_reset_time(exc.reset_at)}")
     save_archive(sets, output_path)
     click.echo(f"archived {len(sets)} repositories to {output_path}")
 

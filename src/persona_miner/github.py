@@ -1,4 +1,4 @@
-"""GitHub REST v3 client producing repository summaries and interaction events.
+"""GitHub REST v3 client producing a repository's interaction events.
 
 Event attribution rules:
 - commits go to the platform login when present, else a synthetic identity
@@ -24,8 +24,6 @@ from .models import (
     InteractionKind,
     InteractionSet,
     RepoSlug,
-    RepoSummary,
-    Visibility,
     parse_utc,
 )
 from .transport import Transport
@@ -75,51 +73,6 @@ class GitHubClient:
 
     def _repo_url(self, slug: RepoSlug, *parts: str) -> str:
         return "/".join([GITHUB_API, "repos", slug.owner, slug.name, *parts])
-
-    # -- summary ----------------------------------------------------------
-
-    def fetch_repo_summary(self, slug: RepoSlug,
-                           reference_date: Optional[datetime] = None) -> RepoSummary:
-        """Fetch summary facts for the eligibility criteria.
-
-        404 maps to missing, 403/451 to private; other client errors are
-        treated as retryable transport problems.
-        """
-        resp = self.transport.get(self._repo_url(slug))
-        if resp.status == 404:
-            return RepoSummary(slug=slug, visibility=Visibility.MISSING)
-        if resp.status in (403, 451):
-            return RepoSummary(slug=slug, visibility=Visibility.PRIVATE)
-        if resp.status >= 400:
-            raise RetryableFetchError(f"HTTP {resp.status} fetching {slug}")
-        body = resp.body or {}
-
-        lang_resp = self.transport.get(self._repo_url(slug, "languages"))
-        languages = tuple(sorted((lang_resp.body or {}).keys())) \
-            if lang_resp.status < 400 else ()
-
-        created_at = parse_utc(body["created_at"]) if body.get("created_at") else None
-        ref = reference_date or datetime.now(timezone.utc)
-        age_days = max(0, (ref - created_at).days) if created_at else 0
-
-        default_branch = body.get("default_branch") or "main"
-        committers: set[str] = set()
-        for commit in self._paginate(self._repo_url(slug, "commits"),
-                                     {"sha": default_branch}):
-            ident = commit_identity(commit)
-            if ident:
-                committers.add(ident)
-
-        license_obj = body.get("license") or {}
-        return RepoSummary(
-            slug=slug,
-            visibility=Visibility.PUBLIC,
-            unique_committers=len(committers),
-            license_id=license_obj.get("spdx_id"),
-            languages=languages,
-            is_fork=bool(body.get("fork", False)),
-            age_days=age_days,
-        )
 
     # -- interactions -----------------------------------------------------
 

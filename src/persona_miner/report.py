@@ -108,9 +108,10 @@ def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
 
 def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLabels:
     """The clusters a labels file gives ``individuals`` (anything with ``repo``
-    and ``login``), in their order. An individual with no row, a second row
-    for one (repo, login), a cluster that is not a non-negative integer, or
-    ids that do not run 0..k-1 is an error."""
+    and ``login``), in their order. An individual with no row, a row for no
+    individual, a second row for one (repo, login), a cluster that is not a
+    non-negative integer, or ids that do not run 0..k-1 is an error."""
+    wanted = {(str(ind.repo), ind.login) for ind in individuals}
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
@@ -123,6 +124,9 @@ def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLab
                                           f"non-negative integer, not {cluster!r}")
             key = (row["repo"], row["login"])
             check_row_once(first_lines, key, path, reader.line_num)
+            if key not in wanted:
+                raise DataValidationError(f"{path}:{reader.line_num}: {key} is not an "
+                                          f"individual of the input")
             labels[key] = int(cluster)
     try:
         ids = tuple(labels[(str(ind.repo), ind.login)] for ind in individuals)

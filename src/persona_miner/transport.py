@@ -23,7 +23,6 @@ TIMEOUT = 30.0  # seconds per request
 @dataclass
 class Response:
     status: int
-    headers: dict[str, str]
     body: Any  # decoded JSON, or None
 
 
@@ -130,5 +129,5 @@ class RequestsTransport:
                     body = resp.json()
                 except ValueError:
                     body = None
-            return Response(status=resp.status_code, headers=headers, body=body)
+            return Response(status=resp.status_code, body=body)
         raise RetryableFetchError(f"giving up on {url} after retries: {last_error}")

@@ -35,13 +35,13 @@ class FakeTransport:
         self.calls.append((url, dict(params or {})))
         handler = self.routes.get(url)
         if handler is None:
-            return Response(status=404, headers={}, body={"message": "Not Found"})
+            return Response(status=404, body={"message": "Not Found"})
         if callable(handler):
             result = handler(params or {})
             if isinstance(result, Response):
                 return result
-            return Response(status=200, headers={}, body=result)
-        return Response(status=200, headers={}, body=handler)
+            return Response(status=200, body=result)
+        return Response(status=200, body=handler)
 
 
 def paged(items, page_size=100):
@@ -60,6 +60,14 @@ def paged(items, page_size=100):
 
 _logins = st.sampled_from(["ada", "bob", "carol", "dmitri", "elena", "bot[bot]"])
 _slugs = st.sampled_from([RepoSlug("org", "alpha"), RepoSlug("org", "beta")])
+
+# any text a CSV cell may hold: commas, quotes, line breaks, non-ASCII
+_slug_parts = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="/"),
+                      min_size=1, max_size=8)
+csv_slugs = st.builds(RepoSlug, _slug_parts, _slug_parts)
+csv_logins = st.text(max_size=12)
+csv_keys = st.lists(st.tuples(csv_slugs, csv_logins), max_size=12,
+                    unique_by=lambda key: (str(key[0]), key[1]))
 
 
 @st.composite

@@ -287,7 +287,11 @@ def test_labels_missing_an_individual_exit_4(runner, fixture_archive_path, tmp_p
             # a second row for one individual, whichever cluster it names
             ([*lines, "astro-lab/spectra,carol,3,0"],
              f"error: {bad}:{len(lines) + 1}: repeated row for "
-             f"('astro-lab/spectra', 'carol'); the first is at line 4")):
+             f"('astro-lab/spectra', 'carol'); the first is at line 4"),
+            # a row for no individual of the input
+            ([*lines, "astro-lab/spectra,zed,0,0"],
+             f"error: {bad}:{len(lines) + 1}: ('astro-lab/spectra', 'zed') is not an "
+             f"individual of the input")):
         bad.write_text("\n".join(kept) + "\n")
         for args in (["report", "--archive", archive,
                       "--output-dir", str(tmp_path / "rep")],
@@ -296,6 +300,25 @@ def test_labels_missing_an_individual_exit_4(runner, fixture_archive_path, tmp_p
             result = runner.invoke(main, [*args, "--labels", str(bad)])
             assert result.exit_code == 4
             assert message in result.output
+
+
+def test_labels_from_another_bot_setting_exit_4(runner, fixture_archive_path, tmp_path):
+    # labels written with the bot, read without it: at --k-max 10 the bot sits
+    # alone in cluster 3, at --k-max 2 it shares cluster 1 with others, so only
+    # the former leaves a gap in the cluster ids once the bot is dropped
+    archive = str(fixture_archive_path)
+    for k_max in ("10", "2"):
+        _invoke(runner, ["run", "--archive", archive, "--k-max", k_max,
+                         "--output-dir", str(tmp_path / k_max)])
+        labels = tmp_path / k_max / "labels.csv"
+        assert labels.read_text().splitlines()[4].startswith(
+            "astro-lab/spectra,dependabot[bot],")
+        result = runner.invoke(main, ["report", "--archive", archive, "--exclude-bots",
+                                      "--labels", str(labels),
+                                      "--output-dir", str(tmp_path / "rep")])
+        assert result.exit_code == 4
+        assert f"error: {labels}:5: ('astro-lab/spectra', 'dependabot[bot]') is not " \
+            "an individual of the input" in result.output
 
 
 def test_gapped_cluster_ids_exit_4(runner, fixture_archive_path, tmp_path):

@@ -1,8 +1,7 @@
 from datetime import datetime, timezone
 
 from persona_miner.github import GitHubClient
-from persona_miner.models import CommitPayload, InteractionKind, RepoSlug, Visibility
-from persona_miner.transport import Response
+from persona_miner.models import CommitPayload, InteractionKind, RepoSlug
 
 from conftest import FakeTransport, paged
 
@@ -19,56 +18,6 @@ def _commit(sha, login=None, email="dev@example.org", message="msg",
         "author": {"login": login} if login else None,
     }
     return obj
-
-
-def _repo_body(**over):
-    body = {
-        "created_at": "2020-01-01T00:00:00Z",
-        "default_branch": "main",
-        "fork": False,
-        "license": {"spdx_id": "MIT"},
-    }
-    body.update(over)
-    return body
-
-
-def test_summary_404_maps_to_missing():
-    client = GitHubClient(transport=FakeTransport({}))
-    summary = client.fetch_repo_summary(SLUG)
-    assert summary.visibility == Visibility.MISSING
-
-
-def test_summary_403_maps_to_private():
-    transport = FakeTransport({BASE: lambda p: Response(403, {}, None)})
-    summary = GitHubClient(transport=transport).fetch_repo_summary(SLUG)
-    assert summary.visibility == Visibility.PRIVATE
-
-
-def test_summary_counts_distinct_commit_authors():
-    commits = [_commit(f"s{i}", login=f"user{i % 12}") for i in range(30)]
-    transport = FakeTransport({
-        BASE: _repo_body(),
-        f"{BASE}/languages": {"Python": 1000, "Shell": 10},
-        f"{BASE}/commits": paged(commits),
-    })
-    summary = GitHubClient(transport=transport).fetch_repo_summary(
-        SLUG, reference_date=NOW
-    )
-    assert summary.unique_committers == 12
-    assert summary.visibility == Visibility.PUBLIC
-    assert summary.languages == ("Python", "Shell")
-    assert summary.license_id == "MIT"
-    assert summary.age_days == (NOW - datetime(2020, 1, 1, tzinfo=timezone.utc)).days
-
-
-def test_summary_fork_passthrough():
-    transport = FakeTransport({
-        BASE: _repo_body(fork=True),
-        f"{BASE}/languages": {},
-        f"{BASE}/commits": paged([]),
-    })
-    summary = GitHubClient(transport=transport).fetch_repo_summary(SLUG)
-    assert summary.is_fork is True
 
 
 def _issue(number, login, created="2023-01-02T00:00:00Z", pr=False):

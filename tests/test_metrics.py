@@ -27,6 +27,8 @@ from persona_miner.models import (
     RepoSlug,
 )
 
+from conftest import csv_keys
+
 K = InteractionKind
 REPO = RepoSlug("org", "proj")
 T0 = datetime(2023, 1, 1, tzinfo=timezone.utc)
@@ -228,6 +230,23 @@ def test_metrics_csv_round_trip(tmp_path, fixture_archive_path):
     for iset in sorted(load_archive(fixture_archive_path), key=lambda s: str(s.repo)):
         vectors.extend(assemble_metric_vectors(build_repo_individuals(iset)))
     path = tmp_path / "metrics.csv"
+    write_metrics_csv(vectors, path)
+    assert read_metrics_csv(path) == vectors
+
+
+@st.composite
+def _metric_vectors(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return [MetricVector(tuple(draw(st.lists(finite, min_size=len(FEATURE_NAMES),
+                                             max_size=len(FEATURE_NAMES)))),
+                         draw(st.integers(0, 6)), repo, login, draw(st.booleans()))
+            for repo, login in draw(csv_keys)]
+
+
+@given(vectors=_metric_vectors())
+@settings(max_examples=100, deadline=None)
+def test_metrics_csv_round_trip_property(tmp_path_factory, vectors):
+    path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
     write_metrics_csv(vectors, path)
     assert read_metrics_csv(path) == vectors
 

@@ -3,6 +3,8 @@ import re
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persona_miner.cluster import ClusterLabels
 from persona_miner.errors import DataValidationError
@@ -18,6 +20,8 @@ from persona_miner.report import (
     write_totals_csv,
     write_upset_json,
 )
+
+from conftest import csv_keys
 
 K = InteractionKind
 
@@ -130,10 +134,39 @@ def test_labels_csv(tmp_path):
     assert lines == ["repo,login,cluster,subcluster", "org/x,ada,1,0", "org/x,bob,0,1"]
     ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
     assert read_labels_csv(out, [bob, ada]) == ClusterLabels(labels=(0, 1), k=2)
-    assert read_labels_csv(out, []) == ClusterLabels(labels=(), k=0)
     with pytest.raises(DataValidationError,
                        match=r"no cluster label for individual \('org/y', 'ada'\)"):
-        read_labels_csv(out, [ada, _individual("ada", "org/y", commit_created=1)])
+        read_labels_csv(out, [ada, bob, _individual("ada", "org/y", commit_created=1)])
+    with pytest.raises(DataValidationError, match=re.escape(
+            f"{out}:2: ('org/x', 'ada') is not an individual of the input")):
+        read_labels_csv(out, [bob])
+
+
+@st.composite
+def _labelled_keys(draw):
+    """Unique (repo, login) keys, each with a cluster; the ids run 0..k-1."""
+    keys = draw(csv_keys)
+    k = draw(st.integers(min_value=min(1, len(keys)), max_value=len(keys)))
+    clusters = draw(st.permutations(
+        [*range(k), *draw(st.lists(st.integers(0, max(k - 1, 0)),
+                                   min_size=len(keys) - k, max_size=len(keys) - k))]))
+    subclusters = draw(st.lists(st.integers(0, 9), min_size=len(keys),
+                                max_size=len(keys)))
+    return keys, clusters, subclusters, k
+
+
+@given(labelled=_labelled_keys(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_labels_csv_round_trip_property(tmp_path_factory, labelled, data):
+    keys, clusters, subclusters, k = labelled
+    path = tmp_path_factory.mktemp("labels") / "labels.csv"
+    write_labels_csv([(repo, login, c, s) for (repo, login), c, s
+                      in zip(keys, clusters, subclusters)], path)
+    order = data.draw(st.permutations(range(len(keys))))
+    individuals = [_individual(keys[i][1], str(keys[i][0]), commit_created=1)
+                   for i in order]
+    assert read_labels_csv(path, individuals) == \
+        ClusterLabels(labels=tuple(clusters[i] for i in order), k=k)
 
 
 def test_read_labels_csv_rejects_other_header(tmp_path):

@@ -3,7 +3,7 @@ from click.testing import CliRunner
 
 from persona_miner import cli
 from persona_miner.archive import load_archive
-from persona_miner.errors import RetryableFetchError
+from persona_miner.errors import RateBudgetError, RetryableFetchError
 from persona_miner.models import RepoSlug
 from persona_miner.transport import Response
 from persona_miner.zenodo import discover_github_slugs
@@ -65,7 +65,7 @@ def test_pagination_consumes_all_pages():
 
 
 def test_query_error_is_retryable():
-    transport = FakeTransport({API: lambda params: Response(502, {}, None)})
+    transport = FakeTransport({API: lambda params: Response(502, None)})
     with pytest.raises(RetryableFetchError, match="HTTP 502 on page 1"):
         discover_github_slugs(transport, page_limit=1)
 
@@ -104,16 +104,18 @@ def _paged_hits(hits):
     return handler
 
 
-def _fetch(monkeypatch, tmp_path, routes, *args):
+def _fetch(monkeypatch, tmp_path, routes, *args, exit_code=0):
     """Run ``persona-miner fetch`` against canned routes; GitHub API calls
-    get 404s, so each repo is archived as an empty, incomplete set."""
+    get 404s, so each repo is archived as an empty, incomplete set. The
+    slugs are None when no archive was written."""
     transport = FakeTransport(routes)
     monkeypatch.setattr(cli, "_live_transport", lambda: transport)
     out = tmp_path / "archive.jsonl"
     result = CliRunner().invoke(cli.main, ["fetch", "--output", str(out), *args],
                                 catch_exceptions=False)
-    assert result.exit_code == 0, result.output
-    return transport, result, [str(s.repo) for s in load_archive(out)]
+    assert result.exit_code == exit_code, result.output
+    slugs = [str(s.repo) for s in load_archive(out)] if out.exists() else None
+    return transport, result, slugs
 
 
 def test_fetch_discovers_github_slugs_across_pages(monkeypatch, tmp_path, caplog):
@@ -147,3 +149,24 @@ def test_fetch_archives_each_repo_once(monkeypatch, tmp_path):
         github_calls = [url for url, _params in transport.calls if url != API]
         assert github_calls == ["https://api.github.com/repos/a/b/commits",
                                 "https://api.github.com/repos/c/d/commits"]
+
+
+def _out_of_budget(params):
+    raise RateBudgetError("rate limit exhausted", reset_at="1717200000")
+
+
+def test_fetch_keeps_finished_repos_when_rate_budget_runs_out(monkeypatch, tmp_path):
+    routes = {"https://api.github.com/repos/c/d/commits": _out_of_budget}
+    _transport, result, slugs = _fetch(monkeypatch, tmp_path, routes,
+                                       "--repos", "a/b,c/d,e/f", exit_code=3)
+    assert slugs == ["a/b"]
+    assert result.output == (
+        f"error: rate limit exhausted; archived 1 of 3 repositories to "
+        f"{tmp_path}/archive.jsonl; the rate limit resets at 2024-06-01T00:00:00+00:00\n")
+
+
+def test_fetch_writes_nothing_when_discovery_runs_out_of_budget(monkeypatch, tmp_path):
+    _transport, result, slugs = _fetch(monkeypatch, tmp_path, {API: _out_of_budget},
+                                       exit_code=3)
+    assert slugs is None
+    assert result.output == "error: rate limit exhausted\n"
