@@ -11,7 +11,6 @@ import csv
 import logging
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -87,14 +86,6 @@ def _live_transport() -> RequestsTransport:
     )
 
 
-def _reset_time(reset_at) -> str:
-    """An X-RateLimit-Reset value (Unix seconds) as a UTC time, when it is one."""
-    try:
-        return datetime.fromtimestamp(int(reset_at), timezone.utc).isoformat()
-    except (TypeError, ValueError, OverflowError, OSError):
-        return "an unknown time" if reset_at is None else str(reset_at)
-
-
 @click.group()
 @click.option("--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
@@ -129,8 +120,8 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
         # the repositories fetched in full before the budget ran out are kept
         save_archive(sets, output_path)
         _fail(EXIT_NETWORK, f"{exc}; archived {len(sets)} of {len(slugs)} repositories "
-                            f"to {output_path}; the rate limit resets at "
-                            f"{_reset_time(exc.reset_at)}")
+                            f"to {output_path}; the rate limit resets at Unix time "
+                            f"{exc.reset_at}")
     save_archive(sets, output_path)
     click.echo(f"archived {len(sets)} repositories to {output_path}")
 

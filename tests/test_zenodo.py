@@ -162,7 +162,7 @@ def test_fetch_keeps_finished_repos_when_rate_budget_runs_out(monkeypatch, tmp_p
     assert slugs == ["a/b"]
     assert result.output == (
         f"error: rate limit exhausted; archived 1 of 3 repositories to "
-        f"{tmp_path}/archive.jsonl; the rate limit resets at 2024-06-01T00:00:00+00:00\n")
+        f"{tmp_path}/archive.jsonl; the rate limit resets at Unix time 1717200000\n")
 
 
 def test_fetch_writes_nothing_when_discovery_runs_out_of_budget(monkeypatch, tmp_path):
