@@ -105,7 +105,8 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
     """Load an archive written by :func:`save_archive`.
 
     Raises :class:`ArchiveFormatError` on a missing/unknown header, and with
-    the ``path:line`` at fault on a malformed line, an event whose repo is
+    the ``path:line`` at fault on a malformed line (a string holding an
+    unpaired surrogate among them), an event whose repo is
     not its marker's, a repo whose event count is not its ``n_events``, or a
     second marker for one repo.
     """
@@ -150,6 +151,9 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                 obj, end = _raw_decode(text)
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
+                if "\\u" in text:  # an unpaired surrogate, which no UTF-8 file can
+                    # hold, comes only from an escape; UnicodeEncodeError is a ValueError
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
                 kind = obj.get("type")
                 if kind == "repo":
                     close_repo()

@@ -28,8 +28,7 @@ from .github import GitHubClient
 from .metrics import metric_table, read_metrics_csv, write_metrics_csv
 from .models import RepoSlug
 from .personas import assign_persona, load_profiles, write_personas_csv
-from .pipeline import (RunConfig, check_k_range, feature_matrix, run_pipeline,
-                       write_stats_json)
+from .pipeline import check_k_range, feature_matrix, run_pipeline, write_stats_json
 from .report import read_labels_csv, write_labels_csv, write_reports
 from .sampling import (
     apply_inclusion_criteria,
@@ -279,13 +278,12 @@ def simulate(profiles_path: str | None, count: int, noise_sd: float, seed: int,
 def run(archive_path: str, output_dir: str, seed: int, exclude_bots: bool, k_min: int,
         k_max: int, profiles_path: str | None, bot_deny_list: tuple[str, ...]):
     """Run the full pipeline: metrics, clustering, stats, personas, reports."""
-    result = run_pipeline(RunConfig(
-        archive_path=archive_path, seed=seed, k_min=k_min, k_max=k_max,
-        persona_profile_path=profiles_path, output_dir=output_dir,
-        exclude_bots=exclude_bots, bot_deny_list=bot_deny_list,
-    ))
-    click.echo(f"pipeline complete: {result.n_individuals} individuals, "
-               f"k={result.initial_k}, outputs in {result.output_dir}")
+    n_individuals, initial_k = run_pipeline(
+        archive_path, output_dir, seed=seed, k_min=k_min, k_max=k_max,
+        persona_profile_path=profiles_path, exclude_bots=exclude_bots,
+        bot_deny_list=bot_deny_list)
+    click.echo(f"pipeline complete: {n_individuals} individuals, "
+               f"k={initial_k}, outputs in {output_dir}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -19,7 +19,7 @@ from . import __version__
 from .archive import load_archive
 from .cluster import agglomerate, cut, select_k, subcluster
 from .commit_classify import classify_archive, write_classification_csv
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
 from .personas import (
     UNMATCHED_DISTANCE,
@@ -45,37 +45,6 @@ def check_k_range(k_min: int, k_max: int) -> None:
         raise ConfigError(f"k range [{k_min}, {k_max}] needs 2 <= k_min <= k_max")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    archive_path: Optional[str] = None
-    seed: int = 0  # recorded in the manifest only; the pipeline draws no random numbers
-    k_min: int = 2
-    k_max: int = 10
-    persona_profile_path: Optional[str] = None
-    output_dir: str = "out"
-    exclude_bots: bool = False
-    bot_deny_list: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        check_k_range(self.k_min, self.k_max)
-        if not self.archive_path:
-            raise DataValidationError("archive_path is required")
-
-    def config_hash(self) -> str:
-        """Digest of the analysis-relevant settings (output location excluded)."""
-        settings = asdict(self)
-        settings.pop("output_dir")
-        payload = json.dumps(settings, sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-
-@dataclass
-class PipelineResult:
-    output_dir: Path
-    n_individuals: int
-    initial_k: int
-
-
 def feature_matrix(vectors: list[MetricVector]) -> np.ndarray:
     """The ten clustering features of every vector, one row each."""
     import numpy as np
@@ -86,18 +55,16 @@ def feature_matrix(vectors: list[MetricVector]) -> np.ndarray:
 def cluster_and_label(
     vectors: list[MetricVector],
     profiles,
+    rows: np.ndarray,
     k_min: int = 2,
     k_max: int = 10,
-    rows: Optional[np.ndarray] = None,
 ):
     """Cluster, sub-cluster, and label sub-cluster centroids with personas.
 
-    Returns (initial_labels, sub_labels, assignments, diagnostics). Inputs
-    are percentages already; no standardization is applied before clustering.
-    ``rows`` is ``feature_matrix(vectors)``, for a caller that has it already.
+    ``rows`` is ``feature_matrix(vectors)``. Returns (initial_labels,
+    sub_labels, assignments, diagnostics). Inputs are percentages already; no
+    standardization is applied before clustering.
     """
-    if rows is None:
-        rows = feature_matrix(vectors)
     k_best, scores = select_k(rows, k_min=k_min, k_max=k_max)
     dendro = agglomerate(rows)
     initial = cut(dendro, k_best)
@@ -177,21 +144,31 @@ def write_stats_json(rows: np.ndarray, members: list[list[int]],
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """Execute all stages in order and write every report file."""
+def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *,
+                 seed: int = 0, k_min: int = 2, k_max: int = 10,
+                 persona_profile_path: Optional[str] = None,
+                 exclude_bots: bool = False,
+                 bot_deny_list: tuple[str, ...] = ()) -> tuple[int, int]:
+    """Execute all stages in order and write every report file into
+    ``output_dir``; return (number of individuals, initial k).
+
+    ``seed`` is recorded in the manifest only: the pipeline draws no random
+    numbers.
+    """
     started_at = datetime.now(timezone.utc)
-    out = Path(cfg.output_dir)
+    check_k_range(k_min, k_max)
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    sets = load_archive(cfg.archive_path)
-    individuals, vectors = metric_table(sets, exclude_bots=cfg.exclude_bots,
-                                        bot_deny_list=frozenset(cfg.bot_deny_list))
+    sets = load_archive(archive_path)
+    individuals, vectors = metric_table(sets, exclude_bots=exclude_bots,
+                                        bot_deny_list=frozenset(bot_deny_list))
     # cluster before the first writer, so that a k range the data cannot
     # hold fails with no partial output
-    profiles = load_profiles(cfg.persona_profile_path)
+    profiles = load_profiles(persona_profile_path)
     rows = feature_matrix(vectors)
     initial, sub_labels, assignments, diagnostics = cluster_and_label(
-        vectors, profiles, k_min=cfg.k_min, k_max=cfg.k_max, rows=rows)
+        vectors, profiles, rows, k_min=k_min, k_max=k_max)
     members = initial.members()
 
     write_metrics_csv(vectors, out / "metrics.csv")
@@ -220,6 +197,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     write_reports(individuals, initial.labels, out)
 
+    # the config hash digests every setting but the output directory
+    settings = {"archive_path": archive_path, "seed": seed, "k_min": k_min,
+                "k_max": k_max, "persona_profile_path": persona_profile_path,
+                "exclude_bots": exclude_bots, "bot_deny_list": bot_deny_list}
     persona_counts: dict[str, int] = {}
     for a in assignments:
         persona_counts[a.persona] = persona_counts.get(a.persona, 0) + 1
@@ -228,9 +209,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "format": "persona-miner-manifest",
         "version": 1,
         "tool_version": __version__,
-        "inputs": {"archive": str(cfg.archive_path)},
-        "seed": cfg.seed,
-        "config_hash": cfg.config_hash(),
+        "inputs": {"archive": str(archive_path)},
+        "seed": seed,
+        "config_hash": hashlib.sha256(json.dumps(
+            settings, sort_keys=True, default=str).encode()).hexdigest(),
         "n_individuals": len(vectors),
         "initial_k": diagnostics["initial_k"],
         "persona_counts": dict(sorted(persona_counts.items())),
@@ -241,8 +223,4 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
     )
 
-    return PipelineResult(
-        output_dir=out,
-        n_individuals=len(vectors),
-        initial_k=diagnostics["initial_k"],
-    )
+    return len(vectors), diagnostics["initial_k"]

@@ -109,8 +109,9 @@ def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
 def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLabels:
     """The clusters a labels file gives ``individuals`` (anything with ``repo``
     and ``login``), in their order. An individual with no row, a row for no
-    individual, a second row for one (repo, login), a cluster that is not a
-    non-negative integer, or ids that do not run 0..k-1 is an error."""
+    individual, a second row for one (repo, login), a row without four columns,
+    a cluster or subcluster that is not a non-negative integer, or ids that do
+    not run 0..k-1 is an error."""
     wanted = {(str(ind.repo), ind.login) for ind in individuals}
     with Path(path).open("r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -118,16 +119,20 @@ def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLab
             raise DataValidationError(f"{path}: unexpected labels header")
         labels, first_lines = {}, {}
         for row in reader:
-            cluster = row["cluster"]  # None in a row cut short
-            if cluster is None or not cluster.isdecimal():
-                raise DataValidationError(f"{path}:{reader.line_num}: cluster must be a "
-                                          f"non-negative integer, not {cluster!r}")
+            for field in ("cluster", "subcluster"):
+                value = row[field]  # None in a row cut short
+                if value is None or not value.isdecimal():
+                    raise DataValidationError(f"{path}:{reader.line_num}: {field} must be "
+                                              f"a non-negative integer, not {value!r}")
+            if None in row:  # DictReader's key for the cells past the fourth
+                raise DataValidationError(f"{path}:{reader.line_num}: a labels row has "
+                                          f"4 columns, not {4 + len(row[None])}")
             key = (row["repo"], row["login"])
             check_row_once(first_lines, key, path, reader.line_num)
             if key not in wanted:
                 raise DataValidationError(f"{path}:{reader.line_num}: {key} is not an "
                                           f"individual of the input")
-            labels[key] = int(cluster)
+            labels[key] = int(row["cluster"])
     try:
         ids = tuple(labels[(str(ind.repo), ind.login)] for ind in individuals)
         return ClusterLabels(labels=ids, k=max(ids, default=-1) + 1)

@@ -39,7 +39,7 @@ from persona_miner.models import (
     RepoSummary,
 )
 from persona_miner.personas import DEFAULT_PROFILES, assign_persona
-from persona_miner.pipeline import RunConfig, cluster_and_label, run_pipeline
+from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
 from persona_miner.sampling import apply_inclusion_criteria, subsample
 from persona_miner.simgen import generate
 from persona_miner.stats import one_way_anova, pca, tukey_hsd
@@ -191,7 +191,7 @@ def test_criterion_5_persona_round_trip():
     assert direct_hits / len(vectors) >= 0.99  # pinned
 
     _initial, _sub, assignments, _diag = cluster_and_label(
-        vectors, DEFAULT_PROFILES)
+        vectors, DEFAULT_PROFILES, feature_matrix(vectors))
     full_hits = sum(a.persona == t for a, t in zip(assignments, truth))
     assert full_hits / len(vectors) >= 0.90  # pinned
 
@@ -258,15 +258,12 @@ def test_criterion_7_classification_totality_and_order(fixture_archive_path):
 
 def test_criterion_8_pipeline_determinism(fixture_archive_path, tmp_path):
     start = time.perf_counter()
-    results = []
-    for name in ("run1", "run2"):
-        cfg = RunConfig(archive_path=str(fixture_archive_path),
-                        output_dir=str(tmp_path / name), seed=0)
-        results.append(run_pipeline(cfg))
+    first, second = tmp_path / "run1", tmp_path / "run2"
+    for out in (first, second):
+        run_pipeline(str(fixture_archive_path), str(out), seed=0)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0  # pinned runtime budget
 
-    first, second = (r.output_dir for r in results)
     names = {p.name for p in first.iterdir()}
     assert names == {p.name for p in second.iterdir()}
     for name in sorted(names - {"run_manifest.json"}):

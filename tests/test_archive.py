@@ -94,9 +94,11 @@ def _with_payload(key, value):
      "changed_files must be a list of strings, not 'docs'"),
     (3, _with_payload("changed_files", ["docs/guide.md", 7]),
      "changed_files must be a list of strings, not ['docs/guide.md', 7]"),
+    (2, _with("actor", "b\ud800b"), "surrogates not allowed"),
 ], ids=["event-without-actor", "null-actor", "empty-actor", "int-actor", "unknown-kind",
         "not-an-object", "bad-timestamp", "marker-without-repo", "event-repo-mismatch",
-        "null-message", "string-changed-files", "int-changed-file"])
+        "null-message", "string-changed-files", "int-changed-file",
+        "lone-surrogate-actor"])
 def test_bad_line_rejected_with_its_line_number(fixture_archive_path, tmp_path,
                                                 index, edit, reason):
     lines = fixture_archive_path.read_text().splitlines()

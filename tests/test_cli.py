@@ -284,6 +284,11 @@ def test_labels_missing_an_individual_exit_4(runner, fixture_archive_path, tmp_p
              f"error: {bad}:3: cluster must be a non-negative integer, not '-1'"),
             ([*lines[:2], f"{repo},{login}", *lines[3:]],
              f"error: {bad}:3: cluster must be a non-negative integer, not None"),
+            # a subcluster that is no integer, a fifth column
+            ([*lines[:2], f"{repo},{login},0,abc", *lines[3:]],
+             f"error: {bad}:3: subcluster must be a non-negative integer, not 'abc'"),
+            ([*lines[:2], f"{repo},{login},0,0,junk", *lines[3:]],
+             f"error: {bad}:3: a labels row has 4 columns, not 5"),
             # a second row for one individual, whichever cluster it names
             ([*lines, "astro-lab/spectra,carol,3,0"],
              f"error: {bad}:{len(lines) + 1}: repeated row for "
@@ -591,16 +596,20 @@ def test_bad_archive_exit_4(runner, fixture_archive_path, tmp_path):
     commit = json.loads(lines[3])
     null_message = {**commit, "payload": {**commit["payload"], "message": None}}
     string_files = {**commit, "payload": {**commit["payload"], "changed_files": "docs"}}
+    lone_surrogate = {**null_actor, "actor": "b\ud800b"}
     for text in ('{"format": "something-else", "version": 1}\n',
                  "\n".join([*lines[:2], json.dumps(no_actor), *lines[3:]]) + "\n",
                  "\n".join([*lines[:2], json.dumps(null_actor), *lines[3:]]) + "\n",
                  "\n".join([*lines[:3], json.dumps(null_message), *lines[4:]]) + "\n",
-                 "\n".join([*lines[:3], json.dumps(string_files), *lines[4:]]) + "\n"):
+                 "\n".join([*lines[:3], json.dumps(string_files), *lines[4:]]) + "\n",
+                 "\n".join([*lines[:2], json.dumps(lone_surrogate), *lines[3:]]) + "\n"):
         bad.write_text(text)
         for args in (["metrics", "--output", str(out)],
-                     ["classify", "--output", str(out)]):
+                     ["classify", "--output", str(out)],
+                     ["run", "--output-dir", str(tmp_path / "run")]):
             result = runner.invoke(main, [*args, "--archive", str(bad)])
             assert result.exit_code == 4
+    assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
 def test_cluster_too_few_rows_exit_4(runner, tmp_path):

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +13,7 @@ import pytest
 import persona_miner
 from persona_miner.errors import DataValidationError
 from persona_miner.personas import DEFAULT_PROFILES, load_profiles
-from persona_miner.pipeline import RunConfig, cluster_and_label, run_pipeline
+from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
 from persona_miner.simgen import generate
 
 TIMESTAMP_KEYS = {"started_at", "finished_at"}
@@ -23,72 +25,84 @@ EXPECTED_FILES = {
 }
 
 
-def _run(fixture_archive_path, tmp_path, name, **over):
-    cfg = RunConfig(archive_path=str(fixture_archive_path),
-                    output_dir=str(tmp_path / name), seed=0, **over)
-    return cfg, run_pipeline(cfg)
+def _run(archive_path, tmp_path, name, **settings):
+    """The output directory of a run, and its individual count."""
+    out = tmp_path / name
+    n_individuals, _initial_k = run_pipeline(str(archive_path), str(out), **settings)
+    return out, n_individuals
 
 
 def test_all_output_files_written(fixture_archive_path, tmp_path):
-    _cfg, result = _run(fixture_archive_path, tmp_path, "out")
-    assert {p.name for p in result.output_dir.iterdir()} == EXPECTED_FILES
-    assert result.n_individuals > 0
-    manifest = json.loads((result.output_dir / "run_manifest.json").read_text())
-    assert sum(manifest["persona_counts"].values()) == result.n_individuals
+    out, n_individuals = _run(fixture_archive_path, tmp_path, "out")
+    assert {p.name for p in out.iterdir()} == EXPECTED_FILES
+    assert n_individuals > 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert sum(manifest["persona_counts"].values()) == n_individuals
 
 
 def test_rerun_is_byte_identical_except_manifest_timestamps(
         fixture_archive_path, tmp_path):
-    _, first = _run(fixture_archive_path, tmp_path, "a")
-    _, second = _run(fixture_archive_path, tmp_path, "b")
+    first, _ = _run(fixture_archive_path, tmp_path, "a")
+    second, _ = _run(fixture_archive_path, tmp_path, "b")
     for name in sorted(EXPECTED_FILES - {"run_manifest.json"}):
-        assert (first.output_dir / name).read_bytes() == \
-            (second.output_dir / name).read_bytes(), name
-    m1 = json.loads((first.output_dir / "run_manifest.json").read_text())
-    m2 = json.loads((second.output_dir / "run_manifest.json").read_text())
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    m1 = json.loads((first / "run_manifest.json").read_text())
+    m2 = json.loads((second / "run_manifest.json").read_text())
     for key in TIMESTAMP_KEYS:
         m1.pop(key), m2.pop(key)
     assert m1 == m2
 
 
 def test_manifest_contents(fixture_archive_path, tmp_path):
-    cfg, result = _run(fixture_archive_path, tmp_path, "out")
-    manifest = json.loads((result.output_dir / "run_manifest.json").read_text())
+    out, n_individuals = _run(fixture_archive_path, tmp_path, "out")
+    manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["format"] == "persona-miner-manifest"
     assert manifest["seed"] == 0
-    assert manifest["config_hash"] == cfg.config_hash()
-    assert manifest["n_individuals"] == result.n_individuals
-    with (result.output_dir / "personas.csv").open(newline="") as fh:
+    assert manifest["n_individuals"] == n_individuals
+    with (out / "personas.csv").open(newline="") as fh:
         counts = Counter(row["persona"] for row in csv.DictReader(fh))
     assert list(manifest["persona_counts"].items()) == sorted(counts.items())
 
 
 def test_exclude_bots_shrinks_population(fixture_archive_path, tmp_path):
     _, keep = _run(fixture_archive_path, tmp_path, "keep")
-    _, drop = _run(fixture_archive_path, tmp_path, "drop", exclude_bots=True)
-    assert drop.n_individuals < keep.n_individuals
-    metrics = (Path(drop.output_dir) / "metrics.csv").read_text()
-    assert "[bot]" not in metrics
+    drop, n_drop = _run(fixture_archive_path, tmp_path, "drop", exclude_bots=True)
+    assert n_drop < keep
+    assert "[bot]" not in (drop / "metrics.csv").read_text()
 
 
-def test_config_source_validation():
-    with pytest.raises(DataValidationError):
-        RunConfig()  # no source
+def test_manifest_config_hash_digests_every_setting_but_output_dir(
+        fixture_archive_path, tmp_path):
+    # the hash is the sha256 of the sorted-key JSON of these seven settings;
+    # the archive and profiles are named by the path as given
+    archive_copy = tmp_path / "copy.jsonl"
+    shutil.copyfile(fixture_archive_path, archive_copy)
+    profiles = str(Path(persona_miner.__file__).parent / "data" / "personas.json")
+    base = {"archive_path": str(fixture_archive_path), "seed": 0, "k_min": 2,
+            "k_max": 10, "persona_profile_path": None, "exclude_bots": False,
+            "bot_deny_list": ()}
 
+    def manifest_hash(name, settings):
+        run_pipeline(output_dir=str(tmp_path / name), **settings)
+        return json.loads((tmp_path / name / "run_manifest.json").read_text())["config_hash"]
 
-def test_config_hash_tracks_settings(fixture_archive_path):
-    a = RunConfig(archive_path=str(fixture_archive_path), seed=0)
-    b = RunConfig(archive_path=str(fixture_archive_path), seed=1)
-    assert a.config_hash() == RunConfig(
-        archive_path=str(fixture_archive_path), seed=0).config_hash()
-    assert a.config_hash() != b.config_hash()
+    def digest(settings):
+        return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
+
+    assert manifest_hash("base", base) == digest(base)
+    assert manifest_hash("elsewhere", base) == digest(base)
+    for key, value in (("archive_path", str(archive_copy)), ("seed", 1), ("k_min", 3),
+                       ("k_max", 9), ("persona_profile_path", profiles),
+                       ("exclude_bots", True), ("bot_deny_list", ("ada",))):
+        changed = {**base, key: value}
+        assert manifest_hash(key, changed) == digest(changed) != digest(base), key
 
 
 def test_cluster_and_label_small_population():
     # two rows clamp k_max to 1, below k_min: the same error as any empty k range
     vectors, _ = generate(DEFAULT_PROFILES[:2], count=1, noise_sd=0.0, seed=0)
     with pytest.raises(DataValidationError, match=r"empty k range \[2, 1\]"):
-        cluster_and_label(vectors, DEFAULT_PROFILES)
+        cluster_and_label(vectors, DEFAULT_PROFILES, feature_matrix(vectors))
 
 
 def test_pipeline_import_loads_no_fetch_layer():
@@ -104,8 +118,8 @@ def test_pipeline_import_loads_no_fetch_layer():
 
 def test_cluster_and_label_synthetic_recovery():
     vectors, truth = generate(DEFAULT_PROFILES, count=25, noise_sd=1.0, seed=3)
-    _initial, _sub, assignments, diag = cluster_and_label(vectors,
-                                                          DEFAULT_PROFILES)
+    _initial, _sub, assignments, diag = cluster_and_label(vectors, DEFAULT_PROFILES,
+                                                          feature_matrix(vectors))
     hits = sum(a.persona == t for a, t in zip(assignments, truth))
     assert hits / len(truth) >= 0.9
     assert diag["initial_k"] >= 2
@@ -119,15 +133,16 @@ def test_cluster_and_label_synthetic_recovery():
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_run_path_recovers_personas(seed, noise_sd, initial_k, floor):
     vectors, truth = generate(DEFAULT_PROFILES, count=72, noise_sd=noise_sd, seed=seed)
-    _initial, _sub, assignments, diag = cluster_and_label(vectors, load_profiles(None))
+    _initial, _sub, assignments, diag = cluster_and_label(vectors, load_profiles(None),
+                                                          feature_matrix(vectors))
     assert diag["initial_k"] == initial_k
     hits = sum(a.persona == t for a, t in zip(assignments, truth))
     assert hits / len(truth) >= floor
 
 
 def test_stats_json_structure(fixture_archive_path, tmp_path):
-    _, result = _run(fixture_archive_path, tmp_path, "out")
-    stats = json.loads((result.output_dir / "stats.json").read_text())
+    out, _ = _run(fixture_archive_path, tmp_path, "out")
+    stats = json.loads((out / "stats.json").read_text())
     assert stats["format"] == "persona-miner-stats"
     assert stats["pca"] is not None
     ratios = stats["pca"]["explained_variance_ratio"]
