@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Union
 
-from .errors import ArchiveFormatError, DataValidationError
+from .errors import ArchiveFormatError, DataValidationError, open_utf8
 from .models import (
     CommitPayload,
     InteractionEvent,
@@ -106,12 +106,12 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
 
     Raises :class:`ArchiveFormatError` on a missing/unknown header, and with
     the ``path:line`` at fault on a malformed line (a string holding an
-    unpaired surrogate among them), an event whose repo is
-    not its marker's, a repo whose event count is not its ``n_events``, or a
-    second marker for one repo.
+    unpaired surrogate among them), a byte that is not UTF-8, an event whose
+    repo is not its marker's, a repo whose event count is not its
+    ``n_events``, or a second marker for one repo.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with open_utf8(path, ArchiveFormatError) as fh:
         header_line = fh.readline()
         if not header_line.strip():
             raise ArchiveFormatError(f"{path}: empty file, expected archive header")

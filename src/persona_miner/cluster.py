@@ -3,7 +3,9 @@
 The merge loop runs the Lance-Williams recurrence on squared Euclidean
 distances over an updateable n*n dissimilarity matrix. Reported merge heights
 are the square roots of the recurrence values, so two singleton points merge
-at their plain Euclidean distance.
+at their plain Euclidean distance. The matrix is built a block of rows at a
+time against the rows from the block's own first row on, and mirrored, so
+each pair is computed once.
 
 A vector nn caches, for every cluster slot, the smallest entry of its row
 (inf once the slot is merged away). Each merge takes the global minimum from
@@ -12,9 +14,14 @@ two merged columns and grew is rescanned, every other row takes the minimum
 of its cached value and its one new entry. This is the "generic" algorithm of
 Muellner (2011, arXiv:1109.2378); it merges in the same order and with the
 same arithmetic as a full scan of the matrix, so typical time is O(n^2) and
-memory is O(n^2), with no n*n*d difference tensor. Ties on the merge
-dissimilarity break toward the lexicographically lowest (a, b) node-id pair
-for cross-platform determinism.
+memory is O(n^2), with no n*n*d difference tensor. Each step updates whole
+rows rather than gathering the active slots: a slot merged away holds inf in
+its row and column, so its entries come out inf again and the matrix after
+each step is the one a gather would leave. Ties on the merge dissimilarity
+break toward the lexicographically lowest (a, b) node-id pair for
+cross-platform determinism, searched among the slots whose nn holds the
+minimum; when exactly two slots hold it they are each other's nearest
+neighbour, and the search is skipped.
 """
 
 from __future__ import annotations
@@ -74,15 +81,19 @@ def _validate_rows(vectors) -> np.ndarray:
     return rows
 
 
-_BLOCK_ELEMENTS = 1 << 20
+_BLOCK_ELEMENTS = 1 << 16  # about 0.5 MB of float64 per difference tensor
 
 
 def _squared_distances(rows: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, built a block of rows at a time.
+    """Pairwise squared Euclidean distances, built triangularly a block at a time.
 
-    Each block runs the same einsum over its own difference tensor, so every
-    entry equals the one a single n*n*d tensor would give, bit for bit, while
-    the temporary stays near _BLOCK_ELEMENTS floats.
+    Each block of rows runs the same einsum over its difference tensor against
+    the rows from its own first row on; the block fills its rows of the upper
+    triangle and, transposed, its columns of the lower. (x_i - x_j)**2 and
+    (x_j - x_i)**2 are the same float and einsum sums them in the same order,
+    so every entry equals the one a single n*n*d tensor would give, bit for
+    bit, the matrix is exactly symmetric, and the temporary stays near
+    _BLOCK_ELEMENTS floats.
     """
     import numpy as np
 
@@ -90,8 +101,11 @@ def _squared_distances(rows: np.ndarray) -> np.ndarray:
     d2 = np.empty((n, n))
     step = max(1, _BLOCK_ELEMENTS // max(n * d, 1))
     for start in range(0, n, step):
-        diff = rows[start:start + step, None, :] - rows[None, :, :]
-        d2[start:start + step] = np.einsum("ijk,ijk->ij", diff, diff)
+        stop = start + step
+        diff = rows[start:stop, None, :] - rows[None, start:, :]
+        block = np.einsum("ijk,ijk->ij", diff, diff)
+        d2[start:stop, start:] = block
+        d2[start:, start:stop] = block.T
     return d2
 
 
@@ -115,51 +129,55 @@ def agglomerate(vectors) -> Dendrogram:
 
     size = np.ones(n)
     node_id = np.arange(n)
-    active = np.ones(n, dtype=bool)
     merges: list[tuple[int, int, float, int]] = []
 
     for step in range(n - 1):
         min_val = nn.min()
-        # every slot pair at min_val has both rows' cached minimum at min_val;
-        # exact ties break toward the lexicographically lowest node-id pair
-        tied = np.flatnonzero(nn == min_val)
-        rs, cs = np.nonzero(work[tied] == min_val)
-        ci, cj = tied[rs], cs
-        upper = ci < cj
-        ci, cj = ci[upper], cj[upper]
-        a_ids, b_ids = node_id[ci], node_id[cj]
-        lo, hi = np.minimum(a_ids, b_ids), np.maximum(a_ids, b_ids)
-        best = int(np.argmin(lo * (2 * n) + hi))
-        i, j = int(ci[best]), int(cj[best])
-        a, b = int(lo[best]), int(hi[best])
-        height = math.sqrt(max(float(min_val), 0.0))
-        new_size = int(size[i] + size[j])
-        merges.append((a, b, height, new_size))
+        if not min_val < math.inf:  # the recurrence overflowed to inf or NaN
+            raise DataValidationError("Ward distances overflow; rescale the rows")
+        # every slot pair at min_val has both rows' cached minimum at min_val,
+        # so the tie search reads only the tied slots' rows and columns
+        tied = (nn == min_val).nonzero()[0]
+        if len(tied) == 2:  # one pair holds min_val: no tie to break
+            i, j = int(tied[0]), int(tied[1])
+            a, b = sorted((int(node_id[i]), int(node_id[j])))
+        else:  # exact ties break toward the lexicographically lowest node-id pair
+            rs, cs = np.nonzero(work[np.ix_(tied, tied)] == min_val)
+            ci, cj = tied[rs], tied[cs]
+            upper = ci < cj
+            ci, cj = ci[upper], cj[upper]
+            a_ids, b_ids = node_id[ci], node_id[cj]
+            lo, hi = np.minimum(a_ids, b_ids), np.maximum(a_ids, b_ids)
+            best = int(np.argmin(lo * (2 * n) + hi))
+            i, j = int(ci[best]), int(cj[best])
+            a, b = int(lo[best]), int(hi[best])
+        ni, nj = float(size[i]), float(size[j])
+        merges.append((a, b, math.sqrt(max(float(min_val), 0.0)), int(ni + nj)))
 
-        ni, nj = size[i], size[j]
-        dij = work[i, j]
-        # Lance-Williams update for Ward, merged cluster kept in slot i
-        active[j] = False
-        others = np.flatnonzero(active)
-        others = others[others != i]
-        nm = size[others]
-        wi, wj = work[i, others], work[j, others]
-        new = ((ni + nm) * wi + (nj + nm) * wj - nm * dij) / (ni + nj + nm)
-        work[i, others] = new
-        work[others, i] = new
-        work[j, :] = np.inf
+        # Lance-Williams update for Ward over whole rows, merged cluster kept in
+        # slot i. Slots i, j and those merged away hold inf in wi or wj, so
+        # come out inf.
+        wi, wj = work[i], work[j]
+        dij = float(wi[j])
+        new = ((size + ni) * wi + (size + nj) * wj - size * dij) / (size + (ni + nj))
+
+        # a row's minimum can only grow if it sat in column i or j, that is if
+        # min(wi, wj) equals it, and the new entry is larger; only those rows
+        # are rescanned, every other row keeps min(old minimum, new entry)
+        grown = (np.minimum(wi, wj) == nn) & (new > nn)
+        grown[i] = grown[j] = False
+
+        work[i] = new
+        work[:, i] = new
+        work[j] = np.inf
         work[:, j] = np.inf
         size[i] = ni + nj
         node_id[i] = n + step
 
-        # a row's minimum can only grow if it sat in column i or j; only those
-        # rows are rescanned, every other row keeps min(old minimum, new entry)
-        old = nn[others]
-        grown = ((wi == old) | (wj == old)) & (new > old)
-        nn[others] = np.minimum(old, new)
-        stale = others[grown]
-        nn[stale] = work[stale].min(axis=1)
-        nn[i] = work[i].min()
+        np.minimum(nn, new, out=nn)
+        for s in grown.nonzero()[0].tolist():
+            nn[s] = work[s].min()
+        nn[i] = wi.min()
         nn[j] = np.inf
 
     return Dendrogram(n_leaves=n, merges=tuple(merges))

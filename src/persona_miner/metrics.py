@@ -16,7 +16,7 @@ from datetime import date, timezone
 from pathlib import Path
 from typing import Iterable, Union
 
-from .errors import DataValidationError
+from .errors import DataValidationError, open_utf8
 from .models import ALL_KINDS, InteractionKind, InteractionSet, RepoSlug
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -197,9 +197,9 @@ def check_row_once(first_lines: dict, key: tuple[str, str], path, line: int) -> 
 
 
 def read_metrics_csv(path: Union[str, Path]) -> list[MetricVector]:
-    """Read a metrics file; a malformed row, or a second row for one
-    (repo, login), is an error naming ``path:line``."""
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+    """Read a metrics file; a malformed row, a second row for one
+    (repo, login), or a byte that is not UTF-8 is an error naming ``path:line``."""
+    with open_utf8(path, DataValidationError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != METRICS_CSV_COLUMNS:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .cluster import ClusterLabels
-from .errors import DataValidationError
+from .errors import DataValidationError, open_utf8
 from .metrics import RepoIndividual, check_row_once
 from .models import ALL_KINDS, InteractionKind, RepoSlug
 
@@ -110,10 +110,10 @@ def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLab
     """The clusters a labels file gives ``individuals`` (anything with ``repo``
     and ``login``), in their order. An individual with no row, a row for no
     individual, a second row for one (repo, login), a row without four columns,
-    a cluster or subcluster that is not a non-negative integer, or ids that do
-    not run 0..k-1 is an error."""
+    a cluster or subcluster that is not a non-negative integer, a byte that is
+    not UTF-8, or ids that do not run 0..k-1 is an error."""
     wanted = {(str(ind.repo), ind.login) for ind in individuals}
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
+    with open_utf8(path, DataValidationError, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
             raise DataValidationError(f"{path}: unexpected labels header")

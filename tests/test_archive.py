@@ -174,3 +174,18 @@ def test_truncated_archive_rejected(fixture_archive_path, tmp_path):
             f"{bad}:{marker_at + 1}: repo bio-team/seqkit has {n_events - 1} "
             f"events, but its marker says n_events={n_events}")):
         load_archive(bad)
+
+
+@pytest.mark.parametrize("index", [0, 2, 299], ids=["header", "event", "past-first-chunk"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("bad", [b"a\xffa", b"a\xc3"], ids=["invalid-byte", "cut-sequence"])
+def test_non_utf8_byte_rejected_with_its_line_number(fixture_archive_path, tmp_path,
+                                                     index, newline, bad):
+    # text mode decodes chunks ahead of the lines read; the line at fault is named
+    lines = fixture_archive_path.read_bytes().splitlines()
+    lines[index] += bad  # at the end of a line, b"\xc3" starts a sequence cut short
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(ArchiveFormatError) as info:
+        load_archive(path)
+    assert str(info.value).startswith(f"{path}:{index + 1}: not UTF-8 (")

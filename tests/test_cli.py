@@ -612,6 +612,29 @@ def test_bad_archive_exit_4(runner, fixture_archive_path, tmp_path):
     assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
+def test_non_utf8_byte_exit_4_naming_its_line(runner, fixture_archive_path, tmp_path):
+    lines = fixture_archive_path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"actor": "', b'"actor": "a\xffa', 1)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["run", "--archive", str(bad), "--output-dir", str(out)])
+    assert result.exit_code == 4
+    assert f"error: {bad}:3: not UTF-8 (" in result.output
+    assert not (out / "metrics.csv").exists()
+
+    run_dir = tmp_path / "good"
+    _invoke(runner, ["run", "--archive", str(fixture_archive_path),
+                     "--output-dir", str(run_dir)])
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes((run_dir / "labels.csv").read_bytes() + b"astro-lab/spectra,\xff,0,0\n")
+    result = runner.invoke(main, ["analyze", "--metrics", str(run_dir / "metrics.csv"),
+                                  "--labels", str(labels),
+                                  "--output", str(tmp_path / "stats.json")])
+    assert result.exit_code == 4
+    assert f"error: {labels}:13: not UTF-8 (" in result.output
+
+
 def test_cluster_too_few_rows_exit_4(runner, tmp_path):
     metrics = tmp_path / "sim.csv"
     _invoke(runner, ["simulate", "--count", "1", "--noise-sd", "0.0",

@@ -159,10 +159,7 @@ def test_matches_naive_oracle_on_random_inputs():
             assert got[3] == want[3]
 
 
-def _reference_inputs(family, seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 81))
-    d = int(rng.integers(1, 7))
+def _family_rows(family, rng, n, d):
     if family == "normal":
         return rng.normal(size=(n, d))
     if family == "lattice":
@@ -172,11 +169,58 @@ def _reference_inputs(family, seed):
     return np.tile(rng.normal(size=(1, d)), (n, 1))  # all identical
 
 
+def _reference_inputs(family, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 81))
+    d = int(rng.integers(1, 7))
+    return _family_rows(family, rng, n, d)
+
+
 @pytest.mark.parametrize("family", ["normal", "lattice", "grid25", "identical"])
 def test_matches_reference_bit_for_bit(family):
     for seed in range(25):
         rows = _reference_inputs(family, seed)
         assert agglomerate(rows).merges == _reference_ward(rows)
+
+
+@pytest.mark.parametrize("family", ["normal", "lattice"])
+@pytest.mark.parametrize("n", [7, 150, 301])
+def test_squared_distances_across_blocks_bit_for_bit(monkeypatch, family, n):
+    # small blocks: the triangular build spans many blocks, each mirrored
+    monkeypatch.setattr(cluster_module, "_BLOCK_ELEMENTS", 64)
+    for d in (1, 3, 10):
+        rows = _family_rows(family, np.random.default_rng(n + d), n, d)
+        diff = rows[:, None, :] - rows[None, :, :]
+        full = np.einsum("ijk,ijk->ij", diff, diff)
+        built = cluster_module._squared_distances(rows)
+        assert np.array_equal(built.view(np.int64), full.view(np.int64)), d
+        assert np.array_equal(built.view(np.int64), built.T.view(np.int64)), d
+
+
+@pytest.mark.parametrize("family, n, d", [
+    ("lattice", 300, 4), ("lattice", 151, 6), ("grid25", 300, 3), ("grid25", 97, 5),
+    ("identical", 120, 2),
+])
+def test_matches_reference_across_blocks(monkeypatch, family, n, d):
+    monkeypatch.setattr(cluster_module, "_BLOCK_ELEMENTS", 64)
+    rows = _family_rows(family, np.random.default_rng(n), n, d)
+    assert agglomerate(rows).merges == _reference_ward(rows)
+
+
+@pytest.mark.parametrize("quantised", [False, True], ids=["two-slot", "tied-slots"])
+def test_matches_reference_at_run_scale(quantised):
+    # a continuous draw has one pair at each minimum, so nearly every step
+    # takes the two-slot path; rounding to a 25-grid ties many pairs at once
+    rows = np.random.default_rng(500).normal(50.0, 30.0, size=(500, 10))
+    if quantised:
+        rows = np.round(rows / 25.0) * 25.0
+    merges = agglomerate(rows).merges
+    assert merges == _reference_ward(rows)
+    distinct_heights = len({m[2] for m in merges})
+    if quantised:
+        assert distinct_heights < len(merges) // 2
+    else:
+        assert distinct_heights == len(merges)
 
 
 def test_nearest_neighbour_ties_in_different_columns():
@@ -196,6 +240,14 @@ def test_nearest_neighbour_ties_in_different_columns():
 def test_overflowing_distances_rejected():
     with pytest.raises(DataValidationError):
         agglomerate([[1e200], [-1e200]])
+    # the squared distances fit, but the Lance-Williams recurrence overflows:
+    # to inf on the first rows, to NaN (inf - inf) on the second
+    for rows in ([[0.0], [1.0], [5e153], [-5e153]],
+                 [[0.0, 0.0], [1e154, 0.0], [5e153, 8.7e153], [5e153, 8.7e153]]):
+        with pytest.warns(RuntimeWarning) as record:
+            with pytest.raises(DataValidationError, match="Ward distances overflow"):
+                agglomerate(rows)
+        assert any("overflow" in str(w.message) for w in record), rows
 
 
 def _first_appearance(labels):

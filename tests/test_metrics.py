@@ -261,6 +261,16 @@ def test_read_metrics_csv_rejects_repeated_row(tmp_path, fixture_archive_path):
         read_metrics_csv(path)
 
 
+def test_read_metrics_csv_names_the_line_of_a_non_utf8_byte(tmp_path, fixture_archive_path):
+    _individuals, vectors = metric_table(load_archive(fixture_archive_path))
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(vectors, path)
+    path.write_bytes(path.read_bytes().replace(b",bob,", b",b\xffb,", 1))
+    bob_line = 1 + next(i for i, v in enumerate(vectors, start=1) if v.login == "bob")
+    with pytest.raises(DataValidationError, match=re.escape(f"{path}:{bob_line}: not UTF-8 (")):
+        read_metrics_csv(path)
+
+
 def _events(spec):
     """spec: (actor, kind, day) triples -> events in one repo."""
     return [InteractionEvent(actor=actor, kind=kind,

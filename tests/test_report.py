@@ -186,6 +186,15 @@ def test_read_labels_csv_rejects_repeated_row(tmp_path):
         read_labels_csv(path, [ada, bob])
 
 
+def test_read_labels_csv_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"repo,login,cluster,subcluster\r\norg/x,ada,0,0\r\n"
+                     b"org/x,bob,1,0\r\norg/x,\xff,1,0\r\n")
+    ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
+    with pytest.raises(DataValidationError, match=re.escape(f"{path}:4: not UTF-8 (")):
+        read_labels_csv(path, [ada, bob])
+
+
 def test_emission_is_byte_stable(tmp_path):
     inds = [_individual("a", commit_created=1, pr_closed=2),
             _individual("b", issue_closed=3)]
