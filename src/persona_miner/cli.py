@@ -1,8 +1,9 @@
 """Command-line front-end wiring the pipeline stages.
 
 Exit codes: 0 success, 2 config error, 3 network error, 4 data validation
-error. The API token is read from the PERSONA_MINER_TOKEN environment
-variable for live fetches.
+error; the ``main`` group maps every command's package errors onto them.
+The API token is read from the PERSONA_MINER_TOKEN environment variable for
+live fetches.
 """
 
 from __future__ import annotations
@@ -44,34 +45,24 @@ EXIT_CONFIG = 2
 EXIT_NETWORK = 3
 EXIT_DATA = 4
 
-logger = logging.getLogger(__name__)
-
 _bot_deny_list_option = click.option(
     "--bot-deny-list", multiple=True, metavar="LOGIN",
     help="A login flagged as a bot besides those ending in [bot]; repeatable.")
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _MainGroup(click.Group):
+    """Maps a package error from any command onto the documented exit codes."""
 
-
-def _guard(fn):
-    """Map package exceptions onto the documented exit codes."""
-
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            _fail(EXIT_CONFIG, str(exc))
-        except (RetryableFetchError, RateBudgetError) as exc:
-            _fail(EXIT_NETWORK, str(exc))
+            return super().invoke(ctx)
         except PersonaMinerError as exc:
-            _fail(EXIT_DATA, str(exc))
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+            click.echo(f"error: {exc}", err=True)
+            if isinstance(exc, ConfigError):
+                sys.exit(EXIT_CONFIG)
+            if isinstance(exc, (RetryableFetchError, RateBudgetError)):
+                sys.exit(EXIT_NETWORK)
+            sys.exit(EXIT_DATA)
 
 
 def _live_transport() -> RequestsTransport:
@@ -85,7 +76,7 @@ def _live_transport() -> RequestsTransport:
     )
 
 
-@click.group()
+@click.group(cls=_MainGroup)
 @click.option("--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
     """Mine repository interactions, cluster contributors, assign personas."""
@@ -99,7 +90,6 @@ def main(verbose: bool):
 @click.option("--page-limit", default=5, show_default=True)
 @click.option("--repos", help="Comma-separated owner/name list to fetch directly.")
 @click.option("--output", "output_path", required=True, type=click.Path())
-@_guard
 def fetch(page_limit: int, repos: str | None, output_path: str):
     """Fetch interaction data into an offline archive (network required)."""
     transport = _live_transport()
@@ -118,9 +108,9 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
     except RateBudgetError as exc:
         # the repositories fetched in full before the budget ran out are kept
         save_archive(sets, output_path)
-        _fail(EXIT_NETWORK, f"{exc}; archived {len(sets)} of {len(slugs)} repositories "
-                            f"to {output_path}; the rate limit resets at Unix time "
-                            f"{exc.reset_at}")
+        raise RateBudgetError(f"{exc}; archived {len(sets)} of {len(slugs)} repositories "
+                              f"to {output_path}; the rate limit resets at Unix time "
+                              f"{exc.reset_at}", exc.reset_at) from exc
     save_archive(sets, output_path)
     click.echo(f"archived {len(sets)} repositories to {output_path}")
 
@@ -131,7 +121,6 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
 @click.option("--fraction", default=1.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--output", "output_path", required=True, type=click.Path())
-@_guard
 def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str):
     """Apply the seven inclusion criteria and seeded sub-sampling."""
     decisions = [apply_inclusion_criteria(summary)
@@ -149,7 +138,6 @@ def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str
 @click.option("--output", "output_path", required=True, type=click.Path())
 @click.option("--exclude-bots", is_flag=True)
 @_bot_deny_list_option
-@_guard
 def metrics(archive_path: str, output_path: str, exclude_bots: bool,
             bot_deny_list: tuple[str, ...]):
     """Compute the ten-feature metric table from an archive."""
@@ -162,7 +150,6 @@ def metrics(archive_path: str, output_path: str, exclude_bots: bool,
 @main.command()
 @click.option("--archive", "archive_path", required=True, type=click.Path(exists=True))
 @click.option("--output", "output_path", required=True, type=click.Path())
-@_guard
 def classify(archive_path: str, output_path: str):
     """Classify commits by message, size, and changed-file types."""
     rows = classify_archive(load_archive(archive_path))
@@ -176,7 +163,6 @@ def classify(archive_path: str, output_path: str):
 @click.option("--k-max", default=10, show_default=True)
 @click.option("--labels-output", required=True, type=click.Path())
 @click.option("--dendrogram-output", type=click.Path())
-@_guard
 def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
             dendrogram_output: str | None):
     """Cluster metric vectors and emit labels (and optionally the merge tree)."""
@@ -199,7 +185,6 @@ def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
 @click.option("--metrics", "metrics_path", required=True, type=click.Path(exists=True))
 @click.option("--labels", "labels_path", required=True, type=click.Path(exists=True))
 @click.option("--output", "output_path", required=True, type=click.Path())
-@_guard
 def analyze(metrics_path: str, labels_path: str, output_path: str):
     """Validate a clustering: PCA, feature importance, per-feature ANOVA/Tukey."""
     vectors = read_metrics_csv(metrics_path)
@@ -212,7 +197,6 @@ def analyze(metrics_path: str, labels_path: str, output_path: str):
 @click.option("--metrics", "metrics_path", required=True, type=click.Path(exists=True))
 @click.option("--profiles", "profiles_path", type=click.Path(exists=True))
 @click.option("--output", "output_path", required=True, type=click.Path())
-@_guard
 def assign(metrics_path: str, profiles_path: str | None, output_path: str):
     """Direct-mode persona assignment: nearest centroid per individual."""
     vectors = read_metrics_csv(metrics_path)
@@ -228,7 +212,6 @@ def assign(metrics_path: str, profiles_path: str | None, output_path: str):
 @click.option("--output-dir", required=True, type=click.Path())
 @click.option("--exclude-bots", is_flag=True)
 @_bot_deny_list_option
-@_guard
 def report(archive_path: str, labels_path: str | None, output_dir: str,
            exclude_bots: bool, bot_deny_list: tuple[str, ...]):
     """Emit totals, UpSet counts, and composition from an archive."""
@@ -249,7 +232,6 @@ def report(archive_path: str, labels_path: str | None, output_dir: str,
 @click.option("--seed", default=0, show_default=True)
 @click.option("--metrics-output", required=True, type=click.Path())
 @click.option("--truth-output", type=click.Path())
-@_guard
 def simulate(profiles_path: str | None, count: int, noise_sd: float, seed: int,
              metrics_output: str, truth_output: str | None):
     """Generate synthetic metric vectors around persona centroids."""
@@ -274,7 +256,6 @@ def simulate(profiles_path: str | None, count: int, noise_sd: float, seed: int,
 @click.option("--k-max", default=10, show_default=True)
 @click.option("--profiles", "profiles_path", type=click.Path(exists=True))
 @_bot_deny_list_option
-@_guard
 def run(archive_path: str, output_dir: str, seed: int, exclude_bots: bool, k_min: int,
         k_max: int, profiles_path: str | None, bot_deny_list: tuple[str, ...]):
     """Run the full pipeline: metrics, clustering, stats, personas, reports."""

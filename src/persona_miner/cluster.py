@@ -117,8 +117,6 @@ def agglomerate(vectors) -> Dendrogram:
     n = rows.shape[0]
     if n < 1:
         raise DataValidationError("need at least one row")
-    if n == 1:
-        return Dendrogram(n_leaves=1, merges=())
 
     # squared Euclidean distances between current clusters; inf marks inactive
     work = _squared_distances(rows)

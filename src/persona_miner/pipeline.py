@@ -128,7 +128,7 @@ def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
 
     if len(members) >= 2 and all(len(m) >= 2 for m in members):
         for f_idx, name in enumerate(FEATURE_NAMES):
-            groups = [[rows[i, f_idx] for i in m] for m in members]
+            groups = [rows[m, f_idx] for m in members]
             block["anova"][name] = asdict(one_way_anova(groups))
             block["tukey"][name] = [asdict(p) for p in tukey_hsd(groups)]
     return block

@@ -63,6 +63,14 @@ def test_empty_file_rejected(tmp_path):
         load_archive(bad)
 
 
+def test_unparseable_header_rejected(fixture_archive_path, tmp_path):
+    lines = fixture_archive_path.read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(['{"format": "persona-miner-archive"', *lines[1:]]) + "\n")
+    with pytest.raises(ArchiveFormatError, match=re.escape(f"{bad}: unparseable header")):
+        load_archive(bad)
+
+
 def _without(key):
     def edit(obj):
         del obj[key]
@@ -95,10 +103,12 @@ def _with_payload(key, value):
     (3, _with_payload("changed_files", ["docs/guide.md", 7]),
      "changed_files must be a list of strings, not ['docs/guide.md', 7]"),
     (2, _with("actor", "b\ud800b"), "surrogates not allowed"),
+    (1, _with("type", "event"), "event before any repo marker"),
+    (2, _with("type", "comment"), "unknown line type 'comment'"),
 ], ids=["event-without-actor", "null-actor", "empty-actor", "int-actor", "unknown-kind",
         "not-an-object", "bad-timestamp", "marker-without-repo", "event-repo-mismatch",
         "null-message", "string-changed-files", "int-changed-file",
-        "lone-surrogate-actor"])
+        "lone-surrogate-actor", "event-before-marker", "unknown-line-type"])
 def test_bad_line_rejected_with_its_line_number(fixture_archive_path, tmp_path,
                                                 index, edit, reason):
     lines = fixture_archive_path.read_text().splitlines()

@@ -606,6 +606,7 @@ def test_bad_archive_exit_4(runner, fixture_archive_path, tmp_path):
         bad.write_text(text)
         for args in (["metrics", "--output", str(out)],
                      ["classify", "--output", str(out)],
+                     ["report", "--output-dir", str(tmp_path / "report")],
                      ["run", "--output-dir", str(tmp_path / "run")]):
             result = runner.invoke(main, [*args, "--archive", str(bad)])
             assert result.exit_code == 4

@@ -261,6 +261,18 @@ def test_read_metrics_csv_rejects_repeated_row(tmp_path, fixture_archive_path):
         read_metrics_csv(path)
 
 
+def test_read_metrics_csv_rejects_other_header(tmp_path, fixture_archive_path):
+    _individuals, vectors = metric_table(load_archive(fixture_archive_path))
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(vectors, path)
+    header, *rows = path.read_text("utf-8").splitlines(keepends=True)
+    for text in ("", "".join([header.replace("login", "user"), *rows])):
+        path.write_text(text, "utf-8")
+        with pytest.raises(DataValidationError,
+                           match=re.escape(f"{path}: unexpected metrics CSV header")):
+            read_metrics_csv(path)
+
+
 def test_read_metrics_csv_names_the_line_of_a_non_utf8_byte(tmp_path, fixture_archive_path):
     _individuals, vectors = metric_table(load_archive(fixture_archive_path))
     path = tmp_path / "metrics.csv"
