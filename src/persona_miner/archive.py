@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Union
 
-from .errors import ArchiveFormatError, DataValidationError, open_utf8
+from .errors import ArchiveFormatError, DataValidationError, open_utf8, write_utf8
 from .models import (
     CommitPayload,
     InteractionEvent,
@@ -77,13 +77,13 @@ def _event_from_obj(obj: dict) -> InteractionEvent:
 
 
 def save_archive(sets: list[InteractionSet], path: Union[str, Path]) -> None:
-    """Write interaction sets to ``path`` as a versioned JSON Lines archive;
-    a repo listed twice, which :func:`load_archive` rejects, raises first."""
+    """Write interaction sets to ``path`` as a versioned JSON Lines archive,
+    replacing it whole; a repo listed twice, which :func:`load_archive`
+    rejects, raises first."""
     repeated = [repo for repo, n in Counter(str(s.repo) for s in sets).items() if n > 1]
     if repeated:
         raise DataValidationError(f"repo {repeated[0]} is listed again")
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with write_utf8(path) as fh:
         fh.write(json.dumps({"format": ARCHIVE_FORMAT, "version": ARCHIVE_VERSION}))
         fh.write("\n")
         for iset in sets:

@@ -8,7 +8,6 @@ live fetches.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import sys
@@ -24,12 +23,19 @@ from .errors import (
     PersonaMinerError,
     RateBudgetError,
     RetryableFetchError,
+    write_csv,
 )
 from .github import GitHubClient
 from .metrics import metric_table, read_metrics_csv, write_metrics_csv
 from .models import RepoSlug
 from .personas import assign_persona, load_profiles, write_personas_csv
-from .pipeline import check_k_range, feature_matrix, run_pipeline, write_stats_json
+from .pipeline import (
+    check_k_range,
+    feature_matrix,
+    run_pipeline,
+    stats_block,
+    write_stats_json,
+)
 from .report import read_labels_csv, write_labels_csv, write_reports
 from .sampling import (
     apply_inclusion_criteria,
@@ -189,7 +195,7 @@ def analyze(metrics_path: str, labels_path: str, output_path: str):
     """Validate a clustering: PCA, feature importance, per-feature ANOVA/Tukey."""
     vectors = read_metrics_csv(metrics_path)
     labels = read_labels_csv(labels_path, vectors)
-    write_stats_json(feature_matrix(vectors), labels.members(), output_path)
+    write_stats_json(stats_block(feature_matrix(vectors), labels.members()), output_path)
     click.echo(f"analysis written to {output_path}")
 
 
@@ -215,12 +221,12 @@ def assign(metrics_path: str, profiles_path: str | None, output_path: str):
 def report(archive_path: str, labels_path: str | None, output_dir: str,
            exclude_bots: bool, bot_deny_list: tuple[str, ...]):
     """Emit totals, UpSet counts, and composition from an archive."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     individuals, _vectors = metric_table(load_archive(archive_path), exclude_bots,
                                          frozenset(bot_deny_list))
     labels = read_labels_csv(labels_path, individuals).labels if labels_path else \
         (0,) * len(individuals)
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_reports(individuals, labels, out)
     click.echo(f"reports written to {out}")
 
@@ -239,11 +245,8 @@ def simulate(profiles_path: str | None, count: int, noise_sd: float, seed: int,
                               noise_sd=noise_sd, seed=seed)
     write_metrics_csv(vectors, metrics_output)
     if truth_output:
-        with Path(truth_output).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["login", "archetype"])
-            for v, name in zip(vectors, truth):
-                writer.writerow([v.login, name])
+        write_csv(truth_output, ["login", "archetype"],
+                  ([v.login, name] for v, name in zip(vectors, truth)))
     click.echo(f"generated {len(vectors)} synthetic rows")
 
 

@@ -26,14 +26,13 @@ neighbour, and the search is skipped.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from .errors import DataValidationError
+from .errors import DataValidationError, write_json
 
 if TYPE_CHECKING:  # numpy is imported where it is used, keeping it off CLI start
     import numpy as np
@@ -49,7 +48,7 @@ class Dendrogram:
     def save_json(self, path: Union[str, Path]) -> None:
         obj = {"n_leaves": self.n_leaves,
                "merges": [[a, b, h, s] for a, b, h, s in self.merges]}
-        Path(path).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
+        write_json(path, obj)
 
 
 @dataclass(frozen=True)

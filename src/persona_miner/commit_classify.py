@@ -14,7 +14,6 @@ set; ``classify_commit`` always uses the shipped ones.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError, DataValidationError, write_csv
 from .models import CommitPayload, InteractionKind, InteractionSet
 
 
@@ -179,14 +178,7 @@ def classify_archive(sets: Iterable[InteractionSet]) -> list[CommitClassificatio
 
 def write_classification_csv(rows: list[CommitClassification],
                              path: Union[str, Path]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sha", "repo", "dev_type", "size_class", "activity_type"])
-        for r in rows:
-            writer.writerow([
-                r.sha,
-                r.repo,
-                r.dev_type.value,
-                r.size_class.value if r.size_class else "payload-absent",
-                r.activity_type,
-            ])
+    write_csv(path, ["sha", "repo", "dev_type", "size_class", "activity_type"], (
+        [r.sha, r.repo, r.dev_type.value,
+         r.size_class.value if r.size_class else "payload-absent", r.activity_type]
+        for r in rows))

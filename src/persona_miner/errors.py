@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the pipeline, and the UTF-8 text reader
-whose decoding errors name the line at fault."""
+"""Exception hierarchy shared across the pipeline, the UTF-8 text reader
+whose decoding errors name the line at fault, and the writers every output
+file goes through."""
 
 from __future__ import annotations
 
+import csv
+import json
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -55,3 +59,42 @@ def open_utf8(path, error: type[PersonaMinerError], newline: str | None = None):
                 except UnicodeDecodeError as line_exc:
                     raise error(f"{path}:{lineno}: not UTF-8 ({line_exc})") from exc
             raise error(f"{path}: not UTF-8 ({exc})") from exc
+
+
+@contextmanager
+def write_utf8(path, newline: str | None = None):
+    """Open ``path`` to write as UTF-8 text, replacing the file whole or not at
+    all: the text goes to a temporary file beside ``path``, which is renamed
+    onto it on a clean exit and removed on any exception. A symbolic link is
+    followed; a path naming anything but a regular file, or one beside which
+    no file can be made, raises :class:`ConfigError`."""
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        raise ConfigError(f"{path}: not a regular file")
+    target = target.resolve()
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc.strerror})") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as a CSV file."""
+    with write_utf8(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj, sort_keys: bool = False) -> None:
+    """Write ``obj`` as indented JSON and a final newline."""
+    with write_utf8(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")

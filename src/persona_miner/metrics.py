@@ -16,7 +16,7 @@ from datetime import date, timezone
 from pathlib import Path
 from typing import Iterable, Union
 
-from .errors import DataValidationError, open_utf8
+from .errors import DataValidationError, open_utf8, write_csv
 from .models import ALL_KINDS, InteractionKind, InteractionSet, RepoSlug
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -180,12 +180,9 @@ METRICS_CSV_COLUMNS: tuple[str, ...] = FEATURE_NAMES + ("repo", "login", "uit", 
 
 
 def write_metrics_csv(vectors: list[MetricVector], path: Union[str, Path]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_COLUMNS)
-        for v in vectors:
-            writer.writerow([*map(repr, v.features), str(v.repo), v.login, v.uit,
-                             "true" if v.is_bot_flagged else "false"])
+    write_csv(path, METRICS_CSV_COLUMNS, (
+        [*map(repr, v.features), str(v.repo), v.login, v.uit,
+         "true" if v.is_bot_flagged else "false"] for v in vectors))
 
 
 def check_row_once(first_lines: dict, key: tuple[str, str], path, line: int) -> None:

@@ -1,7 +1,7 @@
 """Core domain types for mined repository interaction data.
 
-Everything here is an immutable value object; instances are safe to share
-between threads and to round-trip through the archive format.
+Everything here is an immutable value object; instances round-trip through
+the archive format.
 """
 
 from __future__ import annotations

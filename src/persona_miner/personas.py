@@ -7,7 +7,6 @@ have no published reference values.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError, DataValidationError, write_csv
 from .metrics import MetricVector
 from .models import RepoSlug
 
@@ -130,11 +129,6 @@ def assign_persona(v: MetricVector,
 
 def write_personas_csv(assignments: Sequence[PersonaAssignment],
                        path: Union[str, Path]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["repo", "login", "persona", "distance", "cluster", "subcluster"])
-        for a in assignments:
-            cluster = a.cluster_path[0] if a.cluster_path else ""
-            sub = a.cluster_path[1] if a.cluster_path else ""
-            writer.writerow([str(a.repo), a.login, a.persona, repr(a.distance),
-                             cluster, sub])
+    write_csv(path, ["repo", "login", "persona", "distance", "cluster", "subcluster"], (
+        [str(a.repo), a.login, a.persona, repr(a.distance), *(a.cluster_path or ("", ""))]
+        for a in assignments))

@@ -19,7 +19,7 @@ from . import __version__
 from .archive import load_archive
 from .cluster import agglomerate, cut, select_k, subcluster
 from .commit_classify import classify_archive, write_classification_csv
-from .errors import ConfigError
+from .errors import ConfigError, write_json
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
 from .personas import (
     UNMATCHED_DISTANCE,
@@ -134,14 +134,14 @@ def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
     return block
 
 
-def write_stats_json(rows: np.ndarray, members: list[list[int]],
-                     path: Union[str, Path], diagnostics: Optional[dict] = None) -> None:
-    """Write stats.json: :func:`stats_block`, plus ``run``'s clustering
+def write_stats_json(block: dict, path: Union[str, Path],
+                     diagnostics: Optional[dict] = None) -> None:
+    """Write stats.json: a :func:`stats_block`, plus ``run``'s clustering
     diagnostics when given."""
-    obj = {"format": "persona-miner-stats", "version": 1, **stats_block(rows, members)}
+    obj = {"format": "persona-miner-stats", "version": 1, **block}
     if diagnostics is not None:
         obj["diagnostics"] = diagnostics
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", "utf-8")
+    write_json(path, obj, sort_keys=True)
 
 
 def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *,
@@ -157,44 +157,40 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     """
     started_at = datetime.now(timezone.utc)
     check_k_range(k_min, k_max)
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
+    # every result is computed before the output directory is made, so that an
+    # input the pipeline rejects, or a failing stage, leaves no output behind
     sets = load_archive(archive_path)
     individuals, vectors = metric_table(sets, exclude_bots=exclude_bots,
                                         bot_deny_list=frozenset(bot_deny_list))
-    # cluster before the first writer, so that a k range the data cannot
-    # hold fails with no partial output
     profiles = load_profiles(persona_profile_path)
     rows = feature_matrix(vectors)
     initial, sub_labels, assignments, diagnostics = cluster_and_label(
         vectors, profiles, rows, k_min=k_min, k_max=k_max)
     members = initial.members()
-
-    write_metrics_csv(vectors, out / "metrics.csv")
-    write_classification_csv(classify_archive(sets), out / "classification.csv")
-
-    agglomerate(rows).save_json(out / "dendrogram.json")
-
-    write_labels_csv(
-        [(v.repo, v.login, initial.labels[i], sub_labels[i])
-         for i, v in enumerate(vectors)],
-        out / "labels.csv",
-    )
-    write_personas_csv(assignments, out / "personas.csv")
-
+    classifications = classify_archive(sets)
+    dendro = agglomerate(rows)
     mrc = FEATURE_NAMES.index("mrc")
     levels = order_clusters_by_interactivity(
         {c: float(rows[m, mrc].mean()) for c, m in enumerate(members)},
         {c: len(m) for c, m in enumerate(members)},
     )
-    write_stats_json(rows, members, out / "stats.json", diagnostics={
+    stats = stats_block(rows, members)
+
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_metrics_csv(vectors, out / "metrics.csv")
+    write_classification_csv(classifications, out / "classification.csv")
+    dendro.save_json(out / "dendrogram.json")
+    write_labels_csv([(v.repo, v.login, initial.labels[i], sub_labels[i])
+                      for i, v in enumerate(vectors)], out / "labels.csv")
+    write_personas_csv(assignments, out / "personas.csv")
+    write_stats_json(stats, out / "stats.json", diagnostics={
         "initial_k": diagnostics["initial_k"],
         "ch_scores": {str(k): v for k, v in diagnostics["scores"].items()},
         "sub_k": {str(k): v for k, v in diagnostics["sub_k"].items()},
         "interactivity_levels": {str(k): v for k, v in (levels or {}).items()},
     })
-
     write_reports(individuals, initial.labels, out)
 
     # the config hash digests every setting but the output directory
@@ -219,8 +215,6 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
         "started_at": started_at.isoformat(),
         "finished_at": datetime.now(timezone.utc).isoformat(),
     }
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    write_json(out / "run_manifest.json", manifest, sort_keys=True)
 
     return len(vectors), diagnostics["initial_k"]

@@ -7,12 +7,11 @@ files; plot rendering is left to external tooling.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Sequence, Union
 
 from .cluster import ClusterLabels
-from .errors import DataValidationError, open_utf8
+from .errors import DataValidationError, open_utf8, write_csv, write_json
 from .metrics import RepoIndividual, check_row_once
 from .models import ALL_KINDS, InteractionKind, RepoSlug
 
@@ -60,12 +59,8 @@ def composition(individuals: Sequence[RepoIndividual], labels: Sequence[int],
 
 def write_totals_csv(totals: dict[InteractionKind, tuple[int, float]],
                      path: Union[str, Path]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interaction_type", "count", "percentage"])
-        for kind in ALL_KINDS:
-            count, pct = totals[kind]
-            writer.writerow([kind.value, count, repr(pct)])
+    write_csv(path, ["interaction_type", "count", "percentage"],
+              ([kind.value, totals[kind][0], repr(totals[kind][1])] for kind in ALL_KINDS))
 
 
 def write_upset_json(counts: dict[tuple[str, ...], int],
@@ -74,8 +69,8 @@ def write_upset_json(counts: dict[tuple[str, ...], int],
         {"combination": list(combo), "count": count}
         for combo, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
-    obj = {"format": "persona-miner-upset", "version": 1, "combinations": entries}
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
+    write_json(path, {"format": "persona-miner-upset", "version": 1,
+                      "combinations": entries})
 
 
 def write_composition_csv(rows: Sequence[tuple[RepoSlug, dict[int, int]]],
@@ -83,27 +78,18 @@ def write_composition_csv(rows: Sequence[tuple[RepoSlug, dict[int, int]]],
     """One row per (repo, {cluster: count}) pair; the first row also carries
     the fraction of repos with two or more clusters."""
     n_mixed = sum(len(clusters) >= 2 for _, clusters in rows)
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["repo", "clusters_present", "counts_per_cluster",
-                         "mixed_fraction"])
-        for i, (repo, clusters) in enumerate(rows):
-            writer.writerow([
-                str(repo),
-                ";".join(map(str, clusters)),
-                ";".join(f"{c}:{n}" for c, n in clusters.items()),
-                repr(n_mixed / len(rows)) if i == 0 else "",
-            ])
+    write_csv(path, ["repo", "clusters_present", "counts_per_cluster", "mixed_fraction"], (
+        [str(repo), ";".join(map(str, clusters)),
+         ";".join(f"{c}:{n}" for c, n in clusters.items()),
+         repr(n_mixed / len(rows)) if i == 0 else ""]
+        for i, (repo, clusters) in enumerate(rows)))
 
 
 def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
                      path: Union[str, Path]) -> None:
     """Rows are (repo, login, cluster, subcluster)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["repo", "login", "cluster", "subcluster"])
-        for repo, login, cluster, sub in rows:
-            writer.writerow([str(repo), login, cluster, sub])
+    write_csv(path, ["repo", "login", "cluster", "subcluster"],
+              ([str(repo), login, cluster, sub] for repo, login, cluster, sub in rows))
 
 
 def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLabels:

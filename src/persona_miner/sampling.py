@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError, DataValidationError, write_csv
 from .models import RepoSlug, RepoSummary, Visibility
 
 
@@ -138,12 +137,7 @@ def subsample(eligible: list[RepoSlug], fraction: float, seed: int) -> list[Repo
 def write_eligibility_report(decisions: list[EligibilityDecision],
                              path: Union[str, Path]) -> None:
     """Emit one CSV row per repo with a semicolon-joined failed-criteria column."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["repo", "eligible", "failed_criteria"])
-        for d in decisions:
-            writer.writerow([
-                str(d.slug),
-                "true" if d.eligible else "false",
-                ";".join(f"{cid}: {reason}" for cid, reason in d.failed_criteria),
-            ])
+    write_csv(path, ["repo", "eligible", "failed_criteria"], (
+        [str(d.slug), "true" if d.eligible else "false",
+         ";".join(f"{cid}: {reason}" for cid, reason in d.failed_criteria)]
+        for d in decisions))

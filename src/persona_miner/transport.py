@@ -1,4 +1,4 @@
-"""Minimal HTTP transport layer with retries and a shared token bucket.
+"""Minimal HTTP transport layer with retries and a token bucket.
 
 Clients are written against the tiny :class:`Transport` protocol so tests can
 substitute canned fixture responses without a network stack.
@@ -6,7 +6,6 @@ substitute canned fixture responses without a network stack.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -31,7 +30,7 @@ class Transport(Protocol):
 
 
 class TokenBucket:
-    """Thread-safe token bucket limiting request rate across fetchers."""
+    """Token bucket limiting the request rate of a fetch."""
 
     def __init__(self, capacity: float, refill_per_sec: float,
                  clock: Callable[[], float] = time.monotonic,
@@ -42,21 +41,19 @@ class TokenBucket:
         self._last = clock()
         self._clock = clock
         self._sleep = sleep
-        self._lock = threading.Lock()
 
     def acquire(self) -> None:
         while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(
-                    self.capacity,
-                    self._tokens + (now - self._last) * self.refill_per_sec,
-                )
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.refill_per_sec
+            now = self._clock()
+            self._tokens = min(
+                self.capacity,
+                self._tokens + (now - self._last) * self.refill_per_sec,
+            )
+            self._last = now
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
+                return
+            wait = (1.0 - self._tokens) / self.refill_per_sec
             self._sleep(wait)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persona_miner import archive
 from persona_miner.archive import load_archive, save_archive
 from persona_miner.errors import ArchiveFormatError, DataValidationError
 
@@ -172,6 +173,27 @@ def test_save_archive_rejects_repeated_repo(fixture_archive_path, tmp_path):
                        match=re.escape("repo astro-lab/spectra is listed again")):
         save_archive(sets + sets[:1], out)
     assert not out.exists()
+
+
+def test_save_archive_failing_partway_keeps_the_old_archive(fixture_archive_path,
+                                                            tmp_path, monkeypatch):
+    # an interrupted save, such as a fetch stopped midway, loses no archive
+    sets = load_archive(fixture_archive_path)
+    out = tmp_path / "archive.jsonl"
+    save_archive(sets, out)
+    to_obj, calls = archive._event_to_obj, []
+
+    def failing(repo, ev):
+        calls.append(ev)
+        if len(calls) == 150:
+            raise KeyboardInterrupt
+        return to_obj(repo, ev)
+
+    monkeypatch.setattr(archive, "_event_to_obj", failing)
+    with pytest.raises(KeyboardInterrupt):
+        save_archive(sets[1:], out)
+    assert out.read_bytes() == fixture_archive_path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["archive.jsonl"]
 
 
 def test_truncated_archive_rejected(fixture_archive_path, tmp_path):

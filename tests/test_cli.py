@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import persona_miner
+from persona_miner import pipeline
 from persona_miner.cli import main
 
 
@@ -663,7 +664,7 @@ def test_two_individuals_exit_4_for_run_and_cluster(runner, tmp_path):
                                   "--output-dir", str(out)])
     assert result.exit_code == 4
     assert "error: empty k range [2, 1]" in result.output
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
     metrics = tmp_path / "metrics.csv"
     _invoke(runner, ["metrics", "--archive", str(archive), "--output", str(metrics)])
@@ -728,4 +729,56 @@ def test_run_k_min_above_rows_fails_before_output(runner, fixture_archive_path,
                                   "--output-dir", str(out)])
     assert result.exit_code == 4
     assert "error: empty k range [11, 10]" in result.output
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_run_failing_stage_writes_nothing(runner, fixture_archive_path, tmp_path,
+                                          monkeypatch):
+    # every result is computed before the first file is written
+    def failing(rows, members):
+        raise ArithmeticError("no convergence")
+
+    out = tmp_path / "out"
+    args = ["run", "--archive", str(fixture_archive_path), "--output-dir", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "stats_block", failing)
+        result = runner.invoke(main, args)
+    assert isinstance(result.exception, ArithmeticError)
+    assert not out.exists()
+
+    # over an earlier run's outputs, a failing run leaves them as they were
+    _invoke(runner, [*args, "--exclude-bots"])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(pipeline, "stats_block", failing)
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, ArithmeticError)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_report_repo_listed_twice_writes_nothing(runner, fixture_archive_path, tmp_path):
+    lines = fixture_archive_path.read_text().splitlines()
+    marker_at = max(i for i, line in enumerate(lines) if '"type": "repo"' in line)
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text("\n".join([*lines, *lines[marker_at:]]) + "\n")
+    out = tmp_path / "report"
+    result = runner.invoke(main, ["report", "--archive", str(twice),
+                                  "--output-dir", str(out)])
+    assert result.exit_code == 4
+    assert "is listed again" in result.output
+    assert not out.exists()
+
+
+def test_output_path_not_a_regular_file_exit_2(runner, fixture_archive_path, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    result = runner.invoke(main, ["metrics", "--archive", str(fixture_archive_path),
+                                  "--output", str(fifo)])
+    assert result.exit_code == 2
+    assert f"error: {fifo}: not a regular file" in result.output
+    missing = tmp_path / "missing" / "metrics.csv"
+    result = runner.invoke(main, ["metrics", "--archive", str(fixture_archive_path),
+                                  "--output", str(missing)])
+    assert result.exit_code == 2
+    assert f"error: {missing}: cannot write" in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+    assert fifo.is_fifo()

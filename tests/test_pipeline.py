@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -149,3 +150,38 @@ def test_stats_json_structure(fixture_archive_path, tmp_path):
     assert len(ratios) == 3
     assert all(0.0 <= r <= 1.0 for r in ratios)
     assert len(stats["feature_importance"][0]) == 10
+
+
+# run outputs that hold no archive order; classification.csv holds one row per
+# commit event, in the archive's event order
+ORDER_FREE_FILES = ("metrics.csv", "labels.csv", "personas.csv", "stats.json",
+                    "dendrogram.json", "totals.csv", "upset.json", "composition.csv")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_run_outputs_ignore_archive_order(fixture_archive_path, tmp_path, seed):
+    # shuffle the repo blocks, and the events within each repo
+    header, *lines = fixture_archive_path.read_text("utf-8").splitlines()
+    blocks = []
+    for line in lines:
+        if json.loads(line)["type"] == "repo":
+            blocks.append((line, []))
+        else:
+            blocks[-1][1].append(line)
+    rng = random.Random(seed)
+    rng.shuffle(blocks)
+    for _marker, events in blocks:
+        rng.shuffle(events)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("\n".join([header, *(line for marker, events in blocks
+                                              for line in (marker, *events))]) + "\n",
+                        "utf-8")
+    assert shuffled.read_bytes() != fixture_archive_path.read_bytes()
+
+    original, _ = _run(fixture_archive_path, tmp_path, "original", exclude_bots=True)
+    permuted, _ = _run(shuffled, tmp_path, "shuffled", exclude_bots=True)
+    for name in ORDER_FREE_FILES:
+        assert (permuted / name).read_bytes() == (original / name).read_bytes(), name
+    classified = [sorted((out / "classification.csv").read_text("utf-8").splitlines())
+                  for out in (original, permuted)]
+    assert classified[0] == classified[1]
