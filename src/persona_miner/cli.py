@@ -54,6 +54,8 @@ EXIT_DATA = 4
 _bot_deny_list_option = click.option(
     "--bot-deny-list", multiple=True, metavar="LOGIN",
     help="A login flagged as a bot besides those ending in [bot]; repeatable.")
+# every input option names an existing file: a directory there is exit 2
+_input_file = click.Path(exists=True, dir_okay=False)
 
 
 class _MainGroup(click.Group):
@@ -122,7 +124,7 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
 
 
 @main.command("filter")
-@click.option("--summaries", "summaries_path", required=True, type=click.Path(exists=True),
+@click.option("--summaries", "summaries_path", required=True, type=_input_file,
               help="JSON list of repo summaries to evaluate.")
 @click.option("--fraction", default=1.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -140,7 +142,7 @@ def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str
 
 
 @main.command()
-@click.option("--archive", "archive_path", required=True, type=click.Path(exists=True))
+@click.option("--archive", "archive_path", required=True, type=_input_file)
 @click.option("--output", "output_path", required=True, type=click.Path())
 @click.option("--exclude-bots", is_flag=True)
 @_bot_deny_list_option
@@ -154,7 +156,7 @@ def metrics(archive_path: str, output_path: str, exclude_bots: bool,
 
 
 @main.command()
-@click.option("--archive", "archive_path", required=True, type=click.Path(exists=True))
+@click.option("--archive", "archive_path", required=True, type=_input_file)
 @click.option("--output", "output_path", required=True, type=click.Path())
 def classify(archive_path: str, output_path: str):
     """Classify commits by message, size, and changed-file types."""
@@ -164,7 +166,7 @@ def classify(archive_path: str, output_path: str):
 
 
 @main.command()
-@click.option("--metrics", "metrics_path", required=True, type=click.Path(exists=True))
+@click.option("--metrics", "metrics_path", required=True, type=_input_file)
 @click.option("--k-min", default=2, show_default=True)
 @click.option("--k-max", default=10, show_default=True)
 @click.option("--labels-output", required=True, type=click.Path())
@@ -188,8 +190,8 @@ def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
 
 
 @main.command()
-@click.option("--metrics", "metrics_path", required=True, type=click.Path(exists=True))
-@click.option("--labels", "labels_path", required=True, type=click.Path(exists=True))
+@click.option("--metrics", "metrics_path", required=True, type=_input_file)
+@click.option("--labels", "labels_path", required=True, type=_input_file)
 @click.option("--output", "output_path", required=True, type=click.Path())
 def analyze(metrics_path: str, labels_path: str, output_path: str):
     """Validate a clustering: PCA, feature importance, per-feature ANOVA/Tukey."""
@@ -200,8 +202,8 @@ def analyze(metrics_path: str, labels_path: str, output_path: str):
 
 
 @main.command()
-@click.option("--metrics", "metrics_path", required=True, type=click.Path(exists=True))
-@click.option("--profiles", "profiles_path", type=click.Path(exists=True))
+@click.option("--metrics", "metrics_path", required=True, type=_input_file)
+@click.option("--profiles", "profiles_path", type=_input_file)
 @click.option("--output", "output_path", required=True, type=click.Path())
 def assign(metrics_path: str, profiles_path: str | None, output_path: str):
     """Direct-mode persona assignment: nearest centroid per individual."""
@@ -213,8 +215,8 @@ def assign(metrics_path: str, profiles_path: str | None, output_path: str):
 
 
 @main.command()
-@click.option("--archive", "archive_path", required=True, type=click.Path(exists=True))
-@click.option("--labels", "labels_path", type=click.Path(exists=True))
+@click.option("--archive", "archive_path", required=True, type=_input_file)
+@click.option("--labels", "labels_path", type=_input_file)
 @click.option("--output-dir", required=True, type=click.Path())
 @click.option("--exclude-bots", is_flag=True)
 @_bot_deny_list_option
@@ -232,7 +234,7 @@ def report(archive_path: str, labels_path: str | None, output_dir: str,
 
 
 @main.command()
-@click.option("--profiles", "profiles_path", type=click.Path(exists=True))
+@click.option("--profiles", "profiles_path", type=_input_file)
 @click.option("--count", default=200, show_default=True, help="Rows per profile.")
 @click.option("--noise-sd", default=2.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -251,13 +253,13 @@ def simulate(profiles_path: str | None, count: int, noise_sd: float, seed: int,
 
 
 @main.command()
-@click.option("--archive", "archive_path", required=True, type=click.Path(exists=True))
+@click.option("--archive", "archive_path", required=True, type=_input_file)
 @click.option("--output-dir", default="out", show_default=True, type=click.Path())
 @click.option("--seed", default=0, show_default=True, help="Recorded in the run manifest.")
 @click.option("--exclude-bots", is_flag=True)
 @click.option("--k-min", default=2, show_default=True)
 @click.option("--k-max", default=10, show_default=True)
-@click.option("--profiles", "profiles_path", type=click.Path(exists=True))
+@click.option("--profiles", "profiles_path", type=_input_file)
 @_bot_deny_list_option
 def run(archive_path: str, output_dir: str, seed: int, exclude_bots: bool, k_min: int,
         k_max: int, profiles_path: str | None, bot_deny_list: tuple[str, ...]):

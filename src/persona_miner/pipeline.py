@@ -1,8 +1,8 @@
 """End-to-end orchestration: archive in, report directory out.
 
-Each stage persists its output file so expensive steps never repeat; a rerun
-with the same archive and settings yields byte-identical outputs except
-for the timestamps inside run_manifest.json.
+``run_pipeline`` computes every result, then writes every output file; a run
+caches nothing and repeats every stage. A rerun with the same archive and
+settings yields byte-identical outputs but for run_manifest.json's timestamps.
 """
 
 from __future__ import annotations
@@ -62,48 +62,35 @@ def cluster_and_label(
     """Cluster, sub-cluster, and label sub-cluster centroids with personas.
 
     ``rows`` is ``feature_matrix(vectors)``. Returns (initial_labels,
-    sub_labels, assignments, diagnostics). Inputs are percentages already; no
-    standardization is applied before clustering.
+    sub_labels, assignments, diagnostics), ``diagnostics`` in the shape
+    stats.json writes: ``initial_k``, the CH score of each k as ``ch_scores``
+    and each parent's sub-cluster count as ``sub_k``, both keyed by strings.
+    Inputs are percentages already; no standardization is applied before
+    clustering.
     """
     k_best, scores = select_k(rows, k_min=k_min, k_max=k_max)
-    dendro = agglomerate(rows)
-    initial = cut(dendro, k_best)
+    initial = cut(agglomerate(rows), k_best)
 
     sub_labels = [0] * len(vectors)
-    sub_k: dict[int, int] = {}
+    assignments: list[PersonaAssignment] = [None] * len(vectors)
+    sub_k: dict[str, int] = {}
     for parent, members in enumerate(initial.members()):
         result = subcluster(rows[members], k_min=k_min, k_max=k_max)
-        for local, global_idx in enumerate(members):
-            sub_labels[global_idx] = result.labels[local]
-        sub_k[parent] = result.k
+        sub_k[str(parent)] = result.k
+        for sub, local in enumerate(result.members()):
+            group = [members[j] for j in local]
+            name, dist = label_subcluster(
+                tuple(float(x) for x in rows[group, :6].mean(axis=0)),
+                profiles, max_distance=UNMATCHED_DISTANCE)
+            for i in group:
+                sub_labels[i] = sub
+                assignments[i] = PersonaAssignment(
+                    repo=vectors[i].repo, login=vectors[i].login, persona=name,
+                    distance=dist, cluster_path=(parent, sub))
 
-    assignments = _assign_by_centroid(vectors, rows, initial.labels, tuple(sub_labels),
-                                      profiles)
-    diagnostics = {"initial_k": k_best, "scores": scores, "sub_k": sub_k}
+    diagnostics = {"initial_k": k_best, "sub_k": sub_k,
+                   "ch_scores": {str(k): v for k, v in scores.items()}}
     return initial, tuple(sub_labels), assignments, diagnostics
-
-
-def _assign_by_centroid(vectors, rows, initial_labels, sub_labels,
-                        profiles) -> list[PersonaAssignment]:
-    groups: dict[tuple[int, int], list[int]] = {}
-    for idx, path in enumerate(zip(initial_labels, sub_labels)):
-        groups.setdefault(path, []).append(idx)
-
-    labels_by_group = {
-        path: label_subcluster(tuple(float(x) for x in rows[members, :6].mean(axis=0)),
-                               profiles, max_distance=UNMATCHED_DISTANCE)
-        for path, members in groups.items()
-    }
-
-    assignments = []
-    for idx, v in enumerate(vectors):
-        path = (initial_labels[idx], sub_labels[idx])
-        name, dist = labels_by_group[path]
-        assignments.append(PersonaAssignment(
-            repo=v.repo, login=v.login, persona=name, distance=dist,
-            cluster_path=path,
-        ))
-    return assignments
 
 
 def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
@@ -185,12 +172,8 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     write_labels_csv([(v.repo, v.login, initial.labels[i], sub_labels[i])
                       for i, v in enumerate(vectors)], out / "labels.csv")
     write_personas_csv(assignments, out / "personas.csv")
-    write_stats_json(stats, out / "stats.json", diagnostics={
-        "initial_k": diagnostics["initial_k"],
-        "ch_scores": {str(k): v for k, v in diagnostics["scores"].items()},
-        "sub_k": {str(k): v for k, v in diagnostics["sub_k"].items()},
-        "interactivity_levels": {str(k): v for k, v in (levels or {}).items()},
-    })
+    diagnostics["interactivity_levels"] = {str(k): v for k, v in (levels or {}).items()}
+    write_stats_json(stats, out / "stats.json", diagnostics=diagnostics)
     write_reports(individuals, initial.labels, out)
 
     # the config hash digests every setting but the output directory

@@ -104,7 +104,7 @@ class RequestsTransport:
                 last_error = exc
                 continue
 
-            headers = {k: v for k, v in resp.headers.items()}
+            headers = resp.headers  # not copied: it matches header names in any case
             if resp.status_code == 403 and headers.get("X-RateLimit-Remaining") == "0":
                 raise RateBudgetError(
                     f"rate limit exhausted for {url}",

@@ -782,3 +782,33 @@ def test_output_path_not_a_regular_file_exit_2(runner, fixture_archive_path, tmp
     assert f"error: {missing}: cannot write" in result.output
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
     assert fifo.is_fifo()
+
+
+_INPUT_OPTIONS = {
+    "filter": ["--summaries"], "metrics": ["--archive"], "classify": ["--archive"],
+    "cluster": ["--metrics"], "analyze": ["--metrics", "--labels"],
+    "assign": ["--metrics", "--profiles"], "report": ["--archive", "--labels"],
+    "simulate": ["--profiles"], "run": ["--archive", "--profiles"],
+}
+_OUTPUT_OPTION = {"filter": "--output", "metrics": "--output", "classify": "--output",
+                  "cluster": "--labels-output", "analyze": "--output", "assign": "--output",
+                  "report": "--output-dir", "simulate": "--metrics-output",
+                  "run": "--output-dir"}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in _INPUT_OPTIONS.items() for option in options])
+def test_input_path_naming_a_directory_exit_2(runner, fixture_archive_path, tmp_path,
+                                              command, option):
+    # every other input option names an existing file, so only this one is refused
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    args = [command, _OUTPUT_OPTION[command], str(tmp_path / "out")]
+    for name in _INPUT_OPTIONS[command]:
+        args += [name, str(folder if name == option else fixture_archive_path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert "is a directory" in result.output
+    assert list(tmp_path.iterdir()) == [folder]
+    assert list(folder.iterdir()) == []

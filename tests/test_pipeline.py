@@ -185,3 +185,30 @@ def test_run_outputs_ignore_archive_order(fixture_archive_path, tmp_path, seed):
     classified = [sorted((out / "classification.csv").read_text("utf-8").splitlines())
                   for out in (original, permuted)]
     assert classified[0] == classified[1]
+
+
+@pytest.mark.parametrize("exclude_bots", [False, True], ids=["all", "exclude-bots"])
+def test_run_outputs_ignore_doubled_events(fixture_archive_path, tmp_path, exclude_bots):
+    # every event twice: the copy at the same time, under a fresh subject_id
+    header, *lines = fixture_archive_path.read_text("utf-8").splitlines()
+    doubled_lines = [header]
+    for line in lines:
+        record = json.loads(line)
+        if record["type"] == "repo":
+            doubled_lines.append(json.dumps({**record, "n_events": 2 * record["n_events"]}))
+        else:
+            doubled_lines += [line, json.dumps(
+                {**record, "subject_id": record["subject_id"] + "-dup"})]
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("\n".join(doubled_lines) + "\n", "utf-8")
+
+    single, _ = _run(fixture_archive_path, tmp_path, "single", exclude_bots=exclude_bots)
+    twice, _ = _run(doubled, tmp_path, "doubled", exclude_bots=exclude_bots)
+    for name in ORDER_FREE_FILES:
+        if name != "totals.csv":
+            assert (twice / name).read_bytes() == (single / name).read_bytes(), name
+    totals = [list(csv.reader((out / "totals.csv").open(encoding="utf-8", newline="")))
+              for out in (single, twice)]
+    assert totals[1][0] == totals[0][0]
+    assert [(kind, int(count) * 2, share) for kind, count, share in totals[0][1:]] == \
+        [(kind, int(count), share) for kind, count, share in totals[1][1:]]

@@ -127,3 +127,31 @@ def test_connection_error_retried():
     effects = [requests.ConnectionError("boom"), _resp(200, json_body={})]
     with mock.patch("requests.get", side_effect=effects):
         assert transport.get("https://api.example/x").status == 200
+
+
+def _resp_any_case(status, headers, json_body=None):
+    """A response whose headers match names in any case, as requests' do."""
+    from requests.structures import CaseInsensitiveDict
+
+    return _resp(status, headers=CaseInsensitiveDict(headers), json_body=json_body)
+
+
+def test_primary_rate_limit_read_from_lower_case_headers():
+    headers = {"x-ratelimit-remaining": "0", "x-ratelimit-reset": "1717200000"}
+    transport = RequestsTransport(sleep=lambda s: None)
+    with mock.patch("requests.get", return_value=_resp_any_case(403, headers)):
+        with pytest.raises(RateBudgetError) as excinfo:
+            transport.get("https://api.example/x")
+    assert excinfo.value.reset_at == "1717200000"
+
+
+@pytest.mark.parametrize("status", [429, 403])
+def test_lower_case_retry_after_is_honoured(status):
+    sleeps = []
+    transport = RequestsTransport(sleep=sleeps.append)
+    responses = [_resp_any_case(status, {"retry-after": "7"}),
+                 _resp_any_case(200, {}, json_body={})]
+    with mock.patch("requests.get", side_effect=responses):
+        response = transport.get("https://api.example/x")
+    assert response.status == 200
+    assert sleeps == [7.0]
