@@ -105,10 +105,10 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
     """Load an archive written by :func:`save_archive`.
 
     Raises :class:`ArchiveFormatError` on a missing/unknown header, and with
-    the ``path:line`` at fault on a malformed line (a string holding an
-    unpaired surrogate among them), a byte that is not UTF-8, an event whose
-    repo is not its marker's, a repo whose event count is not its
-    ``n_events``, or a second marker for one repo.
+    the ``path:line`` at fault on a malformed line (a field of the wrong type,
+    or a string holding an unpaired surrogate, among them), a byte that is not
+    UTF-8, an event whose repo is not its marker's, a repo whose event count is
+    not its ``n_events``, or a second marker for one repo.
     """
     path = Path(path)
     with open_utf8(path, ArchiveFormatError) as fh:
@@ -158,6 +158,13 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                 if kind == "repo":
                     close_repo()
                     marker_at, repo, n_events = lineno, obj["repo"], obj["n_events"]
+                    incomplete = obj.get("incomplete", False)
+                    if type(n_events) is not int:  # not a float, nor a bool
+                        raise DataValidationError(
+                            f"n_events must be an integer, not {n_events!r}")
+                    if type(incomplete) is not bool:
+                        raise DataValidationError(
+                            f"incomplete must be true or false, not {incomplete!r}")
                     if marker_lines.setdefault(repo, lineno) != lineno:
                         raise ArchiveFormatError(
                             f"{path}:{lineno}: repo {repo} is listed again; its first "
@@ -167,7 +174,7 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                         repo=RepoSlug.parse(repo),
                         events=(),
                         fetched_at=parse_utc(obj["fetched_at"]),
-                        incomplete=bool(obj.get("incomplete", False)),
+                        incomplete=incomplete,
                     )
                 elif kind == "event":
                     if head is None:

@@ -56,6 +56,8 @@ _bot_deny_list_option = click.option(
     help="A login flagged as a bot besides those ending in [bot]; repeatable.")
 # every input option names an existing file: a directory there is exit 2
 _input_file = click.Path(exists=True, dir_okay=False)
+# and an output directory that exists as a file is exit 2, before anything is read
+_output_dir = click.Path(file_okay=False)
 
 
 class _MainGroup(click.Group):
@@ -133,9 +135,9 @@ def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str
     """Apply the seven inclusion criteria and seeded sub-sampling."""
     decisions = [apply_inclusion_criteria(summary)
                  for summary in load_repo_summaries(summaries_path)]
-    write_eligibility_report(decisions, output_path)
     eligible = [d.slug for d in decisions if d.eligible]
     picked = subsample(eligible, fraction, seed)
+    write_eligibility_report(decisions, output_path)
     click.echo(f"{len(eligible)} eligible; sampled {len(picked)}")
     for slug in picked:
         click.echo(str(slug))
@@ -217,7 +219,7 @@ def assign(metrics_path: str, profiles_path: str | None, output_path: str):
 @main.command()
 @click.option("--archive", "archive_path", required=True, type=_input_file)
 @click.option("--labels", "labels_path", type=_input_file)
-@click.option("--output-dir", required=True, type=click.Path())
+@click.option("--output-dir", required=True, type=_output_dir)
 @click.option("--exclude-bots", is_flag=True)
 @_bot_deny_list_option
 def report(archive_path: str, labels_path: str | None, output_dir: str,
@@ -254,7 +256,7 @@ def simulate(profiles_path: str | None, count: int, noise_sd: float, seed: int,
 
 @main.command()
 @click.option("--archive", "archive_path", required=True, type=_input_file)
-@click.option("--output-dir", default="out", show_default=True, type=click.Path())
+@click.option("--output-dir", default="out", show_default=True, type=_output_dir)
 @click.option("--seed", default=0, show_default=True, help="Recorded in the run manifest.")
 @click.option("--exclude-bots", is_flag=True)
 @click.option("--k-min", default=2, show_default=True)

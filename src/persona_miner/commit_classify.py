@@ -65,44 +65,20 @@ class KeywordTable:
                 seen[stem] = dev_type
 
 
-@dataclass(frozen=True)
-class ActivityRule:
-    category: str
-    patterns: tuple[re.Pattern, ...]
+def _data(name: str) -> dict:
+    return json.loads(
+        resources.files("persona_miner.data").joinpath(name).read_text("utf-8"))
 
 
-@dataclass(frozen=True)
-class ActivityRules:
-    rules: tuple[ActivityRule, ...]
-    fallback: str = "unknown"
-
-
-def _data_text(name: str) -> str:
-    return resources.files("persona_miner.data").joinpath(name).read_text("utf-8")
-
-
-def load_keyword_table() -> KeywordTable:
-    raw = json.loads(_data_text("commit_keywords.json"))
-    return KeywordTable(stems=tuple(
-        (DevelopmentType(name), tuple(words)) for name, words in raw["stems"].items()
-    ))
-
-
-def load_activity_rules() -> ActivityRules:
-    raw = json.loads(_data_text("activity_rules.json"))
-    return ActivityRules(
-        rules=tuple(
-            ActivityRule(category=entry["category"],
-                         patterns=tuple(re.compile(pattern, re.IGNORECASE)
-                                        for pattern in entry["patterns"]))
-            for entry in raw["rules"]
-        ),
-        fallback=raw["fallback"],
-    )
-
-
-DEFAULT_KEYWORD_TABLE = load_keyword_table()
-DEFAULT_ACTIVITY_RULES = load_activity_rules()
+DEFAULT_KEYWORD_TABLE = KeywordTable(stems=tuple(
+    (DevelopmentType(name), tuple(words))
+    for name, words in _data("commit_keywords.json")["stems"].items()))
+_activity = _data("activity_rules.json")
+# (category, pattern) in file order; a rule's patterns become one alternation
+DEFAULT_ACTIVITY_RULES = tuple((rule["category"], re.compile(
+    "|".join(f"(?:{p})" for p in rule["patterns"]), re.IGNORECASE))
+    for rule in _activity["rules"])
+ACTIVITY_FALLBACK = _activity["fallback"]
 
 
 def classify_message(message: str,
@@ -135,13 +111,13 @@ def classify_size(n_files: int) -> SizeClass:
 
 
 def classify_files(paths: list[str],
-                   rules: ActivityRules = DEFAULT_ACTIVITY_RULES) -> str:
+                   rules: tuple[tuple[str, re.Pattern], ...] = DEFAULT_ACTIVITY_RULES,
+                   ) -> str:
     """First rule (in declared order) matched by ANY path wins; else fallback."""
-    for rule in rules.rules:
-        for pattern in rule.patterns:
-            if any(pattern.search(p) for p in paths):
-                return rule.category
-    return rules.fallback
+    for category, pattern in rules:
+        if any(pattern.search(p) for p in paths):
+            return category
+    return ACTIVITY_FALLBACK
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,9 @@ class InteractionEvent:
         if not isinstance(self.actor, str) or not self.actor:
             raise DataValidationError(
                 f"actor must be a non-empty string, not {self.actor!r}")
-        if not self.subject_id:
-            raise DataValidationError("subject_id must be non-empty")
+        if not isinstance(self.subject_id, str) or not self.subject_id:
+            raise DataValidationError(
+                f"subject_id must be a non-empty string, not {self.subject_id!r}")
         if self.timestamp.tzinfo is None:
             raise DataValidationError("timestamps must be timezone-aware")
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
 from typing import Any, Callable, Optional, Protocol
 
 from .errors import RateBudgetError, RetryableFetchError
@@ -64,6 +63,8 @@ def _retry_after(value: Optional[str], backoff: float) -> float:
         return max(0.0, float(value))
     except (TypeError, ValueError):
         pass
+    from email.utils import parsedate_to_datetime
+
     try:
         until = parsedate_to_datetime(value)
     except (TypeError, ValueError):

@@ -16,7 +16,7 @@ import scipy.stats
 
 from persona_miner.cluster import agglomerate, select_k
 from persona_miner.commit_classify import (
-    ActivityRules,
+    ACTIVITY_FALLBACK,
     DEFAULT_ACTIVITY_RULES,
     DevelopmentType,
     classify_commit,
@@ -226,8 +226,8 @@ def test_criterion_6_anova_and_tukey():
 # -- criterion 7: commit classification ------------------------------------
 
 def test_criterion_7_classification_totality_and_order(fixture_archive_path):
-    categories = {r.category for r in DEFAULT_ACTIVITY_RULES.rules} | {
-        DEFAULT_ACTIVITY_RULES.fallback}
+    categories = {category for category, _ in DEFAULT_ACTIVITY_RULES} | {
+        ACTIVITY_FALLBACK}
     n_commits = 0
     for iset in load_archive(fixture_archive_path):
         for ev in iset.events:
@@ -242,13 +242,9 @@ def test_criterion_7_classification_totality_and_order(fixture_archive_path):
     assert classify_message("") is DevelopmentType.UNCLASSIFIED
 
     rules = DEFAULT_ACTIVITY_RULES
-    doc_idx = next(i for i, r in enumerate(rules.rules)
-                   if r.category == "documentation")
-    reordered = ActivityRules(
-        rules=(rules.rules[doc_idx],)
-        + tuple(r for i, r in enumerate(rules.rules) if i != doc_idx),
-        fallback=rules.fallback,
-    )
+    doc_idx = next(i for i, (category, _) in enumerate(rules)
+                   if category == "documentation")
+    reordered = (rules[doc_idx],) + tuple(r for i, r in enumerate(rules) if i != doc_idx)
     multi = ["docs/guide.md", "src/main.c"]
     assert classify_files(multi, rules) == "code"
     assert classify_files(multi, reordered) == "documentation"

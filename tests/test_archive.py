@@ -2,11 +2,13 @@ import json
 import re
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persona_miner import archive
 from persona_miner.archive import load_archive, save_archive
+from persona_miner.cli import main
 from persona_miner.errors import ArchiveFormatError, DataValidationError
 
 from conftest import interaction_sets
@@ -120,6 +122,35 @@ def test_bad_line_rejected_with_its_line_number(fixture_archive_path, tmp_path,
         load_archive(bad)
     assert str(info.value).startswith(f"{bad}:{index + 1}: ")
     assert reason in str(info.value)
+
+
+@pytest.mark.parametrize("index, key, value, reason", [
+    (1, "incomplete", "false", "incomplete must be true or false, not 'false'"),
+    (1, "incomplete", 0, "incomplete must be true or false, not 0"),
+    (1, "incomplete", None, "incomplete must be true or false, not None"),
+    (1, "n_events", 112.0, "n_events must be an integer, not 112.0"),
+    (1, "n_events", True, "n_events must be an integer, not True"),
+    (1, "n_events", "112", "n_events must be an integer, not '112'"),
+    (2, "subject_id", ["pr6"], "subject_id must be a non-empty string, not ['pr6']"),
+    (2, "subject_id", 6, "subject_id must be a non-empty string, not 6"),
+    (2, "subject_id", "", "subject_id must be a non-empty string, not ''"),
+], ids=["string-incomplete", "int-incomplete", "null-incomplete", "float-n-events",
+        "bool-n-events", "string-n-events", "list-subject-id", "int-subject-id",
+        "empty-subject-id"])
+def test_field_of_the_wrong_type_exit_4(fixture_archive_path, tmp_path,
+                                        index, key, value, reason):
+    # neither coerced nor carried into an output: the line at fault is named
+    lines = fixture_archive_path.read_text().splitlines()
+    lines[index] = json.dumps({**json.loads(lines[index]), key: value})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "classification.csv"
+    result = CliRunner().invoke(main, ["classify", "--archive", str(bad),
+                                       "--output", str(out)])
+    assert result.exit_code == 4
+    assert f"error: {bad}:{index + 1}: malformed line (" in result.output
+    assert reason in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("index", [1, 2], ids=["marker", "event"])

@@ -67,11 +67,14 @@ def test_cli_import_loads_no_numpy():
               "personas", "stats", "report")
     code = ("import json, sys, persona_miner.cli; print(json.dumps(["
             "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'), "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'email'), "
             f"[m for m in {layers!r} if 'persona_miner.' + m not in sys.modules]]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    numpy_modules, missing_layers = json.loads(proc.stdout)
+    numpy_modules, email_modules, missing_layers = json.loads(proc.stdout)
     assert numpy_modules == []
+    # only fetch's Retry-After date parsing needs email.utils, which loads socket
+    assert email_modules == []
     # perfbench's tracer wraps the layer functions it finds in sys.modules right
     # after importing the cli, so the cli must keep importing every layer
     assert missing_layers == []
@@ -450,6 +453,19 @@ def test_filter_bad_fraction_exit_2(runner, tmp_path):
             assert "error: fraction must be in (0, 1]" in result.output
 
 
+def test_filter_bad_fraction_writes_nothing(runner, tmp_path):
+    summaries = tmp_path / "summaries.json"
+    summaries.write_text(json.dumps([
+        {"repo": "org/good", "visibility": "public", "unique_committers": 50,
+         "license_id": "MIT", "languages": ["Python"], "is_fork": False,
+         "age_days": 2000}]))
+    out = tmp_path / "elig.csv"
+    result = runner.invoke(main, ["filter", "--summaries", str(summaries),
+                                  "--fraction", "0", "--output", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
 def test_filter_bad_summaries_exit_4(runner, tmp_path):
     summaries = tmp_path / "summaries.json"
     good = {"repo": "org/good", "unique_committers": 50, "age_days": 2000}
@@ -782,6 +798,21 @@ def test_output_path_not_a_regular_file_exit_2(runner, fixture_archive_path, tmp
     assert f"error: {missing}: cannot write" in result.output
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
     assert fifo.is_fifo()
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_output_dir_naming_a_file_exit_2(runner, tmp_path, command):
+    # refused before the archive is read: reading this one would be exit 4
+    archive = tmp_path / "archive.jsonl"
+    archive.write_text("not an archive\n")
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    result = runner.invoke(main, [command, "--archive", str(archive),
+                                  "--output-dir", str(afile)])
+    assert result.exit_code == 2
+    assert "Invalid value for '--output-dir'" in result.output
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "archive.jsonl"]
 
 
 _INPUT_OPTIONS = {

@@ -1,11 +1,15 @@
+import json
+import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import persona_miner
 from persona_miner.commit_classify import (
-    ActivityRules,
+    ACTIVITY_FALLBACK,
     DEFAULT_ACTIVITY_RULES,
     DEFAULT_KEYWORD_TABLE,
     DevelopmentType,
@@ -31,8 +35,7 @@ D = DevelopmentType
 
 
 # every category the shipped rules can return
-CATEGORIES = {r.category for r in DEFAULT_ACTIVITY_RULES.rules} | {
-    DEFAULT_ACTIVITY_RULES.fallback}
+CATEGORIES = {category for category, _ in DEFAULT_ACTIVITY_RULES} | {ACTIVITY_FALLBACK}
 
 
 def test_empty_message_unclassified():
@@ -112,13 +115,9 @@ def test_code_rule_precedes_documentation():
 
 def test_rule_order_permutation_changes_output():
     rules = DEFAULT_ACTIVITY_RULES
-    doc_idx = next(i for i, r in enumerate(rules.rules)
-                   if r.category == "documentation")
-    reordered = ActivityRules(
-        rules=(rules.rules[doc_idx],)
-        + tuple(r for i, r in enumerate(rules.rules) if i != doc_idx),
-        fallback=rules.fallback,
-    )
+    doc_idx = next(i for i, (category, _) in enumerate(rules)
+                   if category == "documentation")
+    reordered = (rules[doc_idx],) + tuple(r for i, r in enumerate(rules) if i != doc_idx)
     paths = ["docs/guide.md", "src/main.c"]
     assert classify_files(paths, rules) == "code"
     assert classify_files(paths, reordered) == "documentation"
@@ -166,6 +165,54 @@ def test_determinism_and_totality_property(message, paths):
     first = classify_files(paths)
     assert first == classify_files(paths)
     assert first in CATEGORIES
+
+
+# the shipped rule file, read without the module's rule compiler
+RULES_JSON = json.loads((Path(persona_miner.__file__).parent / "data"
+                         / "activity_rules.json").read_text("utf-8"))
+# known path parts, so that drawn paths reach every rule, mixed with random text
+DIRS = ["src", "lib", "tests", "Test", "spec", "docs", "DOC", "locale", "locales",
+        "l10n", ".ci", ".github", ".gitlab", "data"]
+NAMES = ["README", "readme.rst", "CHANGELOG.md", "LICENSE", "Citation.cff", "Makefile",
+         "CMakeLists.txt", "setup.py", "setup.cfg", "pyproject.toml", "package.json",
+         "Dockerfile", "pom.xml", ".gitignore", ".gitmodules", ".gitattributes", ".env",
+         ".editorconfig", "login.feature", "rules.mk", ".github/CODEOWNERS", ".ci/run",
+         ".gitlab-ci"]
+EXTS = ["py", "PY", "c", "hpp", "js", "R", "f90", "sh", "md", "rst", "txt", "bib",
+        "cmake", "gradle", "ini", "toml", "yml", "YAML", "env", "csv", "json", "npy",
+        "fits", "png", "JPEG", "jpg", "svg", "tif", "pdf", "wav", "po", "pot", "mo",
+        "xyz", "bak", ""]
+
+
+def oracle_activity(paths):
+    """The first rule in file order any of whose patterns, each compiled alone,
+    matches any path; otherwise the fallback."""
+    for rule in RULES_JSON["rules"]:
+        if any(re.search(pattern, path, re.IGNORECASE)
+               for pattern in rule["patterns"] for path in paths):
+            return rule["category"]
+    return RULES_JSON["fallback"]
+
+
+def test_known_path_parts_reach_every_rule():
+    reached = {oracle_activity([f"{d}/{name}"]) for d in DIRS
+               for name in NAMES + [f"x.{ext}" for ext in EXTS]}
+    assert reached == {rule["category"] for rule in RULES_JSON["rules"]} | {
+        RULES_JSON["fallback"]}
+
+
+paths_strategy = st.lists(st.builds(
+    lambda dirs, name: "/".join([*dirs, name]),
+    st.lists(st.one_of(st.sampled_from(DIRS), st.text(max_size=6)), max_size=3),
+    st.one_of(st.sampled_from(NAMES),
+              st.builds("{}.{}".format, st.text(max_size=6), st.sampled_from(EXTS)),
+              st.text(max_size=12))), max_size=4)
+
+
+@given(paths=paths_strategy)
+@settings(max_examples=500, deadline=None)
+def test_classify_files_matches_rule_file_oracle(paths):
+    assert classify_files(paths) == oracle_activity(paths)
 
 
 def test_classification_csv(tmp_path):
