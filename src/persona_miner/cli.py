@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import os
 import sys
-from pathlib import Path
 
 import click
 
@@ -23,6 +22,7 @@ from .errors import (
     PersonaMinerError,
     RateBudgetError,
     RetryableFetchError,
+    make_dir,
     write_csv,
 )
 from .github import GitHubClient
@@ -37,12 +37,7 @@ from .pipeline import (
     write_stats_json,
 )
 from .report import read_labels_csv, write_labels_csv, write_reports
-from .sampling import (
-    apply_inclusion_criteria,
-    load_repo_summaries,
-    subsample,
-    write_eligibility_report,
-)
+from .sampling import screen_summaries, subsample, write_eligibility_report
 from .simgen import generate
 from .transport import RequestsTransport, TokenBucket
 from .zenodo import discover_github_slugs
@@ -133,8 +128,7 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
 @click.option("--output", "output_path", required=True, type=click.Path())
 def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str):
     """Apply the seven inclusion criteria and seeded sub-sampling."""
-    decisions = [apply_inclusion_criteria(summary)
-                 for summary in load_repo_summaries(summaries_path)]
+    decisions = screen_summaries(summaries_path)
     eligible = [d.slug for d in decisions if d.eligible]
     picked = subsample(eligible, fraction, seed)
     write_eligibility_report(decisions, output_path)
@@ -229,8 +223,7 @@ def report(archive_path: str, labels_path: str | None, output_dir: str,
                                          frozenset(bot_deny_list))
     labels = read_labels_csv(labels_path, individuals).labels if labels_path else \
         (0,) * len(individuals)
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(output_dir)
     write_reports(individuals, labels, out)
     click.echo(f"reports written to {out}")
 

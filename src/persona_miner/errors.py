@@ -1,12 +1,13 @@
 """Exception hierarchy shared across the pipeline, the UTF-8 text reader
 whose decoding errors name the line at fault, and the writers every output
-file goes through."""
+file and directory goes through."""
 
 from __future__ import annotations
 
 import csv
 import json
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -61,13 +62,36 @@ def open_utf8(path, error: type[PersonaMinerError], newline: str | None = None):
             raise error(f"{path}: not UTF-8 ({exc})") from exc
 
 
+def make_dir(path) -> Path:
+    """Make the directory ``path`` and any missing parents; a path that cannot
+    be made (one whose parent is a regular file, say) raises :class:`ConfigError`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot make directory ({exc.strerror})") from exc
+    return Path(path)
+
+
 @contextmanager
 def write_utf8(path, newline: str | None = None):
     """Open ``path`` to write as UTF-8 text, replacing the file whole or not at
     all: the text goes to a temporary file beside ``path``, which is renamed
     onto it on a clean exit and removed on any exception. A symbolic link is
     followed; a path naming anything but a regular file, or one beside which
-    no file can be made, raises :class:`ConfigError`."""
+    no file can be made, raises :class:`ConfigError`.
+
+    A path that is the file standard output writes to (``/dev/stdout``, say) is
+    written through standard output instead, after what was printed before."""
+    try:
+        to_stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError, AttributeError):  # no such file, or no stdout descriptor
+        to_stdout = False
+    if to_stdout:
+        sys.stdout.flush()
+        with open(sys.stdout.fileno(), "w", encoding="utf-8", newline=newline,
+                  closefd=False) as fh:
+            yield fh
+        return
     target = Path(path)
     if target.exists() and not target.is_file():
         raise ConfigError(f"{path}: not a regular file")

@@ -28,12 +28,6 @@ class InteractionKind(str, Enum):
 ALL_KINDS: tuple[InteractionKind, ...] = tuple(InteractionKind)
 
 
-class Visibility(str, Enum):
-    PUBLIC = "public"
-    PRIVATE = "private"
-    MISSING = "missing"
-
-
 @dataclass(frozen=True)
 class RepoSlug:
     """An owner/name pair identifying one GitHub repository."""
@@ -54,25 +48,6 @@ class RepoSlug:
     def parse(cls, text: str) -> "RepoSlug":
         owner, _, name = text.partition("/")
         return cls(owner, name)
-
-
-@dataclass(frozen=True)
-class RepoSummary:
-    """Summary repository facts used by the eligibility criteria."""
-
-    slug: RepoSlug
-    visibility: Visibility
-    unique_committers: int = 0
-    license_id: Optional[str] = None
-    languages: tuple[str, ...] = ()
-    is_fork: bool = False
-    age_days: int = 0
-
-    def __post_init__(self):
-        if self.age_days < 0:
-            raise DataValidationError("age_days must be >= 0")
-        if self.unique_committers < 0:
-            raise DataValidationError("unique_committers must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)

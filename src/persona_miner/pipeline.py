@@ -19,7 +19,7 @@ from . import __version__
 from .archive import load_archive
 from .cluster import agglomerate, cut, select_k, subcluster
 from .commit_classify import classify_archive, write_classification_csv
-from .errors import ConfigError, write_json
+from .errors import ConfigError, make_dir, write_json
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
 from .personas import (
     UNMATCHED_DISTANCE,
@@ -164,8 +164,7 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     )
     stats = stats_block(rows, members)
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(output_dir)
     write_metrics_csv(vectors, out / "metrics.csv")
     write_classification_csv(classifications, out / "classification.csv")
     dendro.save_json(out / "dendrogram.json")

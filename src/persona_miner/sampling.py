@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ConfigError, DataValidationError, write_csv
-from .models import RepoSlug, RepoSummary, Visibility
+from .models import RepoSlug
 
 
 # the seven inclusion criteria: public, MIN_COMMITTERS <= committers <
@@ -23,16 +23,6 @@ ALLOWED_LICENSES = ("MIT", "BSD-2-Clause", "BSD-3-Clause", "Apache-2.0", "ISC")
 ALLOWED_LANGUAGES = ("Python", "R", "C", "C++", "Java", "JavaScript", "MATLAB",
                      "Shell", "Fortran", "Ruby")
 
-# stable criterion identifiers used in EligibilityDecision.failed_criteria
-CRITERION_PUBLIC = "public"
-CRITERION_MIN_COMMITTERS = "min_committers"
-CRITERION_MAX_COMMITTERS = "max_committers"
-CRITERION_LICENSE = "license"
-CRITERION_LANGUAGE = "language"
-CRITERION_FORK = "fork"
-CRITERION_AGE = "age"
-
-
 @dataclass(frozen=True)
 class EligibilityDecision:
     slug: RepoSlug
@@ -43,81 +33,79 @@ class EligibilityDecision:
         return not self.failed_criteria
 
 
-def _count(obj: dict, field: str) -> int:
-    value = obj.get(field, 0)
+def _count(summary: dict, field: str) -> int:
+    value = summary.get(field, 0)
     if type(value) is not int:  # a JSON integer; bool is an int subclass
         raise TypeError(f"{field} must be an integer, not {value!r}")
+    if value < 0:
+        raise ValueError(f"{field} must be >= 0")
     return value
 
 
-def load_repo_summaries(path: Union[str, Path]) -> list[RepoSummary]:
-    """The summaries in a JSON list of objects; only ``repo`` is required. A
-    file or entry that cannot be read is a DataValidationError naming it."""
+def apply_inclusion_criteria(summary: dict) -> EligibilityDecision:
+    """Judge one summaries-file entry; only ``repo`` is required. Each field is
+    checked as it is read, and every criterion is evaluated (no short-circuit)
+    so the failure list is complete."""
+    if not isinstance(summary, dict):
+        raise TypeError(f"expected an object, not {type(summary).__name__}")
+    slug = RepoSlug.parse(summary["repo"])
+    failed: list[tuple[str, str]] = []
+
+    visibility = summary.get("visibility", "public")
+    if visibility not in ("public", "private", "missing"):
+        raise ValueError(f"visibility must be public, private or missing, "
+                         f"not {visibility!r}")
+    if visibility != "public":
+        failed.append(("public", f"repository is {visibility}, not public"))
+    committers = _count(summary, "unique_committers")
+    if committers < MIN_COMMITTERS:
+        failed.append(("min_committers", f"{committers} committers < {MIN_COMMITTERS}"))
+    if committers >= MAX_COMMITTERS:
+        failed.append(("max_committers", f"{committers} committers >= {MAX_COMMITTERS}"))
+    license_id = summary.get("license_id")
+    if license_id is None:
+        failed.append(("license", "no license visible"))
+    elif not isinstance(license_id, str):
+        raise TypeError(f"license_id must be a string or null, not {license_id!r}")
+    elif license_id not in ALLOWED_LICENSES:
+        failed.append(("license", f"unrecognized license {license_id!r}"))
+    languages = summary.get("languages", [])
+    if not (isinstance(languages, list)
+            and all(isinstance(lang, str) for lang in languages)):
+        raise TypeError(f"languages must be a list of strings, not {languages!r}")
+    if not any(lang in ALLOWED_LANGUAGES for lang in languages):
+        failed.append(("language", "no repository language is in the allowed list"
+                       if languages else "unrecognized"))
+    is_fork = summary.get("is_fork", False)
+    if not isinstance(is_fork, bool):
+        raise TypeError(f"is_fork must be true or false, not {is_fork!r}")
+    if is_fork:
+        failed.append(("fork", "repository is a fork"))
+    age_days = _count(summary, "age_days")
+    if age_days < MIN_AGE_DAYS:
+        failed.append(("age", f"{age_days} days old < {MIN_AGE_DAYS}"))
+
+    return EligibilityDecision(slug=slug, failed_criteria=tuple(failed))
+
+
+def screen_summaries(path: Union[str, Path]) -> list[EligibilityDecision]:
+    """One decision per entry of a JSON list of repo summaries. A file or entry
+    that cannot be read is a DataValidationError naming it."""
     try:
         raw = json.loads(Path(path).read_text("utf-8"))
     except ValueError as exc:
         raise DataValidationError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(raw, list):
         raise DataValidationError(f"{path}: expected a JSON list of repo summaries")
-    summaries = []
-    for i, obj in enumerate(raw):
+    decisions = []
+    for i, summary in enumerate(raw):
         try:
-            if not isinstance(obj, dict):
-                raise TypeError(f"expected an object, not {type(obj).__name__}")
-            languages = obj.get("languages", [])
-            if not (isinstance(languages, list)
-                    and all(isinstance(lang, str) for lang in languages)):
-                raise TypeError(f"languages must be a list of strings, not {languages!r}")
-            is_fork = obj.get("is_fork", False)
-            if not isinstance(is_fork, bool):
-                raise TypeError(f"is_fork must be true or false, not {is_fork!r}")
-            summaries.append(RepoSummary(
-                slug=RepoSlug.parse(obj["repo"]),
-                visibility=Visibility(obj.get("visibility", "public")),
-                unique_committers=_count(obj, "unique_committers"),
-                license_id=obj.get("license_id"),
-                languages=tuple(languages),
-                is_fork=is_fork,
-                age_days=_count(obj, "age_days"),
-            ))
+            decisions.append(apply_inclusion_criteria(summary))
         except (AttributeError, KeyError, TypeError, ValueError,
                 DataValidationError) as exc:
             raise DataValidationError(f"{path}: summary entry {i}: "
                                       f"{type(exc).__name__}: {exc}") from exc
-    return summaries
-
-
-def apply_inclusion_criteria(summary: RepoSummary) -> EligibilityDecision:
-    """Evaluate every criterion (no short-circuit) so the failure list is complete."""
-    failed: list[tuple[str, str]] = []
-
-    if summary.visibility != Visibility.PUBLIC:
-        failed.append((CRITERION_PUBLIC,
-                       f"repository is {summary.visibility.value}, not public"))
-    if summary.unique_committers < MIN_COMMITTERS:
-        failed.append((CRITERION_MIN_COMMITTERS,
-                       f"{summary.unique_committers} committers < {MIN_COMMITTERS}"))
-    if summary.unique_committers >= MAX_COMMITTERS:
-        failed.append((CRITERION_MAX_COMMITTERS,
-                       f"{summary.unique_committers} committers >= {MAX_COMMITTERS}"))
-    if summary.license_id in ALLOWED_LICENSES:
-        pass
-    elif summary.license_id is None:
-        failed.append((CRITERION_LICENSE, "no license visible"))
-    else:
-        failed.append((CRITERION_LICENSE,
-                       f"unrecognized license {summary.license_id!r}"))
-    if not any(lang in ALLOWED_LANGUAGES for lang in summary.languages):
-        failed.append((CRITERION_LANGUAGE,
-                       "no repository language is in the allowed list"
-                       if summary.languages else "unrecognized"))
-    if summary.is_fork:
-        failed.append((CRITERION_FORK, "repository is a fork"))
-    if summary.age_days < MIN_AGE_DAYS:
-        failed.append((CRITERION_AGE,
-                       f"{summary.age_days} days old < {MIN_AGE_DAYS}"))
-
-    return EligibilityDecision(slug=summary.slug, failed_criteria=tuple(failed))
+    return decisions
 
 
 def subsample(eligible: list[RepoSlug], fraction: float, seed: int) -> list[RepoSlug]:

@@ -35,8 +35,6 @@ from persona_miner.models import (
     InteractionKind,
     InteractionSet,
     RepoSlug,
-    Visibility,
-    RepoSummary,
 )
 from persona_miner.personas import DEFAULT_PROFILES, assign_persona
 from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
@@ -285,19 +283,19 @@ def test_criterion_9_sampling_properties():
         assert picked == subsample(slugs, fraction, seed)  # seed reproduces
         assert set(map(str, picked)) <= set(map(str, slugs))
 
-    failing = RepoSummary(
-        slug=RepoSlug("org", "repo"), visibility=Visibility.PRIVATE,
+    failing = dict(
+        repo="org/repo", visibility="private",
         unique_committers=5000, license_id="Proprietary",
-        languages=("Brainfuck",), is_fork=True, age_days=3,
+        languages=["Brainfuck"], is_fork=True, age_days=3,
     )
     decision = apply_inclusion_criteria(failing)
     failed = [cid for cid, _reason in decision.failed_criteria]
     # every violated criterion reported, in declaration order, no short-circuit
     assert failed == ["public", "max_committers", "license", "language",
                       "fork", "age"]
-    low = apply_inclusion_criteria(RepoSummary(
-        slug=RepoSlug("org", "tiny"), visibility=Visibility.PRIVATE,
-        unique_committers=1, license_id=None, languages=(), is_fork=True,
+    low = apply_inclusion_criteria(dict(
+        repo="org/tiny", visibility="private",
+        unique_committers=1, license_id=None, languages=[], is_fork=True,
         age_days=0,
     ))
     assert [c for c, _ in low.failed_criteria] == [

@@ -482,9 +482,13 @@ def test_filter_bad_summaries_exit_4(runner, tmp_path):
         cases.append((json.dumps([good, {**good, field: value}]),
                       f"summary entry 1: TypeError: {field} must be an integer, "
                       f"not {value!r}"))
+    cases.append((json.dumps([good, {**good, "unique_committers": -3}]),
+                  "summary entry 1: ValueError: unique_committers must be >= 0"))
     for field, value, rule in (("is_fork", "false", "must be true or false"),
                                ("languages", "Python", "must be a list of strings"),
-                               ("languages", ["Python", 3], "must be a list of strings")):
+                               ("languages", ["Python", 3], "must be a list of strings"),
+                               ("license_id", 5, "must be a string or null"),
+                               ("license_id", ["MIT"], "must be a string or null")):
         cases.append((json.dumps([good, {**good, field: value}]),
                       f"summary entry 1: TypeError: {field} {rule}, not {value!r}"))
     for text, message in cases:
@@ -814,6 +818,41 @@ def test_output_dir_naming_a_file_exit_2(runner, tmp_path, command):
     assert afile.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "archive.jsonl"]
 
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_output_dir_under_a_file_exit_2(runner, fixture_archive_path, tmp_path, command):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    result = runner.invoke(main, [command, "--archive", str(fixture_archive_path),
+                                  "--output-dir", str(afile / "sub")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"error: {afile / 'sub'}: cannot make directory (" in result.output
+    assert afile.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("stdout", ["file", "pipe"])
+def test_output_to_standard_output_keeps_its_lines(fixture_archive_path, tmp_path, stdout):
+    src = str(Path(persona_miner.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "persona_miner.cli", "metrics",
+            "--archive", str(fixture_archive_path), "--output"]
+    csv_path = tmp_path / "metrics.csv"
+    subprocess.run([*args, str(csv_path)], capture_output=True, env=env, check=True)
+    if stdout == "file":
+        redirected = tmp_path / "out.txt"
+        with redirected.open("wb") as fh:
+            subprocess.run([*args, "/dev/stdout"], stdout=fh, env=env, check=True)
+        written = redirected.read_bytes()
+    else:
+        written = subprocess.run([*args, "/dev/stdout"], stdout=subprocess.PIPE,
+                                 env=env, check=True).stdout
+    # the CSV goes through standard output, and the command's own line follows it
+    assert written == csv_path.read_bytes() + b"wrote 11 metric rows to /dev/stdout\n"
 
 _INPUT_OPTIONS = {
     "filter": ["--summaries"], "metrics": ["--archive"], "classify": ["--archive"],

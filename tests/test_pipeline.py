@@ -212,3 +212,71 @@ def test_run_outputs_ignore_doubled_events(fixture_archive_path, tmp_path, exclu
     assert totals[1][0] == totals[0][0]
     assert [(kind, int(count) * 2, share) for kind, count, share in totals[0][1:]] == \
         [(kind, int(count), share) for kind, count, share in totals[1][1:]]
+
+
+@pytest.mark.parametrize("exclude_bots", [False, True], ids=["all", "exclude-bots"])
+def test_run_outputs_follow_renamed_logins(fixture_archive_path, tmp_path, monkeypatch,
+                                           exclude_bots):
+    # each login becomes user-NN, NN its rank among all logins, and a bot keeps
+    # its [bot] suffix: the logins sort as before and the same ones are bots
+    header, *lines = fixture_archive_path.read_text("utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    logins = sorted({r["actor"] for r in records if r["type"] == "event"})
+    renamed = {login: f"user-{rank:02d}" + "[bot]" * login.endswith("[bot]")
+               for rank, login in enumerate(logins)}
+    assert sorted(renamed.values()) == [renamed[login] for login in logins]
+    assert not set(renamed.values()) & set(logins)
+    outs = {}
+    for name, rename in (("original", {}), ("renamed", renamed)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        # the same relative archive path, so that the manifests' config hashes agree
+        Path("archive.jsonl").write_text("\n".join([header, *(json.dumps(
+            {**r, "actor": rename.get(r["actor"], r["actor"])} if "actor" in r else r)
+            for r in records)]) + "\n", "utf-8")
+        outs[name], _ = _run("archive.jsonl", tmp_path / name, "out",
+                             exclude_bots=exclude_bots)
+
+    login_files = []
+    for name in sorted(EXPECTED_FILES - {"run_manifest.json"}):
+        original, changed = ((outs[k] / name).read_bytes() for k in outs)
+        if not (name.endswith(".csv") and b",login," in original.split(b"\r\n")[0]):
+            assert changed == original, name
+            continue
+        login_files.append(name)
+        rows = [list(csv.reader(text.decode("utf-8").splitlines()))
+                for text in (original, changed)]
+        col = rows[0][0].index("login")
+        for row in rows[0][1:]:
+            row[col] = renamed[row[col]]
+        assert rows[1] == rows[0], name
+    assert login_files == ["labels.csv", "metrics.csv", "personas.csv"]
+    manifests = [json.loads((outs[k] / "run_manifest.json").read_text()) for k in outs]
+    for manifest in manifests:
+        for key in TIMESTAMP_KEYS:
+            manifest.pop(key)
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("exclude_bots", [False, True], ids=["all", "exclude-bots"])
+def test_appended_repo_leaves_other_metric_rows(fixture_archive_path, tmp_path,
+                                               exclude_bots):
+    # a new repo at the end: every other event of bio-team/seqkit, under a new name
+    text = fixture_archive_path.read_text("utf-8")
+    events = [{**r, "repo": "zeta-lab/newcomer"}
+              for r in map(json.loads, text.splitlines()[1:])
+              if r["type"] == "event" and r["repo"] == "bio-team/seqkit"][::2]
+    marker = {"type": "repo", "repo": "zeta-lab/newcomer",
+              "fetched_at": "2024-06-01T00:00:00Z", "incomplete": False,
+              "n_events": len(events)}
+    extended = tmp_path / "extended.jsonl"
+    extended.write_text(text + "\n".join(map(json.dumps, [marker, *events])) + "\n",
+                        "utf-8")
+
+    rows = []
+    for archive, name in ((fixture_archive_path, "original"), (extended, "extended")):
+        out, _ = _run(archive, tmp_path, name, exclude_bots=exclude_bots)
+        rows.append((out / "metrics.csv").read_bytes().splitlines(keepends=True))
+    new_rows = [row for row in rows[1] if b",zeta-lab/newcomer," in row]
+    assert len(new_rows) >= 2
+    assert [row for row in rows[1] if row not in new_rows] == rows[0]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persona_miner.models import RepoSlug, RepoSummary, Visibility
+from persona_miner.models import RepoSlug
 from persona_miner.sampling import (
     apply_inclusion_criteria,
     subsample,
@@ -14,16 +14,16 @@ from persona_miner.sampling import (
 
 def _summary(**over):
     base = dict(
-        slug=RepoSlug("org", "repo"),
-        visibility=Visibility.PUBLIC,
+        repo="org/repo",
+        visibility="public",
         unique_committers=50,
         license_id="MIT",
-        languages=("Python",),
+        languages=["Python"],
         is_fork=False,
         age_days=1500,
     )
     base.update(over)
-    return RepoSummary(**base)
+    return base
 
 
 def test_all_criteria_pass():
@@ -50,16 +50,16 @@ def test_unknown_license_reason():
 
 
 def test_language_passes_if_any_matches():
-    decision = apply_inclusion_criteria(_summary(languages=("Haskell", "Python")))
+    decision = apply_inclusion_criteria(_summary(languages=["Haskell", "Python"]))
     assert decision.eligible
 
 
 def test_no_short_circuit_collects_all_failures():
     decision = apply_inclusion_criteria(_summary(
-        visibility=Visibility.PRIVATE,
+        visibility="private",
         unique_committers=500,
         license_id=None,
-        languages=("Haskell",),
+        languages=["Haskell"],
         is_fork=True,
         age_days=10,
     ))
@@ -72,10 +72,10 @@ def test_seven_way_failure_fixture():
     # committers below min AND a private fork with everything else wrong:
     # six distinct criteria fire at once (min/max are mutually exclusive)
     decision = apply_inclusion_criteria(_summary(
-        visibility=Visibility.MISSING,
+        visibility="missing",
         unique_committers=0,
         license_id=None,
-        languages=(),
+        languages=[],
         is_fork=True,
         age_days=0,
     ))
