@@ -6,11 +6,17 @@ either a repo marker or an event. A marker's events are the event lines that
 follow it up to the next marker: each must carry the marker's ``"repo"``
 string, and their number must equal the marker's ``n_events``. Each repo has
 one marker. Round-trips are exact field-for-field.
+
+An event line spelled exactly as :func:`save_archive` writes it, with no
+escape in its strings, is read by one pattern; a line spelled any other way
+is read by ``json``. Both are held to the same rules, with the same errors.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +39,17 @@ ARCHIVE_VERSION = 1
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_WHITESPACE = " \t\n\r"
 _KINDS = {kind.value: kind for kind in InteractionKind}
+# the text of a JSON string with no quote, backslash or control character: its value
+_TEXT = r'[^"\\\x00-\x1f]*'
+_FIELD = f'"({_TEXT})"'
+# a stripped event line as json.dumps(_event_to_obj(...)) spells it, keys in order
+# and ", " and ": " between them; the last group holds the changed_files items
+_EVENT_LINE = (
+    rf'\{{"type": "event", "repo": {_FIELD}, "actor": {_FIELD}, "kind": {_FIELD}, '
+    rf'"timestamp": {_FIELD}, "subject_id": {_FIELD}'
+    rf'(?:, "payload": \{{"message": {_FIELD}, '
+    rf'"changed_files": \[((?:"{_TEXT}"(?:, "{_TEXT}")*)?)\]\}})?\}}'
+)
 
 
 def _event_to_obj(repo: str, ev: InteractionEvent) -> dict:
@@ -50,30 +67,6 @@ def _event_to_obj(repo: str, ev: InteractionEvent) -> dict:
             "changed_files": list(ev.payload.changed_files),
         }
     return obj
-
-
-def _event_from_obj(obj: dict) -> InteractionEvent:
-    payload = obj.get("payload")
-    if payload is not None:
-        message, files = payload["message"], payload["changed_files"]
-        if not isinstance(message, str):
-            raise DataValidationError(f"commit message must be a string, not {message!r}")
-        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
-            raise DataValidationError(
-                f"changed_files must be a list of strings, not {files!r}")
-        payload = CommitPayload(message=message, changed_files=tuple(files))
-    actor, value = obj["actor"], obj["kind"]
-    try:
-        kind = _KINDS[value]
-    except (KeyError, TypeError):
-        kind = InteractionKind(value)  # raises the enum's ValueError
-    return InteractionEvent(
-        actor=actor,
-        kind=kind,
-        timestamp=parse_utc(obj["timestamp"]),
-        subject_id=obj["subject_id"],
-        payload=payload,
-    )
 
 
 def save_archive(sets: list[InteractionSet], path: Union[str, Path]) -> None:
@@ -110,7 +103,17 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
     UTF-8, an event whose repo is not its marker's, a repo whose event count is
     not its ``n_events``, or a second marker for one repo.
     """
-    path = Path(path)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the loaded sets hold no reference cycles for it to find
+    try:
+        return _load(Path(path))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _load(path: Path) -> list[InteractionSet]:
+    event_line = re.compile(_EVENT_LINE).fullmatch  # not at import: re caches it
     with open_utf8(path, ArchiveFormatError) as fh:
         header_line = fh.readline()
         if not header_line.strip():
@@ -147,15 +150,19 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
             if not text or text.isspace():  # blank, as line.strip() would say
                 continue
             try:
-                # json.loads(line), which strips the same whitespace first
-                obj, end = _raw_decode(text)
-                if end != len(text):
-                    raise json.JSONDecodeError("Extra data", text, end)
-                if "\\u" in text:  # an unpaired surrogate, which no UTF-8 file can
-                    # hold, comes only from an escape; UnicodeEncodeError is a ValueError
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                kind = obj.get("type")
-                if kind == "repo":
+                match = event_line(text)
+                if match is None:
+                    # json.loads(line), which strips the same whitespace first
+                    obj, end = _raw_decode(text)
+                    if end != len(text):
+                        raise json.JSONDecodeError("Extra data", text, end)
+                    if "\\u" in text:  # only an escape can make an unpaired surrogate,
+                        # which encode() refuses with a UnicodeEncodeError, a ValueError
+                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    line_type = obj.get("type")
+                else:
+                    line_type = "event"
+                if line_type == "repo":
                     close_repo()
                     marker_at, repo, n_events = lineno, obj["repo"], obj["n_events"]
                     incomplete = obj.get("incomplete", False)
@@ -176,20 +183,47 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                         fetched_at=parse_utc(obj["fetched_at"]),
                         incomplete=incomplete,
                     )
-                elif kind == "event":
+                elif line_type == "event":  # either spelling, checked in one order
                     if head is None:
                         raise ArchiveFormatError(
                             f"{path}:{lineno}: event before any repo marker"
                         )
-                    if obj["repo"] != repo:
+                    if match is not None:
+                        (ev_repo, actor, value, timestamp, subject, message,
+                         files) = match.groups()
+                        has_payload = message is not None
+                        if has_payload:  # exact: no item holds a quote
+                            files = files[1:-1].split('", "') if files else []
+                    else:
+                        ev_repo, payload = obj["repo"], obj.get("payload")
+                        has_payload = payload is not None
+                        if has_payload:
+                            message, files = payload["message"], payload["changed_files"]
+                        actor, value, timestamp, subject = (
+                            obj["actor"], obj["kind"], obj["timestamp"], obj["subject_id"])
+                    if ev_repo != repo:
                         raise ArchiveFormatError(
-                            f"{path}:{lineno}: event repo {obj['repo']!r} does not "
-                            f"match its marker's {repo!r}"
-                        )
-                    events.append(_event_from_obj(obj))
+                            f"{path}:{lineno}: event repo {ev_repo!r} does not "
+                            f"match its marker's {repo!r}")
+                    payload = None
+                    if has_payload:
+                        if not isinstance(message, str):
+                            raise DataValidationError(
+                                f"commit message must be a string, not {message!r}")
+                        if (not isinstance(files, list)
+                                or not all(isinstance(f, str) for f in files)):
+                            raise DataValidationError(
+                                f"changed_files must be a list of strings, not {files!r}")
+                        payload = CommitPayload(message, tuple(files))
+                    try:
+                        kind = _KINDS[value]
+                    except (KeyError, TypeError):
+                        kind = InteractionKind(value)  # raises the enum's ValueError
+                    events.append(InteractionEvent(actor, kind, parse_utc(timestamp),
+                                                   subject, payload))
                 else:
                     raise ArchiveFormatError(
-                        f"{path}:{lineno}: unknown line type {kind!r}"
+                        f"{path}:{lineno}: unknown line type {line_type!r}"
                     )
             except (AttributeError, KeyError, TypeError, ValueError,
                     DataValidationError) as exc:

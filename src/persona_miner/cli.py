@@ -22,6 +22,7 @@ from .errors import (
     PersonaMinerError,
     RateBudgetError,
     RetryableFetchError,
+    check_makeable_dir,
     make_dir,
     write_csv,
 )
@@ -219,6 +220,7 @@ def assign(metrics_path: str, profiles_path: str | None, output_path: str):
 def report(archive_path: str, labels_path: str | None, output_dir: str,
            exclude_bots: bool, bot_deny_list: tuple[str, ...]):
     """Emit totals, UpSet counts, and composition from an archive."""
+    check_makeable_dir(output_dir)
     individuals, _vectors = metric_table(load_archive(archive_path), exclude_bots,
                                          frozenset(bot_deny_list))
     labels = read_labels_csv(labels_path, individuals).labels if labels_path else \

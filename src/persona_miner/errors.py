@@ -72,6 +72,14 @@ def make_dir(path) -> Path:
     return Path(path)
 
 
+def check_makeable_dir(path) -> None:
+    """Raise :class:`ConfigError`, as :func:`make_dir` would later, when the
+    nearest existing ancestor of the directory ``path`` is not a directory."""
+    ancestor = next(filter(os.path.exists, (Path(path), *Path(path).parents)), None)
+    if ancestor is not None and not os.path.isdir(ancestor):
+        raise ConfigError(f"{path}: cannot make directory ({ancestor} is not a directory)")
+
+
 @contextmanager
 def write_utf8(path, newline: str | None = None):
     """Open ``path`` to write as UTF-8 text, replacing the file whole or not at

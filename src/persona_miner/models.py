@@ -1,7 +1,8 @@
 """Core domain types for mined repository interaction data.
 
 Everything here is an immutable value object; instances round-trip through
-the archive format.
+the archive format. Events and their payloads are named tuples, so an event
+also equals a plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DataValidationError
 
@@ -50,38 +51,39 @@ class RepoSlug:
         return cls(owner, name)
 
 
-@dataclass(frozen=True, slots=True)
-class CommitPayload:
+# a typing.NamedTuple may not define its own __new__, so each check runs in a subclass
+class CommitPayload(NamedTuple("CommitPayload", [("message", str),
+                                                 ("changed_files", tuple[str, ...])])):
     """Commit message and changed paths attached to a CommitCreated event."""
 
-    message: str = ""
-    changed_files: tuple[str, ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if len(set(self.changed_files)) != len(self.changed_files):
+    def __new__(cls, message: str = "", changed_files: tuple[str, ...] = ()):
+        if len(set(changed_files)) != len(changed_files):
             raise DataValidationError("changed_files must not contain duplicates")
+        return tuple.__new__(cls, (message, changed_files))
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionEvent:
+class InteractionEvent(NamedTuple("InteractionEvent", [
+        ("actor", str), ("kind", InteractionKind), ("timestamp", datetime),
+        ("subject_id", str), ("payload", Optional[CommitPayload])])):
     """One timestamped actor interaction of one of the six kinds; its
     repository is the enclosing :class:`InteractionSet`'s."""
 
-    actor: str
-    kind: InteractionKind
-    timestamp: datetime
-    subject_id: str
-    payload: Optional[CommitPayload] = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if not isinstance(self.actor, str) or not self.actor:
+    def __new__(cls, actor: str, kind: InteractionKind, timestamp: datetime,
+                subject_id: str, payload: Optional[CommitPayload] = None):
+        if not isinstance(actor, str) or not actor:
+            raise DataValidationError(f"actor must be a non-empty string, not {actor!r}")
+        if not isinstance(subject_id, str) or not subject_id:
             raise DataValidationError(
-                f"actor must be a non-empty string, not {self.actor!r}")
-        if not isinstance(self.subject_id, str) or not self.subject_id:
-            raise DataValidationError(
-                f"subject_id must be a non-empty string, not {self.subject_id!r}")
-        if self.timestamp.tzinfo is None:
+                f"subject_id must be a non-empty string, not {subject_id!r}")
+        if timestamp.tzinfo is None:
             raise DataValidationError("timestamps must be timezone-aware")
+        return tuple.__new__(cls, (actor, kind, timestamp, subject_id, payload))
 
 
 @dataclass(frozen=True)

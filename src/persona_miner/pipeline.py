@@ -19,7 +19,7 @@ from . import __version__
 from .archive import load_archive
 from .cluster import agglomerate, cut, select_k, subcluster
 from .commit_classify import classify_archive, write_classification_csv
-from .errors import ConfigError, make_dir, write_json
+from .errors import ConfigError, check_makeable_dir, make_dir, write_json
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
 from .personas import (
     UNMATCHED_DISTANCE,
@@ -144,6 +144,7 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     """
     started_at = datetime.now(timezone.utc)
     check_k_range(k_min, k_max)
+    check_makeable_dir(output_dir)
 
     # every result is computed before the output directory is made, so that an
     # input the pipeline rejects, or a failing stage, leaves no output behind

@@ -1,5 +1,6 @@
 import json
 import re
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from click.testing import CliRunner
@@ -10,8 +11,14 @@ from persona_miner import archive
 from persona_miner.archive import load_archive, save_archive
 from persona_miner.cli import main
 from persona_miner.errors import ArchiveFormatError, DataValidationError
+from persona_miner.models import (
+    ALL_KINDS,
+    CommitPayload,
+    InteractionEvent,
+    InteractionSet,
+)
 
-from conftest import interaction_sets
+from conftest import csv_slugs, interaction_sets
 
 
 def test_empty_round_trip(tmp_path):
@@ -252,3 +259,115 @@ def test_non_utf8_byte_rejected_with_its_line_number(fixture_archive_path, tmp_p
     with pytest.raises(ArchiveFormatError) as info:
         load_archive(path)
     assert str(info.value).startswith(f"{path}:{index + 1}: not UTF-8 (")
+
+
+# -- the event-line pattern and json read every spelling alike ---------------
+
+@st.composite
+def _any_text_events(draw):
+    # every text field may hold quotes, backslashes, control characters, non-ASCII
+    payload = None
+    if draw(st.booleans()):
+        payload = CommitPayload(draw(st.text(max_size=12)), tuple(draw(
+            st.lists(st.text(max_size=8), unique=True, max_size=3))))
+    return InteractionEvent(
+        actor=draw(st.text(min_size=1, max_size=8)),
+        kind=draw(st.sampled_from(ALL_KINDS)),
+        timestamp=datetime(2000, 1, 1, tzinfo=timezone.utc) + timedelta(
+            microseconds=draw(st.integers(0, 10**15))),
+        subject_id=draw(st.text(min_size=1, max_size=8)),
+        payload=payload,
+    )
+
+
+_any_text_sets = st.lists(st.builds(
+    InteractionSet,
+    repo=csv_slugs,
+    events=st.lists(_any_text_events(), max_size=5).map(tuple),
+    fetched_at=st.just(datetime(2024, 1, 1, tzinfo=timezone.utc)),
+    incomplete=st.booleans(),
+), max_size=3, unique_by=lambda s: str(s.repo))
+
+
+def _respellings(path):
+    """The archive at ``path`` with every line spelled by the writer, with raw
+    non-ASCII text, and with compact separators and sorted keys."""
+    objs = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    return {
+        "canonical": path.read_text("utf-8"),
+        "raw-non-ascii": "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs),
+        "compact-sorted": "".join(
+            json.dumps(o, separators=(",", ":"), ensure_ascii=False, sort_keys=True) + "\n"
+            for o in objs),
+    }
+
+
+@given(sets=_any_text_sets)
+@settings(max_examples=100, deadline=None)
+def test_every_spelling_loads_the_drawn_sets(tmp_path_factory, sets):
+    path = tmp_path_factory.mktemp("arch") / "a.jsonl"
+    save_archive(sets, path)
+    for name, text in _respellings(path).items():
+        path.write_text(text, "utf-8")
+        loaded = load_archive(path)
+        # repr tells an enum member from its value and a tuple from a list
+        assert loaded == sets and repr(loaded) == repr(sets), name
+
+
+# each fault, in the order the loader checks them, and the reason it gives
+_FAULTS = {
+    "repo-mismatch": (lambda obj: {**obj, "repo": obj["repo"] + "x"},
+                      "does not match its marker's"),
+    "duplicate-files": (lambda obj: {**obj, "payload": {
+        "message": obj.get("payload", {}).get("message", "m"),
+        "changed_files": ["a.py", "b.py", "a.py"]}},
+        "changed_files must not contain duplicates"),
+    "unknown-kind": (lambda obj: {**obj, "kind": "Starred"},
+                     "'Starred' is not a valid InteractionKind"),
+    "bad-timestamp": (lambda obj: {**obj, "timestamp": "last tuesday"}, "'last tuesday'"),
+    "empty-actor": (lambda obj: {**obj, "actor": ""},
+                    "actor must be a non-empty string, not ''"),
+}
+
+
+@given(sets=_any_text_sets.filter(lambda sets: any(s.events for s in sets)),
+       faults=st.lists(st.sampled_from(list(_FAULTS)), min_size=1, max_size=2,
+                       unique=True),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_spelling_names_the_same_fault(tmp_path_factory, sets, faults, data):
+    path = tmp_path_factory.mktemp("arch") / "a.jsonl"
+    save_archive(sets, path)
+    lines = path.read_text("utf-8").splitlines()
+    at = data.draw(st.sampled_from(
+        [i for i, line in enumerate(lines) if json.loads(line).get("type") == "event"]))
+    obj = json.loads(lines[at])
+    for fault in faults:
+        obj = _FAULTS[fault][0](obj)
+    lines[at] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    messages = {}
+    for name, text in _respellings(path).items():
+        path.write_text(text, "utf-8")
+        with pytest.raises(ArchiveFormatError) as info:
+            load_archive(path)
+        messages[name] = str(info.value)
+    assert len(set(messages.values())) == 1, messages
+    first = min(faults, key=list(_FAULTS).index)
+    assert messages["canonical"].startswith(f"{path}:{at + 1}: ")
+    assert _FAULTS[first][1] in messages["canonical"]
+
+
+def test_writer_spelled_events_skip_json(fixture_archive_path, monkeypatch):
+    # only the three repo markers go through json; every event line takes the pattern
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return raw_decode(text)
+
+    raw_decode = archive._raw_decode
+    monkeypatch.setattr(archive, "_raw_decode", counting)
+    sets = load_archive(fixture_archive_path)
+    assert len(sets) == 3 and sum(len(s.events) for s in sets) == 307
+    assert len(calls) == 3

@@ -833,6 +833,23 @@ def test_output_dir_under_a_file_exit_2(runner, fixture_archive_path, tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_output_dir_under_a_file_refused_before_reading(runner, tmp_path, command):
+    # a malformed archive would be exit 4: exit 2 shows the archive was never read
+    archive = tmp_path / "archive.jsonl"
+    archive.write_text("not an archive\n")
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    result = runner.invoke(main, [command, "--archive", str(archive),
+                                  "--output-dir", str(afile / "sub" / "deeper")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert (f"error: {afile / 'sub' / 'deeper'}: cannot make directory ({afile} is not "
+            "a directory)" in result.output)
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "archive.jsonl"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
 @pytest.mark.parametrize("stdout", ["file", "pipe"])
 def test_output_to_standard_output_keeps_its_lines(fixture_archive_path, tmp_path, stdout):

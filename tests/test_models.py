@@ -65,3 +65,20 @@ def test_parse_utc_round_trip():
     assert ts.tzinfo is not None
     assert ts.astimezone(timezone.utc).hour == 10
     assert isoformat_utc(ts) == "2023-05-01T10:30:00Z"
+
+
+def test_make_and_replace_run_the_checks():
+    ev = InteractionEvent("ada", InteractionKind.COMMIT_CREATED,
+                          datetime(2023, 1, 1, tzinfo=timezone.utc), "sha",
+                          CommitPayload("m", ("a.py",)))
+    assert ev._replace(actor="bob") == ev._make(("bob",) + ev[1:])
+    assert type(ev._replace(actor="bob")) is InteractionEvent
+    for bad in ({"actor": ""}, {"subject_id": ""}, {"timestamp": datetime(2023, 1, 1)}):
+        with pytest.raises(DataValidationError):
+            ev._replace(**bad)
+    with pytest.raises(DataValidationError):
+        InteractionEvent._make(("", *ev[1:]))
+    with pytest.raises(DataValidationError):
+        CommitPayload._make(("m", ("a.py", "a.py")))
+    with pytest.raises(DataValidationError):
+        ev.payload._replace(changed_files=("a.py", "a.py"))

@@ -7,15 +7,23 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import persona_miner
+from persona_miner.archive import load_archive, save_archive
+from persona_miner.commit_classify import classify_archive, write_classification_csv
 from persona_miner.errors import DataValidationError
+from persona_miner.metrics import metric_table, write_metrics_csv
 from persona_miner.personas import DEFAULT_PROFILES, load_profiles
 from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
 from persona_miner.simgen import generate
+
+from conftest import interaction_sets
 
 TIMESTAMP_KEYS = {"started_at", "finished_at"}
 
@@ -185,6 +193,28 @@ def test_run_outputs_ignore_archive_order(fixture_archive_path, tmp_path, seed):
     classified = [sorted((out / "classification.csv").read_text("utf-8").splitlines())
                   for out in (original, permuted)]
     assert classified[0] == classified[1]
+
+
+@given(sets=st.lists(interaction_sets(), max_size=3, unique_by=lambda s: s.repo),
+       order=st.randoms(use_true_random=False), exclude_bots=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_metrics_and_classification_ignore_archive_order(tmp_path_factory, sets, order,
+                                                         exclude_bots):
+    # the repos, and the events within each repo, in a drawn order
+    shuffled = [replace(s, events=tuple(order.sample(s.events, len(s.events))))
+                for s in order.sample(sets, len(sets))]
+    outs = []
+    for archive_sets in (sets, shuffled):
+        out = tmp_path_factory.mktemp("out")
+        save_archive(archive_sets, out / "archive.jsonl")
+        loaded = load_archive(out / "archive.jsonl")
+        write_metrics_csv(metric_table(loaded, exclude_bots)[1], out / "metrics.csv")
+        write_classification_csv(classify_archive(loaded), out / "classification.csv")
+        outs.append(out)
+    original, permuted = outs
+    assert (permuted / "metrics.csv").read_bytes() == (original / "metrics.csv").read_bytes()
+    assert Counter((permuted / "classification.csv").read_text("utf-8").splitlines()) == \
+        Counter((original / "classification.csv").read_text("utf-8").splitlines())
 
 
 @pytest.mark.parametrize("exclude_bots", [False, True], ids=["all", "exclude-bots"])
