@@ -8,17 +8,19 @@ string, and their number must equal the marker's ``n_events``. Each repo has
 one marker. Round-trips are exact field-for-field.
 
 An event line spelled exactly as :func:`save_archive` writes it, with no
-escape in its strings, is read by one pattern; a line spelled any other way
-is read by ``json``. Both are held to the same rules, with the same errors.
+escape in its strings, is read by one pattern; a line spelled any other way,
+or holding a field the writer never writes (an empty actor or subject, an
+unknown kind, a timestamp not in :func:`isoformat_utc`'s form), is read by
+``json``. Both are held to the same rules, with the same errors.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import re
 from collections import Counter
 from dataclasses import replace
+from datetime import datetime
 from pathlib import Path
 from typing import Union
 
@@ -37,18 +39,22 @@ ARCHIVE_FORMAT = "persona-miner-archive"
 ARCHIVE_VERSION = 1
 
 _raw_decode = json.JSONDecoder().raw_decode
+_fromisoformat = datetime.fromisoformat
 _JSON_WHITESPACE = " \t\n\r"
 _KINDS = {kind.value: kind for kind in InteractionKind}
-# the text of a JSON string with no quote, backslash or control character: its value
-_TEXT = r'[^"\\\x00-\x1f]*'
-_FIELD = f'"({_TEXT})"'
+# a character a JSON string holds as itself: no quote, backslash or control character
+_CHAR = r'[^"\\\x00-\x1f]'
+_FIELD, _NON_EMPTY = f'"({_CHAR}*)"', f'"({_CHAR}+)"'
+_TIMESTAMP = r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{6})?Z)"'
 # a stripped event line as json.dumps(_event_to_obj(...)) spells it, keys in order
-# and ", " and ": " between them; the last group holds the changed_files items
+# and ", " and ": " between them, holding only what the writer writes: a non-empty
+# actor and subject, a known kind and isoformat_utc's timestamp; the last group
+# holds the changed_files items
 _EVENT_LINE = (
-    rf'\{{"type": "event", "repo": {_FIELD}, "actor": {_FIELD}, "kind": {_FIELD}, '
-    rf'"timestamp": {_FIELD}, "subject_id": {_FIELD}'
-    rf'(?:, "payload": \{{"message": {_FIELD}, '
-    rf'"changed_files": \[((?:"{_TEXT}"(?:, "{_TEXT}")*)?)\]\}})?\}}'
+    rf'\{{"type": "event", "repo": {_FIELD}, "actor": {_NON_EMPTY}, '
+    rf'"kind": "({"|".join(_KINDS)})", "timestamp": {_TIMESTAMP}, '
+    rf'"subject_id": {_NON_EMPTY}(?:, "payload": \{{"message": {_FIELD}, '
+    rf'"changed_files": \[((?:"{_CHAR}*"(?:, "{_CHAR}*")*)?)\]\}})?\}}'
 )
 
 
@@ -103,16 +109,7 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
     UTF-8, an event whose repo is not its marker's, a repo whose event count is
     not its ``n_events``, or a second marker for one repo.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # the loaded sets hold no reference cycles for it to find
-    try:
-        return _load(Path(path))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _load(path: Path) -> list[InteractionSet]:
+    path = Path(path)
     event_line = re.compile(_EVENT_LINE).fullmatch  # not at import: re caches it
     with open_utf8(path, ArchiveFormatError) as fh:
         header_line = fh.readline()
@@ -191,13 +188,9 @@ def _load(path: Path) -> list[InteractionSet]:
                     if match is not None:
                         (ev_repo, actor, value, timestamp, subject, message,
                          files) = match.groups()
-                        has_payload = message is not None
-                        if has_payload:  # exact: no item holds a quote
-                            files = files[1:-1].split('", "') if files else []
                     else:
                         ev_repo, payload = obj["repo"], obj.get("payload")
-                        has_payload = payload is not None
-                        if has_payload:
+                        if payload is not None:
                             message, files = payload["message"], payload["changed_files"]
                         actor, value, timestamp, subject = (
                             obj["actor"], obj["kind"], obj["timestamp"], obj["subject_id"])
@@ -205,8 +198,21 @@ def _load(path: Path) -> list[InteractionSet]:
                         raise ArchiveFormatError(
                             f"{path}:{lineno}: event repo {ev_repo!r} does not "
                             f"match its marker's {repo!r}")
-                    payload = None
-                    if has_payload:
+                    if match is not None:
+                        # the pattern proved every check InteractionEvent makes and
+                        # all but two of the rest: the duplicate files, which
+                        # CommitPayload checks, then the calendar, which parse_utc's
+                        # fromisoformat call checks and which gives timezone.utc
+                        payload = None
+                        if message is not None:  # exact: no item holds a quote
+                            files = files[1:-1].split('", "') if files else ()
+                            payload = CommitPayload(message, tuple(files))
+                        events.append(tuple.__new__(InteractionEvent, (
+                            actor, _KINDS[value],
+                            _fromisoformat(timestamp.replace("Z", "+00:00")),
+                            subject, payload)))
+                        continue
+                    if payload is not None:
                         if not isinstance(message, str):
                             raise DataValidationError(
                                 f"commit message must be a string, not {message!r}")

@@ -8,6 +8,7 @@ live fetches.
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
 import sys
@@ -60,6 +61,8 @@ class _MainGroup(click.Group):
     """Maps a package error from any command onto the documented exit codes."""
 
     def invoke(self, ctx):
+        gc_was_enabled = gc.isenabled()
+        gc.disable()  # its collections walk all a command builds and free next to nothing
         try:
             return super().invoke(ctx)
         except PersonaMinerError as exc:
@@ -69,6 +72,9 @@ class _MainGroup(click.Group):
             if isinstance(exc, (RetryableFetchError, RateBudgetError)):
                 sys.exit(EXIT_NETWORK)
             sys.exit(EXIT_DATA)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
 
 def _live_transport() -> RequestsTransport:

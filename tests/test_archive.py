@@ -16,6 +16,7 @@ from persona_miner.models import (
     CommitPayload,
     InteractionEvent,
     InteractionSet,
+    parse_utc,
 )
 
 from conftest import csv_slugs, interaction_sets
@@ -289,9 +290,25 @@ _any_text_sets = st.lists(st.builds(
 ), max_size=3, unique_by=lambda s: str(s.repo))
 
 
+def _retimed(obj, spell):
+    """``obj`` with each timestamp that parses written as ``spell`` gives it."""
+    obj = dict(obj)
+    for key in ("timestamp", "fetched_at"):
+        try:
+            obj[key] = spell(parse_utc(obj[key]))
+        except (KeyError, ValueError):  # none there, or a fault to keep as it is
+            pass
+    return obj
+
+
+_PLUS_0530 = timezone(timedelta(hours=5, minutes=30))
+
+
 def _respellings(path):
     """The archive at ``path`` with every line spelled by the writer, with raw
-    non-ASCII text, and with compact separators and sorted keys."""
+    non-ASCII text, and with compact separators and sorted keys; and spelled by
+    the writer but with each timestamp as the same instant at +05:30, or with
+    no offset, which means UTC: only json reads these two."""
     objs = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
     return {
         "canonical": path.read_text("utf-8"),
@@ -299,7 +316,19 @@ def _respellings(path):
         "compact-sorted": "".join(
             json.dumps(o, separators=(",", ":"), ensure_ascii=False, sort_keys=True) + "\n"
             for o in objs),
+        "plus-0530": "".join(json.dumps(_retimed(
+            o, lambda dt: dt.astimezone(_PLUS_0530).isoformat())) + "\n" for o in objs),
+        "no-offset": "".join(json.dumps(_retimed(
+            o, lambda dt: dt.replace(tzinfo=None).isoformat())) + "\n" for o in objs),
     }
+
+
+def test_every_spelling_of_the_fixture_loads_alike(fixture_archive_path, tmp_path):
+    path = tmp_path / "a.jsonl"
+    expected = repr(load_archive(fixture_archive_path))
+    for name, text in _respellings(fixture_archive_path).items():
+        path.write_text(text, "utf-8")
+        assert repr(load_archive(path)) == expected, name
 
 
 @given(sets=_any_text_sets)
@@ -325,8 +354,12 @@ _FAULTS = {
     "unknown-kind": (lambda obj: {**obj, "kind": "Starred"},
                      "'Starred' is not a valid InteractionKind"),
     "bad-timestamp": (lambda obj: {**obj, "timestamp": "last tuesday"}, "'last tuesday'"),
+    "bad-calendar": (lambda obj: {**obj, "timestamp": "2023-13-01T00:00:00Z"},
+                     "month must be in 1..12"),
     "empty-actor": (lambda obj: {**obj, "actor": ""},
                     "actor must be a non-empty string, not ''"),
+    "empty-subject": (lambda obj: {**obj, "subject_id": ""},
+                      "subject_id must be a non-empty string, not ''"),
 }
 
 
@@ -342,7 +375,8 @@ def test_every_spelling_names_the_same_fault(tmp_path_factory, sets, faults, dat
     at = data.draw(st.sampled_from(
         [i for i, line in enumerate(lines) if json.loads(line).get("type") == "event"]))
     obj = json.loads(lines[at])
-    for fault in faults:
+    # the first fault in check order is made last, so one on the same field wins
+    for fault in sorted(faults, key=list(_FAULTS).index, reverse=True):
         obj = _FAULTS[fault][0](obj)
     lines[at] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n", "utf-8")

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import persona_miner
-from persona_miner import pipeline
+from persona_miner import cli, pipeline
 from persona_miner.cli import main
 
 
@@ -88,6 +89,37 @@ def test_metrics_subcommand(runner, fixture_archive_path, tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert len(rows) > 0
     assert "rc_commits_created" in rows[0]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_commands_pause_gc_and_restore_it(runner, fixture_archive_path, tmp_path,
+                                          monkeypatch, enabled):
+    # inside a command cyclic GC is off; after it, on success or on exit 4, the
+    # caller's setting is back
+    seen = []
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return metric_table(*args)
+
+    metric_table = cli.metric_table
+    monkeypatch.setattr(cli, "metric_table", recording)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(fixture_archive_path.read_text().replace("2023-01-01T", "2023-13-01T", 1))
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        result = _invoke(runner, ["metrics", "--archive", str(fixture_archive_path),
+                                  "--output", str(tmp_path / "metrics.csv")])
+        assert result.exit_code == 0 and seen == [False]
+        assert gc.isenabled() is enabled
+        result = runner.invoke(main, ["metrics", "--archive", str(bad),
+                                      "--output", str(tmp_path / "bad.csv")])
+        assert result.exit_code == 4 and "bad.jsonl:3: " in result.output
+        assert "month must be in 1..12" in result.output
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_metrics_exclude_bots_matches_run(runner, fixture_archive_path, tmp_path):

@@ -217,6 +217,23 @@ def test_metrics_and_classification_ignore_archive_order(tmp_path_factory, sets,
         Counter((original / "classification.csv").read_text("utf-8").splitlines())
 
 
+@given(sets=st.lists(interaction_sets(), max_size=3, unique_by=lambda s: s.repo))
+@settings(max_examples=50, deadline=None)
+def test_metrics_ignore_doubled_events(tmp_path_factory, sets):
+    # every event twice: the copy right after it, under subject_id + "-dup"
+    doubled = [replace(s, events=tuple(copy for ev in s.events for copy in (
+        ev, ev._replace(subject_id=ev.subject_id + "-dup")))) for s in sets]
+    for exclude_bots in (False, True):
+        outs = []
+        for archive_sets in (sets, doubled):
+            out = tmp_path_factory.mktemp("out")
+            save_archive(archive_sets, out / "archive.jsonl")
+            loaded = load_archive(out / "archive.jsonl")
+            write_metrics_csv(metric_table(loaded, exclude_bots)[1], out / "metrics.csv")
+            outs.append((out / "metrics.csv").read_bytes())
+        assert outs[1] == outs[0], exclude_bots
+
+
 @pytest.mark.parametrize("exclude_bots", [False, True], ids=["all", "exclude-bots"])
 def test_run_outputs_ignore_doubled_events(fixture_archive_path, tmp_path, exclude_bots):
     # every event twice: the copy at the same time, under a fresh subject_id
