@@ -31,16 +31,11 @@ from .github import GitHubClient
 from .metrics import metric_table, read_metrics_csv, write_metrics_csv
 from .models import RepoSlug
 from .personas import assign_persona, load_profiles, write_personas_csv
-from .pipeline import (
-    check_k_range,
-    feature_matrix,
-    run_pipeline,
-    stats_block,
-    write_stats_json,
-)
+from .pipeline import check_k_range, feature_matrix, run_pipeline
 from .report import read_labels_csv, write_labels_csv, write_reports
 from .sampling import screen_summaries, subsample, write_eligibility_report
 from .simgen import generate
+from .stats import stats_block, write_stats_json
 from .transport import RequestsTransport, TokenBucket
 from .zenodo import discover_github_slugs
 
@@ -73,8 +68,7 @@ class _MainGroup(click.Group):
                 sys.exit(EXIT_NETWORK)
             sys.exit(EXIT_DATA)
         finally:
-            if gc_was_enabled:
-                gc.enable()
+            gc.enable() if gc_was_enabled else gc.disable()
 
 
 def _live_transport() -> RequestsTransport:
@@ -104,6 +98,7 @@ def main(verbose: bool):
 @click.option("--output", "output_path", required=True, type=click.Path())
 def fetch(page_limit: int, repos: str | None, output_path: str):
     """Fetch interaction data into an offline archive (network required)."""
+    gc.enable()  # its time is network time, and each retried request leaves cycles
     transport = _live_transport()
     client = GitHubClient(transport=transport)
     if repos:

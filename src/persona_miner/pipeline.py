@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -30,12 +28,10 @@ from .personas import (
     write_personas_csv,
 )
 from .report import write_labels_csv, write_reports
-from .stats import feature_importance, one_way_anova, pca, tukey_hsd
+from .stats import stats_block, write_stats_json
 
 if TYPE_CHECKING:  # numpy is imported where it is used, keeping it off CLI start
     import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 def check_k_range(k_min: int, k_max: int) -> None:
@@ -91,44 +87,6 @@ def cluster_and_label(
     diagnostics = {"initial_k": k_best, "sub_k": sub_k,
                    "ch_scores": {str(k): v for k, v in scores.items()}}
     return initial, tuple(sub_labels), assignments, diagnostics
-
-
-def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
-    """PCA and feature importance (n >= 2), plus per-feature ANOVA and Tukey
-    HSD when there are two or more clusters of at least two members each.
-
-    ``members[c]`` lists the row indices of cluster c.
-    """
-    block: dict = {"pca": None, "feature_importance": None, "anova": {},
-                   "tukey": {}}
-    if rows.shape[0] >= 2:
-        n_comp = min(3, rows.shape[1])
-        pca_result = pca(rows, n_comp)
-        block["pca"] = {
-            "explained_variance_ratio": list(pca_result.explained_variance_ratio),
-            "components": [list(c) for c in pca_result.components],
-        }
-        block["feature_importance"] = [
-            [{"feature": name, "value": value} for name, value in ranking]
-            for ranking in feature_importance(pca_result, FEATURE_NAMES)
-        ]
-
-    if len(members) >= 2 and all(len(m) >= 2 for m in members):
-        for f_idx, name in enumerate(FEATURE_NAMES):
-            groups = [rows[m, f_idx] for m in members]
-            block["anova"][name] = asdict(one_way_anova(groups))
-            block["tukey"][name] = [asdict(p) for p in tukey_hsd(groups)]
-    return block
-
-
-def write_stats_json(block: dict, path: Union[str, Path],
-                     diagnostics: Optional[dict] = None) -> None:
-    """Write stats.json: a :func:`stats_block`, plus ``run``'s clustering
-    diagnostics when given."""
-    obj = {"format": "persona-miner-stats", "version": 1, **block}
-    if diagnostics is not None:
-        obj["diagnostics"] = diagnostics
-    write_json(path, obj, sort_keys=True)
 
 
 def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *,

@@ -1,4 +1,8 @@
-"""Cluster validation mathematics: PCA, one-way ANOVA, and Tukey HSD.
+"""Cluster validation: PCA, one-way ANOVA and Tukey HSD, and stats.json.
+
+PCA, ANOVA and Tukey HSD each return the values stats.json holds, so this
+module alone decides that file's format: :func:`stats_block` gathers them, :func:`write_stats_json`
+writes them.
 
 Both special functions are computed here, so scipy is not a run-time
 dependency; the test suite keeps ``scipy.special`` and ``scipy.stats`` as
@@ -24,11 +28,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .errors import DataValidationError
+from .errors import DataValidationError, write_json
+from .metrics import FEATURE_NAMES
 
 if TYPE_CHECKING:
     import numpy as np
@@ -172,32 +177,10 @@ def _beta_cf(a: float, b: float, x: float) -> float:
                           f"(a={a}, b={b}, x={x})")
 
 
-@dataclass(frozen=True)
-class PCAResult:
-    components: tuple[tuple[float, ...], ...]  # unit-length loading vectors
-    explained_variance_ratio: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class AnovaResult:
-    f_statistic: float
-    p_value: float
-    df_between: int
-    df_within: int
-    p_approx_zero: bool = False
-
-
-@dataclass(frozen=True)
-class TukeyPair:
-    group_a: int
-    group_b: int
-    mean_diff: float
-    p_adjusted: float
-    reject: bool
-
-
-def pca(rows, n_components: int) -> PCAResult:
-    """Eigendecompose the sample covariance of mean-centered rows.
+def pca(rows, n_components: int) -> dict:
+    """Eigendecompose the sample covariance of mean-centered rows; return the
+    unit-length loading vectors as ``components`` and their
+    ``explained_variance_ratio``.
 
     Sign convention: the largest-magnitude loading of each component is made
     positive so results reproduce across platforms.
@@ -227,26 +210,24 @@ def pca(rows, n_components: int) -> PCAResult:
         pivot = int(np.argmax(np.abs(vec)))
         if vec[pivot] < 0:
             vec = -vec
-        components.append(tuple(float(x) for x in vec))
-    return PCAResult(
-        components=tuple(components),
-        explained_variance_ratio=tuple(float(r) for r in ratios[:n_components]),
-    )
+        components.append([float(x) for x in vec])
+    return {"components": components,
+            "explained_variance_ratio": [float(r) for r in ratios[:n_components]]}
 
 
-def feature_importance(result: PCAResult, feature_names: Sequence[str]
-                       ) -> tuple[tuple[tuple[str, float], ...], ...]:
-    """Per component, the (feature name, signed loading x100) pairs ranked by
-    absolute loading."""
-    if len(feature_names) != len(result.components[0]):
+def feature_importance(result: dict, feature_names: Sequence[str]) -> list[list[dict]]:
+    """Per component of a :func:`pca` result, each feature's ``feature`` name
+    and signed loading x100 as ``value``, ranked by absolute loading."""
+    if len(feature_names) != len(result["components"][0]):
         raise DataValidationError("feature_names length must match the feature count")
     rankings = []
-    for comp in result.components:
+    for comp in result["components"]:
         ranked = sorted(
             zip(feature_names, comp), key=lambda nv: abs(nv[1]), reverse=True
         )
-        rankings.append(tuple((name, value * 100.0) for name, value in ranked))
-    return tuple(rankings)
+        rankings.append([{"feature": name, "value": value * 100.0}
+                         for name, value in ranked])
+    return rankings
 
 
 def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
@@ -300,8 +281,10 @@ def f_sf(f: float, df1: int, df2: int) -> float:
     return 1.0 - front * _beta_cf(b, a, y) / b
 
 
-def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
-    """Classic F = MS_between / MS_within with beta-function p-value."""
+def one_way_anova(groups: Sequence[Sequence[float]]) -> dict:
+    """Classic F = MS_between / MS_within with beta-function p-value: the
+    ``f_statistic``, ``p_value``, ``df_between`` and ``df_within``, and
+    ``p_approx_zero`` when the p-value is reported as 0.0."""
     arrays = _check_groups(groups)
     k = len(arrays)
     n = sum(g.size for g in arrays)
@@ -311,17 +294,18 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
     ss_within = sum(float(((g - g.mean()) ** 2).sum()) for g in arrays)
     df_between = k - 1
     df_within = n - k
+    dfs = {"df_between": df_between, "df_within": df_within}
 
     if ss_within == 0.0:
         if ss_between == 0.0:
-            return AnovaResult(0.0, 1.0, df_between, df_within)
-        return AnovaResult(math.inf, 0.0, df_between, df_within, p_approx_zero=True)
+            return {"f_statistic": 0.0, "p_value": 1.0, **dfs, "p_approx_zero": False}
+        return {"f_statistic": math.inf, "p_value": 0.0, **dfs, "p_approx_zero": True}
 
     f = (ss_between / df_between) / (ss_within / df_within)
     p = f_sf(f, df_between, df_within)
     if p < P_CLAMP:  # an underflow to 0.0 included
-        return AnovaResult(f, 0.0, df_between, df_within, p_approx_zero=True)
-    return AnovaResult(f, p, df_between, df_within)
+        return {"f_statistic": f, "p_value": 0.0, **dfs, "p_approx_zero": True}
+    return {"f_statistic": f, "p_value": p, **dfs, "p_approx_zero": False}
 
 
 def studentized_range_cdf(q: float, k: int, df: int) -> float:
@@ -347,8 +331,10 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     return min(1.0, float(range_cdf @ density))
 
 
-def tukey_hsd(groups: Sequence[Sequence[float]]) -> tuple[TukeyPair, ...]:
-    """Tukey-Kramer pairwise comparisons against the studentized range."""
+def tukey_hsd(groups: Sequence[Sequence[float]]) -> list[dict]:
+    """Tukey-Kramer pairwise comparisons against the studentized range: per
+    pair, ``group_a``, ``group_b``, their ``mean_diff``, ``p_adjusted`` and
+    whether the pair is a ``reject``."""
     arrays = _check_groups(groups)
     k = len(arrays)
     n = sum(g.size for g in arrays)
@@ -366,11 +352,36 @@ def tukey_hsd(groups: Sequence[Sequence[float]]) -> tuple[TukeyPair, ...]:
             q = abs(diff) / se
             p_adj = 1.0 - studentized_range_cdf(q, k, df_within)
             p_adj = min(1.0, max(0.0, p_adj))
-        pairs.append(TukeyPair(
-            group_a=a,
-            group_b=b,
-            mean_diff=diff,
-            p_adjusted=p_adj,
-            reject=p_adj < ALPHA,
-        ))
-    return tuple(pairs)
+        pairs.append({"group_a": a, "group_b": b, "mean_diff": diff,
+                      "p_adjusted": p_adj, "reject": p_adj < ALPHA})
+    return pairs
+
+
+def stats_block(rows: np.ndarray, members: list[list[int]]) -> dict:
+    """PCA and feature importance (n >= 2), plus per-feature ANOVA and Tukey
+    HSD when there are two or more clusters of at least two members each.
+
+    ``members[c]`` lists the row indices of cluster c.
+    """
+    block: dict = {"pca": None, "feature_importance": None, "anova": {},
+                   "tukey": {}}
+    if rows.shape[0] >= 2:
+        block["pca"] = pca(rows, min(3, rows.shape[1]))
+        block["feature_importance"] = feature_importance(block["pca"], FEATURE_NAMES)
+
+    if len(members) >= 2 and all(len(m) >= 2 for m in members):
+        for f_idx, name in enumerate(FEATURE_NAMES):
+            groups = [rows[m, f_idx] for m in members]
+            block["anova"][name] = one_way_anova(groups)
+            block["tukey"][name] = tukey_hsd(groups)
+    return block
+
+
+def write_stats_json(block: dict, path: Union[str, Path],
+                     diagnostics: Optional[dict] = None) -> None:
+    """Write stats.json: a :func:`stats_block`, plus ``run``'s clustering
+    diagnostics when given."""
+    obj = {"format": "persona-miner-stats", "version": 1, **block}
+    if diagnostics is not None:
+        obj["diagnostics"] = diagnostics
+    write_json(path, obj, sort_keys=True)

@@ -117,19 +117,19 @@ def test_criterion_3_pca_orthonormality_oracle_and_rank1():
     rng = np.random.default_rng(0)
     rows = rng.normal(size=(80, 10)) * rng.uniform(0.5, 5.0, size=10)
     result = pca(rows, n_components=10)
-    comp = np.array(result.components)
+    comp = np.array(result["components"])
     assert np.max(np.abs(comp @ comp.T - np.eye(10))) <= 1e-9  # orthonormal
 
     centered = rows - rows.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)  # independent eigen-oracle
     var = s ** 2 / (rows.shape[0] - 1)
     oracle = var / var.sum()
-    assert np.max(np.abs(np.array(result.explained_variance_ratio) - oracle)) \
+    assert np.max(np.abs(np.array(result["explained_variance_ratio"]) - oracle)) \
         <= 1e-9
 
     t = np.linspace(-1, 1, 30)
     rank1 = np.stack([t, 2 * t, -t], axis=1)
-    first_ratio = pca(rank1, n_components=1).explained_variance_ratio[0]
+    first_ratio = pca(rank1, n_components=1)["explained_variance_ratio"][0]
     assert abs(first_ratio - 1.0) <= 1e-12  # pinned
 
 
@@ -198,27 +198,27 @@ def test_criterion_5_persona_round_trip():
 
 def test_criterion_6_anova_and_tukey():
     equal = one_way_anova([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-    assert equal.f_statistic == 0.0
+    assert equal["f_statistic"] == 0.0
 
     fixture = one_way_anova([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert abs(fixture.f_statistic - 13.5) <= 1e-9  # pinned
+    assert abs(fixture["f_statistic"] - 13.5) <= 1e-9  # pinned
     _f, p_oracle = scipy.stats.f_oneway([1, 2, 3], [4, 5, 6])
-    assert abs(fixture.p_value - p_oracle) <= 1e-9
+    assert abs(fixture["p_value"] - p_oracle) <= 1e-9
 
     rng = np.random.default_rng(6)
     a, b = rng.normal(0, 1, 15), rng.normal(1, 1, 11)
     t_stat, _ = scipy.stats.ttest_ind(a, b)
-    assert abs(one_way_anova([a, b]).f_statistic - t_stat ** 2) <= 1e-9  # F == t^2
+    assert abs(one_way_anova([a, b])["f_statistic"] - t_stat ** 2) <= 1e-9  # F == t^2
 
     groups = [[10.0, 10.5, 9.5, 10.2], [10.1, 10.4, 9.8, 10.0],
               [50.0, 50.5, 49.5, 50.2]]
     pairs = tukey_hsd(groups)
-    rejected = {(p.group_a, p.group_b) for p in pairs if p.reject}
+    rejected = {(p["group_a"], p["group_b"]) for p in pairs if p["reject"]}
     assert rejected == {(0, 2), (1, 2)}  # exactly the two outlier pairs
     oracle = scipy.stats.tukey_hsd(*groups)
     for pair in pairs:
-        assert abs(pair.p_adjusted
-                   - oracle.pvalue[pair.group_a, pair.group_b]) <= 1e-6
+        assert abs(pair["p_adjusted"]
+                   - oracle.pvalue[pair["group_a"], pair["group_b"]]) <= 1e-6
 
 
 # -- criterion 7: commit classification ------------------------------------

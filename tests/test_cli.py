@@ -14,6 +14,8 @@ import persona_miner
 from persona_miner import cli, pipeline
 from persona_miner.cli import main
 
+from conftest import FakeTransport, paged
+
 
 @pytest.fixture()
 def runner():
@@ -52,7 +54,7 @@ def test_run_and_stats_load_no_scipy(fixture_archive_path, tmp_path):
         f"main(['run', '--archive', {str(fixture_archive_path)!r}, "
         f"'--output-dir', {str(tmp_path / 'run')!r}], standalone_mode=False)\n"
         "groups = [[1.0, 2.0, 3.5], [4.0, 5.5, 6.0], [2.0, 2.5, 9.0]]\n"
-        "assert one_way_anova(groups).p_value > 0.0\n"
+        "assert one_way_anova(groups)['p_value'] > 0.0\n"
         "assert len(tukey_hsd(groups)) == 3\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -94,16 +96,24 @@ def test_metrics_subcommand(runner, fixture_archive_path, tmp_path):
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_commands_pause_gc_and_restore_it(runner, fixture_archive_path, tmp_path,
                                           monkeypatch, enabled):
-    # inside a command cyclic GC is off; after it, on success or on exit 4, the
-    # caller's setting is back
+    # inside a command cyclic GC is off, but for fetch, whose time is network
+    # time; after it, on success or on exit 4, the caller's setting is back
     seen = []
 
     def recording(*args):
         seen.append(gc.isenabled())
         return metric_table(*args)
 
+    def pulls(_params):
+        seen.append(gc.isenabled())
+        return []
+
     metric_table = cli.metric_table
     monkeypatch.setattr(cli, "metric_table", recording)
+    base = "https://api.github.com/repos/octo/proj"
+    transport = FakeTransport({f"{base}/commits": paged([]), f"{base}/issues": paged([]),
+                               f"{base}/pulls": pulls})
+    monkeypatch.setattr(cli, "_live_transport", lambda: transport)
     bad = tmp_path / "bad.jsonl"
     bad.write_text(fixture_archive_path.read_text().replace("2023-01-01T", "2023-13-01T", 1))
     was_enabled = gc.isenabled()
@@ -117,6 +127,10 @@ def test_commands_pause_gc_and_restore_it(runner, fixture_archive_path, tmp_path
                                       "--output", str(tmp_path / "bad.csv")])
         assert result.exit_code == 4 and "bad.jsonl:3: " in result.output
         assert "month must be in 1..12" in result.output
+        assert gc.isenabled() is enabled
+        result = _invoke(runner, ["fetch", "--repos", "octo/proj",
+                                  "--output", str(tmp_path / "archive.jsonl")])
+        assert result.exit_code == 0 and seen == [False, True]
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()

@@ -150,3 +150,61 @@ def test_only_six_kinds_ever_produced(fixture_archive_path):
 
     for iset in load_archive(fixture_archive_path):
         assert all(e.kind in ALL_KINDS for e in iset.events)
+
+
+def _pr(number, login, **fields):
+    return {"number": number, "user": {"login": login}, "state": "open",
+            "created_at": "2023-03-01T00:00:00Z", **fields}
+
+
+def test_second_page_is_fetched_when_the_first_is_full():
+    transport = FakeTransport({
+        f"{BASE}/commits": paged([]),
+        f"{BASE}/issues": paged([]),
+        f"{BASE}/pulls": paged([_pr(n, "ada") for n in range(1, 151)]),
+    })
+    iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
+    assert [e.kind for e in iset.events] == [InteractionKind.PR_CREATED] * 150
+    assert [e.subject_id for e in iset.events] == [str(n) for n in range(1, 151)]
+    assert [params["page"] for url, params in transport.calls
+            if url == f"{BASE}/pulls"] == [1, 2]
+
+
+def test_pr_closer_falls_back_to_the_issue_events_closer():
+    closed = {"state": "closed", "closed_at": "2023-03-08T00:00:00Z"}
+    transport = FakeTransport({
+        f"{BASE}/commits": paged([]),
+        f"{BASE}/issues": paged([]),
+        f"{BASE}/pulls": paged([
+            _pr(1, "ada", **closed),  # closed unmerged
+            _pr(2, "ada", **closed, merged_at="2023-03-08T00:00:00Z"),  # no merged_by
+            _pr(3, "ada", **closed),  # no closed event with an actor: the author
+        ]),
+        f"{BASE}/pulls/2": {"merged_by": None},
+        f"{BASE}/issues/1/events": paged([
+            {"event": "labeled", "actor": {"login": "bob"}},
+            {"event": "closed", "actor": {"login": "carol"}},
+            {"event": "closed", "actor": {"login": "dmitri"}},
+        ]),
+        f"{BASE}/issues/2/events": paged([{"event": "closed", "actor": {"login": "elena"}}]),
+        f"{BASE}/issues/3/events": paged([{"event": "closed", "actor": None}]),
+    })
+    iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
+    closers = {e.subject_id: e.actor for e in iset.events
+               if e.kind == InteractionKind.PR_CLOSED}
+    assert closers == {"1": "carol", "2": "elena", "3": "ada"}
+
+
+def test_commit_with_no_login_and_no_email_is_skipped(caplog):
+    transport = FakeTransport({
+        f"{BASE}/commits": paged([_commit("dead", login=None, email=" "),
+                                  _commit("abc1", login="ada")]),
+        f"{BASE}/commits/abc1": {"files": []},
+        f"{BASE}/issues": paged([]),
+        f"{BASE}/pulls": paged([]),
+    })
+    iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
+    assert [(e.actor, e.subject_id) for e in iset.events] == [("ada", "abc1")]
+    assert f"{BASE}/commits/dead" not in [url for url, _params in transport.calls]
+    assert "commit dead has no resolvable author; skipped" in caplog.text
+    assert not iset.incomplete

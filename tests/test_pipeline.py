@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import persona_miner
@@ -23,7 +23,7 @@ from persona_miner.personas import DEFAULT_PROFILES, load_profiles
 from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
 from persona_miner.simgen import generate
 
-from conftest import interaction_sets
+from conftest import csv_slugs, interaction_sets
 
 TIMESTAMP_KEYS = {"started_at", "finished_at"}
 
@@ -327,3 +327,57 @@ def test_appended_repo_leaves_other_metric_rows(fixture_archive_path, tmp_path,
     new_rows = [row for row in rows[1] if b",zeta-lab/newcomer," in row]
     assert len(new_rows) >= 2
     assert [row for row in rows[1] if row not in new_rows] == rows[0]
+
+
+def _metrics_rows(sets, out, exclude_bots):
+    """metrics.csv of ``sets`` saved to and loaded from an archive in ``out``,
+    as parsed rows."""
+    save_archive(sets, out / "archive.jsonl")
+    vectors = metric_table(load_archive(out / "archive.jsonl"), exclude_bots)[1]
+    write_metrics_csv(vectors, out / "metrics.csv")
+    with (out / "metrics.csv").open(encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@given(sets=st.lists(interaction_sets(), max_size=3, unique_by=lambda s: s.repo),
+       names=st.lists(st.text(min_size=1, max_size=8).filter(
+           lambda name: not name.endswith("[bot]")), min_size=6, max_size=6, unique=True),
+       exclude_bots=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_metrics_follow_renamed_logins(tmp_path_factory, sets, names, exclude_bots):
+    # each login gets a drawn name, in any sort order, and a bot keeps its [bot]
+    # suffix: the rows are the same but for the login, re-sorted within each repo
+    logins = sorted({ev.actor for s in sets for ev in s.events})
+    renamed = {login: name + "[bot]" * login.endswith("[bot]")
+               for login, name in zip(logins, names)}
+    renamed_sets = [replace(s, events=tuple(ev._replace(actor=renamed[ev.actor])
+                                            for ev in s.events)) for s in sets]
+    header, *rows = _metrics_rows(sets, tmp_path_factory.mktemp("out"), exclude_bots)
+    renamed_header, *renamed_rows = _metrics_rows(
+        renamed_sets, tmp_path_factory.mktemp("out"), exclude_bots)
+    assert renamed_header == header
+    repo, login = header.index("repo"), header.index("login")
+    for row in rows:
+        row[login] = renamed[row[login]]
+    assert renamed_rows == sorted(rows, key=lambda row: (row[repo], row[login]))
+
+
+@given(sets=st.lists(interaction_sets(), max_size=2, unique_by=lambda s: s.repo),
+       added=interaction_sets(), repo=csv_slugs, at=st.integers(0, 2),
+       exclude_bots=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_added_repo_leaves_other_metric_rows(tmp_path_factory, sets, added, repo, at,
+                                             exclude_bots):
+    # a repo of its own anywhere in the archive adds its rows and changes no other
+    assume(repo not in {s.repo for s in sets})
+    extended = [*sets]
+    extended.insert(at, replace(added, repo=repo))
+    header, *rows = _metrics_rows(sets, tmp_path_factory.mktemp("out"), exclude_bots)
+    extended_header, *extended_rows = _metrics_rows(
+        extended, tmp_path_factory.mktemp("out"), exclude_bots)
+    assert extended_header == header
+    col = header.index("repo")
+    assert [row for row in extended_rows if row[col] != str(repo)] == rows
+    actors = {ev.actor for ev in added.events
+              if not (exclude_bots and ev.actor.endswith("[bot]"))}
+    assert len(extended_rows) - len(rows) == len(actors)

@@ -32,7 +32,7 @@ def test_pca_orthonormal_loadings():
     rng = np.random.default_rng(42)
     rows = rng.normal(size=(50, 6))
     result = pca(rows, n_components=6)
-    comp = np.array(result.components)
+    comp = np.array(result["components"])
     assert np.allclose(comp @ comp.T, np.eye(6), atol=1e-9)
 
 
@@ -42,16 +42,16 @@ def test_pca_ratios_match_svd_oracle():
         rows = rng.normal(size=(30, 5)) * rng.uniform(0.1, 10, size=5)
         result = pca(rows, n_components=5)
         expected = svd_ratio_oracle(rows)
-        assert np.allclose(result.explained_variance_ratio, expected, atol=1e-9)
-        assert sum(result.explained_variance_ratio) == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(result["explained_variance_ratio"], expected, atol=1e-9)
+        assert sum(result["explained_variance_ratio"]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pca_rank1_line():
     t = np.linspace(-3, 3, 25)
     rows = np.stack([t, t], axis=1)  # points on y = x
     result = pca(rows, n_components=2)
-    assert abs(result.explained_variance_ratio[0] - 1.0) < 1e-12
-    assert result.components[0] == pytest.approx(
+    assert abs(result["explained_variance_ratio"][0] - 1.0) < 1e-12
+    assert result["components"][0] == pytest.approx(
         (1 / math.sqrt(2), 1 / math.sqrt(2)), abs=1e-12
     )
 
@@ -59,7 +59,7 @@ def test_pca_rank1_line():
 def test_pca_sign_convention():
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(40, 4))
-    for comp in pca(rows, n_components=4).components:
+    for comp in pca(rows, n_components=4)["components"]:
         vec = np.array(comp)
         assert vec[int(np.argmax(np.abs(vec)))] > 0
 
@@ -68,7 +68,7 @@ def test_pca_reconstruction_full_rank():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(20, 4))
     centered = rows - rows.mean(axis=0)
-    basis = np.array(pca(rows, n_components=4).components)
+    basis = np.array(pca(rows, n_components=4)["components"])
     recon = centered @ basis.T @ basis
     assert np.allclose(recon, centered, atol=1e-9)
 
@@ -85,9 +85,9 @@ def test_feature_importance_ranked_signed():
     result = pca(rows, n_components=1)
     imp = feature_importance(result, ["big", "small"])
     (first, second) = imp[0]
-    assert first[0] == "big"
-    assert abs(first[1]) > abs(second[1])
-    assert first[1] == pytest.approx(result.components[0][0] * 100)
+    assert first["feature"] == "big"
+    assert abs(first["value"]) > abs(second["value"])
+    assert first["value"] == pytest.approx(result["components"][0][0] * 100)
     with pytest.raises(DataValidationError):
         feature_importance(result, ["only-one"])
 
@@ -174,22 +174,22 @@ def test_ndtr_matches_scipy():
 
 def test_anova_equal_means_f_zero():
     result = one_way_anova([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
-    assert result.f_statistic == pytest.approx(0.0, abs=1e-12)
-    assert result.p_value == pytest.approx(1.0, abs=1e-12)
+    assert result["f_statistic"] == pytest.approx(0.0, abs=1e-12)
+    assert result["p_value"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_anova_constant_identical_groups():
     result = one_way_anova([[5.0, 5.0], [5.0, 5.0]])
-    assert result.f_statistic == 0.0
-    assert result.p_value == 1.0
+    assert result["f_statistic"] == 0.0
+    assert result["p_value"] == 1.0
 
 
 def test_anova_fixture_f_13_5():
     result = one_way_anova([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert result.f_statistic == pytest.approx(13.5, abs=1e-9)
+    assert result["f_statistic"] == pytest.approx(13.5, abs=1e-9)
     f, p = scipy.stats.f_oneway([1, 2, 3], [4, 5, 6])
-    assert result.p_value == pytest.approx(p, abs=1e-12)
-    assert result.df_between == 1 and result.df_within == 4
+    assert result["p_value"] == pytest.approx(p, abs=1e-12)
+    assert result["df_between"] == 1 and result["df_within"] == 4
 
 
 def test_two_group_f_equals_t_squared():
@@ -199,7 +199,7 @@ def test_two_group_f_equals_t_squared():
         b = rng.normal(0.8, 1, 9)
         result = one_way_anova([a, b])
         t, _p = scipy.stats.ttest_ind(a, b)
-        assert result.f_statistic == pytest.approx(t ** 2, abs=1e-9)
+        assert result["f_statistic"] == pytest.approx(t ** 2, abs=1e-9)
 
 
 def test_anova_matches_scipy_on_random_groups():
@@ -209,23 +209,23 @@ def test_anova_matches_scipy_on_random_groups():
                   for _ in range(int(rng.integers(2, 6)))]
         result = one_way_anova(groups)
         f, p = scipy.stats.f_oneway(*groups)
-        assert result.f_statistic == pytest.approx(f, rel=1e-10)
-        assert result.p_value == pytest.approx(p, abs=1e-10)
+        assert result["f_statistic"] == pytest.approx(f, rel=1e-10)
+        assert result["p_value"] == pytest.approx(p, abs=1e-10)
 
 
 def test_anova_zero_within_distinct_means():
     result = one_way_anova([[1.0, 1.0], [2.0, 2.0]])
-    assert result.f_statistic == math.inf
-    assert result.p_value == 0.0
-    assert result.p_approx_zero
+    assert result["f_statistic"] == math.inf
+    assert result["p_value"] == 0.0
+    assert result["p_approx_zero"]
 
 
 def test_anova_p_value_underflow_is_flagged():
     rng = np.random.default_rng(0)
     result = one_way_anova([rng.normal(0.0, 1e-3, 400), rng.normal(1.0, 1e-3, 400)])
-    assert result.f_statistic > 1e6
-    assert result.p_value == 0.0
-    assert result.p_approx_zero
+    assert result["f_statistic"] > 1e6
+    assert result["p_value"] == 0.0
+    assert result["p_approx_zero"]
 
 
 def test_anova_validation():
@@ -284,7 +284,7 @@ def test_tukey_far_outlier_rejects_exactly_two_pairs():
     b = [10.1, 10.4, 9.8, 10.0]
     c = [50.0, 50.5, 49.5, 50.2]
     pairs = tukey_hsd([a, b, c])
-    rejected = {(p.group_a, p.group_b) for p in pairs if p.reject}
+    rejected = {(p["group_a"], p["group_b"]) for p in pairs if p["reject"]}
     assert rejected == {(0, 2), (1, 2)}
 
 
@@ -294,11 +294,11 @@ def test_tukey_pvalues_match_scipy():
     pairs = tukey_hsd(groups)
     oracle = scipy.stats.tukey_hsd(*groups)
     for pair in pairs:
-        assert pair.p_adjusted == pytest.approx(
-            oracle.pvalue[pair.group_a, pair.group_b], abs=1e-6
+        assert pair["p_adjusted"] == pytest.approx(
+            oracle.pvalue[pair["group_a"], pair["group_b"]], abs=1e-6
         )
-        assert pair.mean_diff == pytest.approx(
-            float(np.mean(groups[pair.group_a]) - np.mean(groups[pair.group_b]))
+        assert pair["mean_diff"] == pytest.approx(
+            float(np.mean(groups[pair["group_a"]]) - np.mean(groups[pair["group_b"]]))
         )
 
 
@@ -306,11 +306,11 @@ def test_tukey_group_reorder_invariance():
     groups = [[1.0, 2.0, 1.5], [5.0, 5.5, 4.5], [1.1, 2.1, 1.4]]
     forward = tukey_hsd(groups)
     backward = tukey_hsd(groups[::-1])
-    assert sorted(round(p.p_adjusted, 10) for p in forward) == \
-        sorted(round(p.p_adjusted, 10) for p in backward)
+    assert sorted(round(p["p_adjusted"], 10) for p in forward) == \
+        sorted(round(p["p_adjusted"], 10) for p in backward)
 
 
 def test_tukey_identical_groups_accept_all():
     pairs = tukey_hsd([[1.0, 2.0, 3.0]] * 3)
-    assert all(not p.reject for p in pairs)
-    assert all(p.p_adjusted > 0.99 for p in pairs)
+    assert all(not p["reject"] for p in pairs)
+    assert all(p["p_adjusted"] > 0.99 for p in pairs)

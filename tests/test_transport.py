@@ -155,3 +155,26 @@ def test_lower_case_retry_after_is_honoured(status):
         response = transport.get("https://api.example/x")
     assert response.status == 200
     assert sleeps == [7.0]
+
+
+def test_each_request_takes_a_token_from_the_bucket():
+    fake = FakeClock()
+    bucket = TokenBucket(capacity=1, refill_per_sec=1.0,
+                         clock=fake.clock, sleep=fake.sleep)
+    transport = RequestsTransport(bucket=bucket, sleep=lambda s: None)
+    with mock.patch("requests.get", return_value=_resp(200, json_body=[])) as getter:
+        transport.get("https://api.example/x")
+        assert fake.sleeps == []
+        transport.get("https://api.example/y")  # the bucket is empty: wait ~1 s
+    assert getter.call_count == 2
+    assert fake.sleeps == [pytest.approx(1.0)]
+
+
+def test_a_body_that_is_not_json_reads_as_none():
+    r = _resp(200)
+    r.content = b"<html>busy</html>"
+    r.json.side_effect = ValueError("Expecting value")
+    transport = RequestsTransport(sleep=lambda s: None)
+    with mock.patch("requests.get", return_value=r):
+        response = transport.get("https://api.example/x")
+    assert (response.status, response.body) == (200, None)
