@@ -178,10 +178,7 @@ def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
     k_best, _scores = select_k(rows, k_min=k_min, k_max=k_max)
     dendro = agglomerate(rows)
     labels = cut(dendro, k_best)
-    write_labels_csv(
-        [(v.repo, v.login, labels.labels[i], 0) for i, v in enumerate(vectors)],
-        labels_output,
-    )
+    write_labels_csv(vectors, labels.labels, (0,) * len(vectors), labels_output)
     if dendrogram_output:
         dendro.save_json(dendrogram_output)
     click.echo(f"k={k_best} clusters over {len(vectors)} rows")
@@ -207,9 +204,8 @@ def assign(metrics_path: str, profiles_path: str | None, output_path: str):
     """Direct-mode persona assignment: nearest centroid per individual."""
     vectors = read_metrics_csv(metrics_path)
     profiles = load_profiles(profiles_path)
-    assignments = [assign_persona(v, profiles) for v in vectors]
-    write_personas_csv(assignments, output_path)
-    click.echo(f"assigned personas to {len(assignments)} individuals")
+    write_personas_csv(vectors, [assign_persona(v, profiles) for v in vectors], output_path)
+    click.echo(f"assigned personas to {len(vectors)} individuals")
 
 
 @main.command()

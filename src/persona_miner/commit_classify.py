@@ -120,41 +120,30 @@ def classify_files(paths: list[str],
     return ACTIVITY_FALLBACK
 
 
-@dataclass(frozen=True)
-class CommitClassification:
-    sha: str
-    repo: str
-    dev_type: DevelopmentType
-    size_class: Optional[SizeClass]  # None when the payload lacks a file list
-    activity_type: str
-
-
-def classify_commit(sha: str, repo: str,
-                    payload: Optional[CommitPayload]) -> CommitClassification:
+def classify_commit(payload: Optional[CommitPayload],
+                    ) -> tuple[DevelopmentType, Optional[SizeClass], str]:
+    """(dev_type, size_class, activity_type); size_class is None when the
+    payload lacks a file list."""
     message = payload.message if payload else ""
     files = list(payload.changed_files) if payload else []
-    return CommitClassification(
-        sha=sha,
-        repo=repo,
-        dev_type=classify_message(message),
-        size_class=classify_size(len(files)) if files else None,
-        activity_type=classify_files(files),
-    )
+    return (classify_message(message),
+            classify_size(len(files)) if files else None,
+            classify_files(files))
 
 
-def classify_archive(sets: Iterable[InteractionSet]) -> list[CommitClassification]:
-    """Classify every created commit, repo by repo in repo order."""
+def classify_archive(sets: Iterable[InteractionSet]) -> list[tuple]:
+    """(sha, repo, dev_type, size_class, activity_type) of every created
+    commit, repo by repo in repo order."""
     return [
-        classify_commit(ev.subject_id, str(iset.repo), ev.payload)
+        (ev.subject_id, str(iset.repo), *classify_commit(ev.payload))
         for iset in sorted(sets, key=lambda s: str(s.repo))
         for ev in iset.events
         if ev.kind == InteractionKind.COMMIT_CREATED
     ]
 
 
-def write_classification_csv(rows: list[CommitClassification],
-                             path: Union[str, Path]) -> None:
+def write_classification_csv(rows: Iterable[tuple], path: Union[str, Path]) -> None:
+    """Rows are classify_archive's tuples."""
     write_csv(path, ["sha", "repo", "dev_type", "size_class", "activity_type"], (
-        [r.sha, r.repo, r.dev_type.value,
-         r.size_class.value if r.size_class else "payload-absent", r.activity_type]
-        for r in rows))
+        [sha, repo, dev_type.value, size.value if size else "payload-absent", activity]
+        for sha, repo, dev_type, size, activity in rows))

@@ -16,7 +16,6 @@ from typing import Optional, Sequence, Union
 
 from .errors import ConfigError, DataValidationError, write_csv
 from .metrics import MetricVector
-from .models import RepoSlug
 
 UNMATCHED = "Unmatched persona"
 UNMATCHED_DISTANCE = 25.0  # run's sub-cluster centroids beyond it are UNMATCHED
@@ -37,15 +36,6 @@ class PersonaProfile:
             raise ConfigError("persona centroid values must be in [0, 100]")
         if self.interactivity not in INTERACTIVITY_LEVELS:
             raise ConfigError(f"unknown interactivity {self.interactivity!r}")
-
-
-@dataclass(frozen=True)
-class PersonaAssignment:
-    repo: RepoSlug
-    login: str
-    persona: str
-    distance: float
-    cluster_path: Optional[tuple[int, int]] = None  # (initial cluster, sub-cluster)
 
 
 def load_profiles(path: Optional[Union[str, Path]] = None) -> tuple[PersonaProfile, ...]:
@@ -121,14 +111,18 @@ def label_subcluster(
 
 def assign_persona(v: MetricVector,
                    profiles: Sequence[PersonaProfile] = DEFAULT_PROFILES,
-                   ) -> PersonaAssignment:
-    """Direct-mode labeling of one individual by its six RC values only."""
-    name, dist = label_subcluster(v.features[:6], profiles)
-    return PersonaAssignment(repo=v.repo, login=v.login, persona=name, distance=dist)
+                   ) -> tuple[str, float]:
+    """Direct-mode (persona, distance) of one individual by its six RC values only."""
+    return label_subcluster(v.features[:6], profiles)
 
 
-def write_personas_csv(assignments: Sequence[PersonaAssignment],
-                       path: Union[str, Path]) -> None:
+def write_personas_csv(vectors: Sequence[MetricVector], personas: Sequence[tuple[str, float]],
+                       path: Union[str, Path], columns: Optional[tuple] = None) -> None:
+    """Row i is vectors[i]'s repo and login, personas[i]'s (persona, distance)
+    and, with ``columns``, run's (cluster, subcluster) label columns; without
+    them both cells are empty. Sequences of unequal length are a ValueError."""
+    clusters, subclusters = columns or (("",) * len(vectors),) * 2
     write_csv(path, ["repo", "login", "persona", "distance", "cluster", "subcluster"], (
-        [str(a.repo), a.login, a.persona, repr(a.distance), *(a.cluster_path or ("", ""))]
-        for a in assignments))
+        [str(v.repo), v.login, name, repr(dist), cluster, sub]
+        for v, (name, dist), cluster, sub
+        in zip(vectors, personas, clusters, subclusters, strict=True)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -21,7 +22,6 @@ from .errors import ConfigError, check_makeable_dir, make_dir, write_json
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
 from .personas import (
     UNMATCHED_DISTANCE,
-    PersonaAssignment,
     load_profiles,
     order_clusters_by_interactivity,
     label_subcluster,
@@ -58,7 +58,8 @@ def cluster_and_label(
     """Cluster, sub-cluster, and label sub-cluster centroids with personas.
 
     ``rows`` is ``feature_matrix(vectors)``. Returns (initial_labels,
-    sub_labels, assignments, diagnostics), ``diagnostics`` in the shape
+    sub_labels, personas, diagnostics): ``personas[i]`` is row i's
+    sub-cluster's (persona, distance), and ``diagnostics`` is in the shape
     stats.json writes: ``initial_k``, the CH score of each k as ``ch_scores``
     and each parent's sub-cluster count as ``sub_k``, both keyed by strings.
     Inputs are percentages already; no standardization is applied before
@@ -68,25 +69,23 @@ def cluster_and_label(
     initial = cut(agglomerate(rows), k_best)
 
     sub_labels = [0] * len(vectors)
-    assignments: list[PersonaAssignment] = [None] * len(vectors)
+    personas: list[tuple[str, float]] = [None] * len(vectors)
     sub_k: dict[str, int] = {}
     for parent, members in enumerate(initial.members()):
         result = subcluster(rows[members], k_min=k_min, k_max=k_max)
         sub_k[str(parent)] = result.k
         for sub, local in enumerate(result.members()):
             group = [members[j] for j in local]
-            name, dist = label_subcluster(
+            persona = label_subcluster(
                 tuple(float(x) for x in rows[group, :6].mean(axis=0)),
                 profiles, max_distance=UNMATCHED_DISTANCE)
             for i in group:
                 sub_labels[i] = sub
-                assignments[i] = PersonaAssignment(
-                    repo=vectors[i].repo, login=vectors[i].login, persona=name,
-                    distance=dist, cluster_path=(parent, sub))
+                personas[i] = persona
 
     diagnostics = {"initial_k": k_best, "sub_k": sub_k,
                    "ch_scores": {str(k): v for k, v in scores.items()}}
-    return initial, tuple(sub_labels), assignments, diagnostics
+    return initial, tuple(sub_labels), personas, diagnostics
 
 
 def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *,
@@ -111,7 +110,7 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
                                         bot_deny_list=frozenset(bot_deny_list))
     profiles = load_profiles(persona_profile_path)
     rows = feature_matrix(vectors)
-    initial, sub_labels, assignments, diagnostics = cluster_and_label(
+    initial, sub_labels, personas, diagnostics = cluster_and_label(
         vectors, profiles, rows, k_min=k_min, k_max=k_max)
     members = initial.members()
     classifications = classify_archive(sets)
@@ -127,9 +126,8 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     write_metrics_csv(vectors, out / "metrics.csv")
     write_classification_csv(classifications, out / "classification.csv")
     dendro.save_json(out / "dendrogram.json")
-    write_labels_csv([(v.repo, v.login, initial.labels[i], sub_labels[i])
-                      for i, v in enumerate(vectors)], out / "labels.csv")
-    write_personas_csv(assignments, out / "personas.csv")
+    write_labels_csv(vectors, initial.labels, sub_labels, out / "labels.csv")
+    write_personas_csv(vectors, personas, out / "personas.csv", (initial.labels, sub_labels))
     diagnostics["interactivity_levels"] = {str(k): v for k, v in (levels or {}).items()}
     write_stats_json(stats, out / "stats.json", diagnostics=diagnostics)
     write_reports(individuals, initial.labels, out)
@@ -138,9 +136,7 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     settings = {"archive_path": archive_path, "seed": seed, "k_min": k_min,
                 "k_max": k_max, "persona_profile_path": persona_profile_path,
                 "exclude_bots": exclude_bots, "bot_deny_list": bot_deny_list}
-    persona_counts: dict[str, int] = {}
-    for a in assignments:
-        persona_counts[a.persona] = persona_counts.get(a.persona, 0) + 1
+    persona_counts = Counter(name for name, _dist in personas)
 
     manifest = {
         "format": "persona-miner-manifest",

@@ -85,11 +85,14 @@ def write_composition_csv(rows: Sequence[tuple[RepoSlug, dict[int, int]]],
         for i, (repo, clusters) in enumerate(rows)))
 
 
-def write_labels_csv(rows: Sequence[tuple[RepoSlug, str, int, int]],
-                     path: Union[str, Path]) -> None:
-    """Rows are (repo, login, cluster, subcluster)."""
-    write_csv(path, ["repo", "login", "cluster", "subcluster"],
-              ([str(repo), login, cluster, sub] for repo, login, cluster, sub in rows))
+def write_labels_csv(individuals: Sequence, clusters: Sequence[int],
+                     subclusters: Sequence[int], path: Union[str, Path]) -> None:
+    """Row i is individuals[i]'s repo and login (anything with ``repo`` and
+    ``login``), clusters[i] and subclusters[i]. Sequences of unequal length
+    are a ValueError."""
+    write_csv(path, ["repo", "login", "cluster", "subcluster"], (
+        [str(ind.repo), ind.login, cluster, sub]
+        for ind, cluster, sub in zip(individuals, clusters, subclusters, strict=True)))
 
 
 def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLabels:

@@ -222,9 +222,9 @@ def feature_importance(result: dict, feature_names: Sequence[str]) -> list[list[
         raise DataValidationError("feature_names length must match the feature count")
     rankings = []
     for comp in result["components"]:
-        ranked = sorted(
-            zip(feature_names, comp), key=lambda nv: abs(nv[1]), reverse=True
-        )
+        # loadings equal to 10 places, which a CPU's kernels may order either
+        # way in their last bits, keep the features' order
+        ranked = sorted(zip(feature_names, comp), key=lambda nv: -round(abs(nv[1]), 10))
         rankings.append([{"feature": name, "value": value * 100.0}
                          for name, value in ranked])
     return rankings
@@ -239,9 +239,6 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
     for g in arrays:
         if g.size < 2:
             raise DataValidationError("each group needs at least 2 values")
-    n = sum(g.size for g in arrays)
-    if n <= len(arrays):
-        raise DataValidationError("total n must exceed the number of groups")
     return arrays
 
 

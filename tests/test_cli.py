@@ -293,6 +293,12 @@ def test_subcommands_reproduce_run_outputs(runner, fixture_archive_path, tmp_pat
     assert (tmp_path / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
     assert len(Path(metrics).read_text("utf-8").splitlines()) == 1 + n_individuals
 
+    # classify takes no bot flags: run classifies every commit, a bot's included
+    _invoke(runner, ["classify", "--archive", archive,
+                     "--output", str(tmp_path / "classification.csv")])
+    assert (tmp_path / "classification.csv").read_bytes() == \
+        (run_dir / "classification.csv").read_bytes()
+
     _invoke(runner, ["report", "--archive", archive, "--labels", labels, *flags,
                      "--output-dir", str(tmp_path / "report")])
     for name in ("totals.csv", "upset.json", "composition.csv"):
@@ -713,6 +719,25 @@ def test_cluster_too_few_rows_exit_4(runner, tmp_path):
     result = runner.invoke(main, ["cluster", "--metrics", str(metrics),
                                   "--labels-output", str(tmp_path / "l.csv")])
     assert result.exit_code == 4
+
+
+def test_empty_metric_table(runner, tmp_path):
+    # no rows: assign writes the header only, and cluster's k range is empty
+    metrics, personas, labels = (tmp_path / name
+                                 for name in ("sim.csv", "personas.csv", "labels.csv"))
+    _invoke(runner, ["simulate", "--count", "0", "--metrics-output", str(metrics)])
+    assert len(metrics.read_text("utf-8").splitlines()) == 1
+
+    result = runner.invoke(main, ["assign", "--metrics", str(metrics),
+                                  "--output", str(personas)])
+    assert result.exit_code == 0
+    assert personas.read_bytes() == b"repo,login,persona,distance,cluster,subcluster\r\n"
+
+    result = runner.invoke(main, ["cluster", "--metrics", str(metrics),
+                                  "--labels-output", str(labels)])
+    assert result.exit_code == 4
+    assert "error: empty k range [2, -1]" in result.output
+    assert not labels.exists()
 
 
 def test_two_individuals_exit_4_for_run_and_cluster(runner, tmp_path):

@@ -142,18 +142,18 @@ def test_custom_keyword_table_load():
 
 
 def test_classify_commit_payload_absent():
-    result = classify_commit("abc", "o/r", None)
-    assert result.dev_type is D.UNCLASSIFIED
-    assert result.size_class is None
-    assert result.activity_type == "unknown"
+    dev_type, size_class, activity_type = classify_commit(None)
+    assert dev_type is D.UNCLASSIFIED
+    assert size_class is None
+    assert activity_type == "unknown"
 
 
 def test_classify_commit_full_payload():
     payload = CommitPayload(message="fix bug", changed_files=("src/a.py",))
-    result = classify_commit("abc", "o/r", payload)
-    assert result.dev_type is D.CORRECTIVE_ENGINEERING
-    assert result.size_class is SizeClass.TINY
-    assert result.activity_type == "code"
+    dev_type, size_class, activity_type = classify_commit(payload)
+    assert dev_type is D.CORRECTIVE_ENGINEERING
+    assert size_class is SizeClass.TINY
+    assert activity_type == "code"
 
 
 @given(message=st.text(max_size=80),
@@ -217,9 +217,9 @@ def test_classify_files_matches_rule_file_oracle(paths):
 
 def test_classification_csv(tmp_path):
     rows = [
-        classify_commit("a1", "o/r", CommitPayload(message="fix x",
-                                                   changed_files=("a.py",))),
-        classify_commit("a2", "o/r", None),
+        ("a1", "o/r", *classify_commit(CommitPayload(message="fix x",
+                                                     changed_files=("a.py",)))),
+        ("a2", "o/r", *classify_commit(None)),
     ]
     out = tmp_path / "cls.csv"
     write_classification_csv(rows, out)
@@ -248,6 +248,6 @@ def test_classify_archive_takes_commits_in_repo_order():
                            ("a1", InteractionKind.COMMIT_CREATED)]),
     ]
     rows = classify_archive(sets)
-    assert [(r.repo, r.sha) for r in rows] == [
+    assert [(repo, sha) for sha, repo, *_classes in rows] == [
         ("org/alpha", "a2"), ("org/alpha", "a1"), ("org/zeta", "z1")]
-    assert rows[0] == classify_commit("a2", "org/alpha", sets[1].events[0].payload)
+    assert rows[0] == ("a2", "org/alpha", *classify_commit(sets[1].events[0].payload))

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -76,10 +75,9 @@ def test_distance_ignores_non_rc_fields():
     v = _vector(list(base.centroid))
     # mutate-by-copy: same RCs, different derived fields don't matter because
     # assign_persona reads the six RCs only
-    assignment = assign_persona(v)
-    assert assignment.persona == "Occasional Contributor"
-    assert assignment.distance == 0.0
-    assert assignment.login == "ada"
+    name, distance = assign_persona(v)
+    assert name == "Occasional Contributor"
+    assert distance == 0.0
 
 
 def test_declaration_order_breaks_ties():
@@ -145,10 +143,11 @@ def test_interactivity_nonstandard_k():
 def test_personas_csv(tmp_path):
     base = next(p for p in DEFAULT_PROFILES
                 if p.name == "Ephemeral Contributor")
-    a = assign_persona(_vector(list(base.centroid)))
-    out = tmp_path / "personas.csv"
-    write_personas_csv([replace(a, cluster_path=(0, 1)), a], out)
-    lines = out.read_text().splitlines()
+    v = _vector(list(base.centroid))
+    with_path, direct = tmp_path / "personas.csv", tmp_path / "direct.csv"
+    write_personas_csv([v], [assign_persona(v)], with_path, ((0,), (1,)))
+    write_personas_csv([v], [assign_persona(v)], direct)
+    lines = with_path.read_text().splitlines() + direct.read_text().splitlines()[1:]
     assert lines[0] == "repo,login,persona,distance,cluster,subcluster"
     assert lines[1] == "org/repo,ada,Ephemeral Contributor,0.0,0,1"
     assert lines[2] == "org/repo,ada,Ephemeral Contributor,0.0,,"

@@ -19,8 +19,9 @@ from persona_miner.archive import load_archive, save_archive
 from persona_miner.commit_classify import classify_archive, write_classification_csv
 from persona_miner.errors import DataValidationError
 from persona_miner.metrics import metric_table, write_metrics_csv
-from persona_miner.personas import DEFAULT_PROFILES, load_profiles
+from persona_miner.personas import DEFAULT_PROFILES, load_profiles, write_personas_csv
 from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
+from persona_miner.report import write_labels_csv
 from persona_miner.simgen import generate
 
 from conftest import csv_slugs, interaction_sets
@@ -114,6 +115,25 @@ def test_cluster_and_label_small_population():
         cluster_and_label(vectors, DEFAULT_PROFILES, feature_matrix(vectors))
 
 
+# each call passes one sequence a row shorter or longer than the vectors
+@pytest.mark.parametrize("write", [
+    lambda vs, path: write_labels_csv(vs, (0,) * len(vs), (0,) * (len(vs) - 1), path),
+    lambda vs, path: write_labels_csv(vs[:-1], (0,) * len(vs), (0,) * len(vs), path),
+    lambda vs, path: write_personas_csv(vs, [("p", 0.0)] * (len(vs) - 1), path),
+    lambda vs, path: write_personas_csv(vs[:-1], [("p", 0.0)] * len(vs), path),
+    lambda vs, path: write_personas_csv(vs, [("p", 0.0)] * len(vs), path,
+                                        ((0,) * len(vs), (0,) * (len(vs) + 1))),
+    lambda vs, path: write_personas_csv(vs, [("p", 0.0)] * len(vs), path,
+                                        ((0,) * (len(vs) - 1), (0,) * len(vs))),
+], ids=["labels-subclusters", "labels-individuals", "personas-pairs",
+        "personas-vectors", "personas-subclusters", "personas-clusters"])
+def test_row_writers_refuse_unequal_lengths(tmp_path, write):
+    vectors, _ = generate(DEFAULT_PROFILES, count=1, noise_sd=0.0, seed=0)
+    with pytest.raises(ValueError, match=r"^zip\(\) argument \d is (shorter|longer)"):
+        write(vectors, tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary
+
+
 def test_pipeline_import_loads_no_fetch_layer():
     src = str(Path(persona_miner.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -127,9 +147,9 @@ def test_pipeline_import_loads_no_fetch_layer():
 
 def test_cluster_and_label_synthetic_recovery():
     vectors, truth = generate(DEFAULT_PROFILES, count=25, noise_sd=1.0, seed=3)
-    _initial, _sub, assignments, diag = cluster_and_label(vectors, DEFAULT_PROFILES,
-                                                          feature_matrix(vectors))
-    hits = sum(a.persona == t for a, t in zip(assignments, truth))
+    _initial, _sub, personas, diag = cluster_and_label(vectors, DEFAULT_PROFILES,
+                                                       feature_matrix(vectors))
+    hits = sum(name == t for (name, _dist), t in zip(personas, truth))
     assert hits / len(truth) >= 0.9
     assert diag["initial_k"] >= 2
 
@@ -142,10 +162,10 @@ def test_cluster_and_label_synthetic_recovery():
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_run_path_recovers_personas(seed, noise_sd, initial_k, floor):
     vectors, truth = generate(DEFAULT_PROFILES, count=72, noise_sd=noise_sd, seed=seed)
-    _initial, _sub, assignments, diag = cluster_and_label(vectors, load_profiles(None),
-                                                          feature_matrix(vectors))
+    _initial, _sub, personas, diag = cluster_and_label(vectors, load_profiles(None),
+                                                       feature_matrix(vectors))
     assert diag["initial_k"] == initial_k
-    hits = sum(a.persona == t for a, t in zip(assignments, truth))
+    hits = sum(name == t for (name, _dist), t in zip(personas, truth))
     assert hits / len(truth) >= floor
 
 

@@ -128,11 +128,10 @@ def test_composition_csv(tmp_path):
 
 def test_labels_csv(tmp_path):
     out = tmp_path / "labels.csv"
-    write_labels_csv([(RepoSlug("org", "x"), "ada", 1, 0),
-                      (RepoSlug("org", "x"), "bob", 0, 1)], out)
+    ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
+    write_labels_csv([ada, bob], (1, 0), (0, 1), out)
     lines = out.read_text().splitlines()
     assert lines == ["repo,login,cluster,subcluster", "org/x,ada,1,0", "org/x,bob,0,1"]
-    ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
     assert read_labels_csv(out, [bob, ada]) == ClusterLabels(labels=(0, 1), k=2)
     with pytest.raises(DataValidationError,
                        match=r"no cluster label for individual \('org/y', 'ada'\)"):
@@ -160,8 +159,8 @@ def _labelled_keys(draw):
 def test_labels_csv_round_trip_property(tmp_path_factory, labelled, data):
     keys, clusters, subclusters, k = labelled
     path = tmp_path_factory.mktemp("labels") / "labels.csv"
-    write_labels_csv([(repo, login, c, s) for (repo, login), c, s
-                      in zip(keys, clusters, subclusters)], path)
+    write_labels_csv([_individual(login, str(repo), commit_created=1) for repo, login in keys],
+                     clusters, subclusters, path)
     order = data.draw(st.permutations(range(len(keys))))
     individuals = [_individual(keys[i][1], str(keys[i][0]), commit_created=1)
                    for i in order]

@@ -46,7 +46,7 @@ def test_values_clamped_and_consistent():
 
 def test_direct_labeling_recovers_at_least_99_percent():
     vectors, truth = generate(DEFAULT_PROFILES, count=200, noise_sd=2.0, seed=0)
-    hits = sum(assign_persona(v).persona == name
+    hits = sum(assign_persona(v)[0] == name
                for v, name in zip(vectors, truth))
     assert hits / len(vectors) >= 0.99
 
@@ -55,7 +55,7 @@ def test_recovery_degrades_with_noise():
     def recovery(sd):
         vectors, truth = generate(DEFAULT_PROFILES, count=100, noise_sd=sd,
                                   seed=5)
-        return sum(assign_persona(v).persona == t
+        return sum(assign_persona(v)[0] == t
                    for v, t in zip(vectors, truth)) / len(vectors)
 
     assert recovery(0.5) >= recovery(10.0) >= recovery(40.0)

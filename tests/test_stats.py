@@ -92,6 +92,16 @@ def test_feature_importance_ranked_signed():
         feature_importance(result, ["only-one"])
 
 
+def test_feature_importance_keeps_feature_order_for_last_bit_ties():
+    # |loadings| equal to 10 places rank in feature order, whichever holds the
+    # larger last bits; a gap wider than that still ranks by size
+    tie = 0.5773502691896258
+    result = {"components": [[tie - 2e-16, -tie, tie + 2e-16, 0.3, 0.3 + 1e-9]]}
+    ranked = feature_importance(result, ["a", "b", "c", "d", "e"])[0]
+    assert [entry["feature"] for entry in ranked] == ["a", "b", "c", "e", "d"]
+    assert ranked[1]["value"] == -tie * 100.0
+
+
 # -- ANOVA -----------------------------------------------------------------
 
 def test_f_sf_matches_scipy():
