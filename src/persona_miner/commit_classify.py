@@ -7,22 +7,19 @@ Three independent classifiers, each total and deterministic:
   TINY_MAX, SMALL_MAX and MEDIUM_MAX;
 - activity type from ordered pattern rules over changed paths.
 
-The stem and pattern tables are shipped as data files, and
-``classify_message``/``classify_files`` take a replacement table or rule
-set; ``classify_commit`` always uses the shipped ones.
+The stem and pattern tables are shipped as data files.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .errors import ConfigError, DataValidationError, write_csv
+from .errors import DataValidationError, write_csv
 from .models import CommitPayload, InteractionKind, InteractionSet
 
 
@@ -47,48 +44,30 @@ SMALL_MAX = 25
 MEDIUM_MAX = 125
 
 
-@dataclass(frozen=True)
-class KeywordTable:
-    """Ordered verb-stem table; first-token stem match, case-insensitive."""
-
-    stems: tuple[tuple[DevelopmentType, tuple[str, ...]], ...]
-
-    def __post_init__(self):
-        seen: dict[str, DevelopmentType] = {}
-        for dev_type, words in self.stems:
-            for stem in words:
-                if stem in seen:
-                    raise ConfigError(
-                        f"stem {stem!r} appears under both {seen[stem].value} "
-                        f"and {dev_type.value}"
-                    )
-                seen[stem] = dev_type
-
-
 def _data(name: str) -> dict:
     return json.loads(
         resources.files("persona_miner.data").joinpath(name).read_text("utf-8"))
 
 
-DEFAULT_KEYWORD_TABLE = KeywordTable(stems=tuple(
+# (dev_type, stems) in file order
+KEYWORD_STEMS = tuple(
     (DevelopmentType(name), tuple(words))
-    for name, words in _data("commit_keywords.json")["stems"].items()))
+    for name, words in _data("commit_keywords.json")["stems"].items())
 _activity = _data("activity_rules.json")
 # (category, pattern) in file order; a rule's patterns become one alternation
-DEFAULT_ACTIVITY_RULES = tuple((rule["category"], re.compile(
+ACTIVITY_RULES = tuple((rule["category"], re.compile(
     "|".join(f"(?:{p})" for p in rule["patterns"]), re.IGNORECASE))
     for rule in _activity["rules"])
 ACTIVITY_FALLBACK = _activity["fallback"]
 
 
-def classify_message(message: str,
-                     table: KeywordTable = DEFAULT_KEYWORD_TABLE) -> DevelopmentType:
+def classify_message(message: str) -> DevelopmentType:
     """Match the first word of the lowercased message against stems in table order."""
     text = message.strip().lower()
     if not text:
         return DevelopmentType.UNCLASSIFIED
     first_word = text.split()[0]
-    for dev_type, stems in table.stems:
+    for dev_type, stems in KEYWORD_STEMS:
         if first_word.startswith(stems):
             return dev_type
     return DevelopmentType.UNCLASSIFIED
@@ -110,11 +89,9 @@ def classify_size(n_files: int) -> SizeClass:
     return SizeClass.LARGE
 
 
-def classify_files(paths: list[str],
-                   rules: tuple[tuple[str, re.Pattern], ...] = DEFAULT_ACTIVITY_RULES,
-                   ) -> str:
+def classify_files(paths: list[str]) -> str:
     """First rule (in declared order) matched by ANY path wins; else fallback."""
-    for category, pattern in rules:
+    for category, pattern in ACTIVITY_RULES:
         if any(pattern.search(p) for p in paths):
             return category
     return ACTIVITY_FALLBACK

@@ -60,12 +60,9 @@ def load_profiles(path: Optional[Union[str, Path]] = None) -> tuple[PersonaProfi
     return profiles
 
 
-DEFAULT_PROFILES = load_profiles()
-
-
 def order_clusters_by_interactivity(
     cluster_mean_mrcs: dict[int, float],
-    cluster_sizes: Optional[dict[int, int]] = None,
+    cluster_sizes: dict[int, int],
 ) -> Optional[dict[int, str]]:
     """Map ascending mean MRC onto Low < Moderate < High for exactly 3 clusters.
 
@@ -74,10 +71,9 @@ def order_clusters_by_interactivity(
     """
     if len(cluster_mean_mrcs) != 3:
         return None
-    sizes = cluster_sizes or {}
     ordered = sorted(
         cluster_mean_mrcs,
-        key=lambda c: (cluster_mean_mrcs[c], -sizes.get(c, 0), c),
+        key=lambda c: (cluster_mean_mrcs[c], -cluster_sizes[c], c),
     )
     return {c: INTERACTIVITY_LEVELS[i] for i, c in enumerate(ordered)}
 
@@ -88,7 +84,7 @@ def _distance(a: Sequence[float], b: Sequence[float]) -> float:
 
 def label_subcluster(
     subcluster_centroid: Sequence[float],
-    profiles: Sequence[PersonaProfile] = DEFAULT_PROFILES,
+    profiles: Sequence[PersonaProfile],
     max_distance: Optional[float] = None,
 ) -> tuple[str, float]:
     """Nearest reference centroid by Euclidean distance over the six RCs.
@@ -109,9 +105,7 @@ def label_subcluster(
     return best_name, best_dist
 
 
-def assign_persona(v: MetricVector,
-                   profiles: Sequence[PersonaProfile] = DEFAULT_PROFILES,
-                   ) -> tuple[str, float]:
+def assign_persona(v: MetricVector, profiles: Sequence[PersonaProfile]) -> tuple[str, float]:
     """Direct-mode (persona, distance) of one individual by its six RC values only."""
     return label_subcluster(v.features[:6], profiles)
 

@@ -49,9 +49,8 @@ def feature_matrix(vectors: list[MetricVector]) -> np.ndarray:
 
 
 def cluster_and_label(
-    vectors: list[MetricVector],
-    profiles,
     rows: np.ndarray,
+    profiles,
     k_min: int = 2,
     k_max: int = 10,
 ):
@@ -68,8 +67,8 @@ def cluster_and_label(
     k_best, scores = select_k(rows, k_min=k_min, k_max=k_max)
     initial = cut(agglomerate(rows), k_best)
 
-    sub_labels = [0] * len(vectors)
-    personas: list[tuple[str, float]] = [None] * len(vectors)
+    sub_labels = [0] * len(rows)
+    personas: list[tuple[str, float]] = [None] * len(rows)
     sub_k: dict[str, int] = {}
     for parent, members in enumerate(initial.members()):
         result = subcluster(rows[members], k_min=k_min, k_max=k_max)
@@ -111,7 +110,7 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     profiles = load_profiles(persona_profile_path)
     rows = feature_matrix(vectors)
     initial, sub_labels, personas, diagnostics = cluster_and_label(
-        vectors, profiles, rows, k_min=k_min, k_max=k_max)
+        rows, profiles, k_min=k_min, k_max=k_max)
     members = initial.members()
     classifications = classify_archive(sets)
     dendro = agglomerate(rows)

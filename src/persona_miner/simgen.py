@@ -7,6 +7,7 @@ is recovered. Noise is truncated-Gaussian via clamping to [0, 100].
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import ConfigError
@@ -28,8 +29,8 @@ def generate(profiles: Sequence[PersonaProfile], count: int, noise_sd: float,
 
     if count < 0:
         raise ConfigError("count must be >= 0")
-    if not noise_sd >= 0:  # NaN included
-        raise ConfigError("noise_sd must be >= 0")
+    if not 0 <= noise_sd < math.inf:  # NaN included
+        raise ConfigError("noise_sd must be >= 0 and finite")
     rng = np.random.default_rng(seed)
     centroids = np.repeat([p.centroid for p in profiles], count, axis=0)
     rcs = np.clip(centroids + rng.normal(0.0, noise_sd, size=centroids.shape),

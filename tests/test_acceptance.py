@@ -14,10 +14,11 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import scipy.stats
 
+from persona_miner import commit_classify
 from persona_miner.cluster import agglomerate, select_k
 from persona_miner.commit_classify import (
     ACTIVITY_FALLBACK,
-    DEFAULT_ACTIVITY_RULES,
+    ACTIVITY_RULES,
     DevelopmentType,
     classify_commit,
     classify_files,
@@ -36,7 +37,7 @@ from persona_miner.models import (
     InteractionSet,
     RepoSlug,
 )
-from persona_miner.personas import DEFAULT_PROFILES, assign_persona
+from persona_miner.personas import assign_persona, label_subcluster, load_profiles
 from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
 from persona_miner.sampling import apply_inclusion_criteria, subsample
 from persona_miner.simgen import generate
@@ -177,19 +178,19 @@ def test_criterion_4_metrics_invariants_on_1000_repos():
 # -- criterion 5: persona round-trip ---------------------------------------
 
 def test_criterion_5_persona_round_trip():
-    for profile in DEFAULT_PROFILES:  # each centroid self-labels at distance 0
-        from persona_miner.personas import label_subcluster
-        name, dist = label_subcluster(profile.centroid)
+    profiles = load_profiles()
+    for profile in profiles:  # each centroid self-labels at distance 0
+        name, dist = label_subcluster(profile.centroid, profiles)
         assert name == profile.name and dist == 0.0
 
-    vectors, truth = generate(DEFAULT_PROFILES, count=200, noise_sd=2.0, seed=0)
+    vectors, truth = generate(profiles, count=200, noise_sd=2.0, seed=0)
 
-    direct_hits = sum(assign_persona(v)[0] == t
+    direct_hits = sum(assign_persona(v, profiles)[0] == t
                       for v, t in zip(vectors, truth))
     assert direct_hits / len(vectors) >= 0.99  # pinned
 
     _initial, _sub, personas, _diag = cluster_and_label(
-        vectors, DEFAULT_PROFILES, feature_matrix(vectors))
+        feature_matrix(vectors), profiles)
     full_hits = sum(name == t for (name, _dist), t in zip(personas, truth))
     assert full_hits / len(vectors) >= 0.90  # pinned
 
@@ -223,8 +224,8 @@ def test_criterion_6_anova_and_tukey():
 
 # -- criterion 7: commit classification ------------------------------------
 
-def test_criterion_7_classification_totality_and_order(fixture_archive_path):
-    categories = {category for category, _ in DEFAULT_ACTIVITY_RULES} | {
+def test_criterion_7_classification_totality_and_order(fixture_archive_path, monkeypatch):
+    categories = {category for category, _ in ACTIVITY_RULES} | {
         ACTIVITY_FALLBACK}
     n_commits = 0
     for iset in load_archive(fixture_archive_path):
@@ -238,13 +239,14 @@ def test_criterion_7_classification_totality_and_order(fixture_archive_path):
 
     assert classify_message("") is DevelopmentType.UNCLASSIFIED
 
-    rules = DEFAULT_ACTIVITY_RULES
+    rules = ACTIVITY_RULES
     doc_idx = next(i for i, (category, _) in enumerate(rules)
                    if category == "documentation")
     reordered = (rules[doc_idx],) + tuple(r for i, r in enumerate(rules) if i != doc_idx)
     multi = ["docs/guide.md", "src/main.c"]
-    assert classify_files(multi, rules) == "code"
-    assert classify_files(multi, reordered) == "documentation"
+    assert classify_files(multi) == "code"
+    monkeypatch.setattr(commit_classify, "ACTIVITY_RULES", reordered)
+    assert classify_files(multi) == "documentation"
 
 
 # -- criterion 8: end-to-end determinism -----------------------------------

@@ -83,6 +83,23 @@ def test_cli_import_loads_no_numpy():
     assert missing_layers == []
 
 
+def test_cli_import_reads_no_persona_file():
+    # the profiles are read by the commands that label, not on import
+    src = str(Path(persona_miner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda event, args: event == 'open'"
+            " and opened.append(str(args[0])))\n"
+            "import persona_miner.cli\n"
+            "print(json.dumps(opened))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    opened = json.loads(proc.stdout)
+    assert any(p.endswith("commit_keywords.json") for p in opened)
+    assert not [p for p in opened if p.endswith("personas.json")]
+
+
 def test_metrics_subcommand(runner, fixture_archive_path, tmp_path):
     out = tmp_path / "metrics.csv"
     result = _invoke(runner, ["metrics", "--archive", str(fixture_archive_path),
@@ -556,6 +573,7 @@ def test_simulate_bad_values_exit_2(runner, tmp_path):
     for args, message in ((["--count", "-1"], "error: count must be >= 0"),
                           (["--noise-sd", "-0.5"], "error: noise_sd must be >= 0"),
                           (["--noise-sd", "nan"], "error: noise_sd must be >= 0"),
+                          (["--noise-sd", "inf"], "error: noise_sd must be >= 0"),
                           (["--specs", "specs.json"], "No such option")):
         result = runner.invoke(main, ["simulate", *args, "--metrics-output", str(metrics)])
         assert result.exit_code == 2, args

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persona_miner
+from persona_miner import commit_classify
 from persona_miner.commit_classify import (
     ACTIVITY_FALLBACK,
-    DEFAULT_ACTIVITY_RULES,
-    DEFAULT_KEYWORD_TABLE,
+    ACTIVITY_RULES,
+    KEYWORD_STEMS,
     DevelopmentType,
-    KeywordTable,
     SizeClass,
     classify_archive,
     classify_commit,
@@ -22,7 +22,7 @@ from persona_miner.commit_classify import (
     classify_size,
     write_classification_csv,
 )
-from persona_miner.errors import ConfigError, DataValidationError
+from persona_miner.errors import DataValidationError
 from persona_miner.models import (
     CommitPayload,
     InteractionEvent,
@@ -35,7 +35,7 @@ D = DevelopmentType
 
 
 # every category the shipped rules can return
-CATEGORIES = {category for category, _ in DEFAULT_ACTIVITY_RULES} | {ACTIVITY_FALLBACK}
+CATEGORIES = {category for category, _ in ACTIVITY_RULES} | {ACTIVITY_FALLBACK}
 
 
 def test_empty_message_unclassified():
@@ -71,16 +71,17 @@ def test_message_totality_property():
 
 
 def test_duplicate_stem_rejected():
-    with pytest.raises(ConfigError):
-        KeywordTable(stems=(
-            (D.FORWARD_ENGINEERING, ("add",)),
-            (D.CORRECTIVE_ENGINEERING, ("add",)),
-        ))
+    # a stem under two development types would be matched under the first only
+    seen: dict[str, DevelopmentType] = {}
+    for dev_type, stems in KEYWORD_STEMS:
+        for stem in stems:
+            assert seen.setdefault(stem, dev_type) is dev_type, stem
+    assert seen
 
 
 def test_shipped_stems_are_single_lowercase_tokens():
     # only the lowercased first token is matched, so any other stem is dead
-    for _dev_type, stems in DEFAULT_KEYWORD_TABLE.stems:
+    for _dev_type, stems in KEYWORD_STEMS:
         for stem in stems:
             assert stem.split() == [stem.lower()], stem
     assert classify_message("code review fixes") is D.UNCLASSIFIED
@@ -113,14 +114,15 @@ def test_code_rule_precedes_documentation():
     assert classify_files(["docs/guide.md", "src/main.c"]) == "code"
 
 
-def test_rule_order_permutation_changes_output():
-    rules = DEFAULT_ACTIVITY_RULES
+def test_rule_order_permutation_changes_output(monkeypatch):
+    rules = ACTIVITY_RULES
     doc_idx = next(i for i, (category, _) in enumerate(rules)
                    if category == "documentation")
     reordered = (rules[doc_idx],) + tuple(r for i, r in enumerate(rules) if i != doc_idx)
     paths = ["docs/guide.md", "src/main.c"]
-    assert classify_files(paths, rules) == "code"
-    assert classify_files(paths, reordered) == "documentation"
+    assert classify_files(paths) == "code"
+    monkeypatch.setattr(commit_classify, "ACTIVITY_RULES", reordered)
+    assert classify_files(paths) == "documentation"
 
 
 def test_files_totality_over_samples():
@@ -133,12 +135,13 @@ def test_files_totality_over_samples():
         assert classify_files(paths) in CATEGORIES
 
 
-def test_custom_keyword_table_load():
-    table = KeywordTable(stems=((D.FORWARD_ENGINEERING, ("implement",)),))
-    assert classify_message("Implemented this", table) is D.FORWARD_ENGINEERING
+def test_custom_keyword_table_load(monkeypatch):
+    monkeypatch.setattr(commit_classify, "KEYWORD_STEMS",
+                        ((D.FORWARD_ENGINEERING, ("implement",)),))
+    assert classify_message("Implemented this") is D.FORWARD_ENGINEERING
     # only the first word is matched, and only against the table's stems
-    assert classify_message("please implement this", table) is D.UNCLASSIFIED
-    assert classify_message("fix this", table) is D.UNCLASSIFIED
+    assert classify_message("please implement this") is D.UNCLASSIFIED
+    assert classify_message("fix this") is D.UNCLASSIFIED
 
 
 def test_classify_commit_payload_absent():

@@ -7,7 +7,6 @@ from persona_miner.errors import ConfigError, DataValidationError
 from persona_miner.metrics import MetricVector
 from persona_miner.models import RepoSlug
 from persona_miner.personas import (
-    DEFAULT_PROFILES,
     UNMATCHED,
     PersonaProfile,
     assign_persona,
@@ -17,7 +16,8 @@ from persona_miner.personas import (
     write_personas_csv,
 )
 
-NAMES = [p.name for p in DEFAULT_PROFILES]
+PROFILES = load_profiles()
+NAMES = [p.name for p in PROFILES]
 
 
 def _vector(rcs, login="ada"):
@@ -36,22 +36,22 @@ def test_seven_default_profiles():
         "Ephemeral Contributor",
     ])
     # declared in ascending interactivity order
-    assert [p.interactivity for p in DEFAULT_PROFILES] == \
+    assert [p.interactivity for p in PROFILES] == \
         ["Low", "Low", "Moderate", "Moderate", "High", "High", "High"]
 
 
 def test_every_centroid_self_labels_at_distance_zero():
-    for profile in DEFAULT_PROFILES:
-        name, dist = label_subcluster(profile.centroid)
+    for profile in PROFILES:
+        name, dist = label_subcluster(profile.centroid, PROFILES)
         assert name == profile.name
         assert dist == 0.0
 
 
 def test_noise_of_one_keeps_low_process_closer():
-    base = next(p for p in DEFAULT_PROFILES if p.name == "Low-Process Closer")
+    base = next(p for p in PROFILES if p.name == "Low-Process Closer")
     for sign in (1.0, -1.0):
         shifted = tuple(min(100.0, max(0.0, v + sign)) for v in base.centroid)
-        name, dist = label_subcluster(shifted)
+        name, dist = label_subcluster(shifted, PROFILES)
         assert name == "Low-Process Closer"
         assert dist <= math.sqrt(6) + 1e-9
 
@@ -59,23 +59,23 @@ def test_noise_of_one_keeps_low_process_closer():
 def test_all_hundreds_is_active_contributor():
     # independently recomputed: nearest of the seven reference centroids
     target = (100.0,) * 6
-    oracle = min(DEFAULT_PROFILES,
+    oracle = min(PROFILES,
                  key=lambda p: math.dist(p.centroid, target)).name
     assert oracle == "Active Contributor"
-    assert label_subcluster(target)[0] == "Active Contributor"
+    assert label_subcluster(target, PROFILES)[0] == "Active Contributor"
 
 
 def test_all_zeros_is_ephemeral():
-    name, _ = label_subcluster((0.0,) * 6)
+    name, _ = label_subcluster((0.0,) * 6, PROFILES)
     assert name == "Ephemeral Contributor"
 
 
 def test_distance_ignores_non_rc_fields():
-    base = next(p for p in DEFAULT_PROFILES if p.name == "Occasional Contributor")
+    base = next(p for p in PROFILES if p.name == "Occasional Contributor")
     v = _vector(list(base.centroid))
     # mutate-by-copy: same RCs, different derived fields don't matter because
     # assign_persona reads the six RCs only
-    name, distance = assign_persona(v)
+    name, distance = assign_persona(v, PROFILES)
     assert name == "Occasional Contributor"
     assert distance == 0.0
 
@@ -90,20 +90,20 @@ def test_declaration_order_breaks_ties():
 
 
 def test_unmatched_threshold():
-    base = DEFAULT_PROFILES[0]
-    name, dist = label_subcluster(base.centroid, max_distance=25.0)
+    base = PROFILES[0]
+    name, dist = label_subcluster(base.centroid, PROFILES, max_distance=25.0)
     assert name == base.name
     far = (100.0, 0.0, 100.0, 0.0, 100.0, 0.0)
-    nearest = min(math.dist(p.centroid, far) for p in DEFAULT_PROFILES)
+    nearest = min(math.dist(p.centroid, far) for p in PROFILES)
     assert nearest > 25.0  # fixture really is beyond the threshold
-    name, dist = label_subcluster(far, max_distance=25.0)
+    name, dist = label_subcluster(far, PROFILES, max_distance=25.0)
     assert name == UNMATCHED
     assert dist == pytest.approx(nearest)
 
 
 def test_bad_centroid_rejected():
     with pytest.raises(DataValidationError):
-        label_subcluster((1.0, 2.0, 3.0))
+        label_subcluster((1.0, 2.0, 3.0), PROFILES)
     with pytest.raises(ConfigError):
         PersonaProfile("Bad", "Low", (0.0,) * 5)
     with pytest.raises(ConfigError):
@@ -122,7 +122,8 @@ def test_custom_profile_file(tmp_path):
 
 
 def test_interactivity_ordering_standard():
-    levels = order_clusters_by_interactivity({0: 54.89, 1: 3.2, 2: 21.0})
+    levels = order_clusters_by_interactivity({0: 54.89, 1: 3.2, 2: 21.0},
+                                             {0: 1, 1: 1, 2: 1})
     assert levels == {1: "Low", 2: "Moderate", 0: "High"}
 
 
@@ -136,17 +137,18 @@ def test_interactivity_tie_breaks_by_size_desc():
 
 
 def test_interactivity_nonstandard_k():
-    assert order_clusters_by_interactivity({0: 5.0, 1: 50.0}) is None
-    assert order_clusters_by_interactivity({c: float(c) for c in range(4)}) is None
+    assert order_clusters_by_interactivity({0: 5.0, 1: 50.0}, {0: 1, 1: 1}) is None
+    assert order_clusters_by_interactivity({c: float(c) for c in range(4)},
+                                           dict.fromkeys(range(4), 1)) is None
 
 
 def test_personas_csv(tmp_path):
-    base = next(p for p in DEFAULT_PROFILES
+    base = next(p for p in PROFILES
                 if p.name == "Ephemeral Contributor")
     v = _vector(list(base.centroid))
     with_path, direct = tmp_path / "personas.csv", tmp_path / "direct.csv"
-    write_personas_csv([v], [assign_persona(v)], with_path, ((0,), (1,)))
-    write_personas_csv([v], [assign_persona(v)], direct)
+    write_personas_csv([v], [assign_persona(v, PROFILES)], with_path, ((0,), (1,)))
+    write_personas_csv([v], [assign_persona(v, PROFILES)], direct)
     lines = with_path.read_text().splitlines() + direct.read_text().splitlines()[1:]
     assert lines[0] == "repo,login,persona,distance,cluster,subcluster"
     assert lines[1] == "org/repo,ada,Ephemeral Contributor,0.0,0,1"

@@ -19,13 +19,14 @@ from persona_miner.archive import load_archive, save_archive
 from persona_miner.commit_classify import classify_archive, write_classification_csv
 from persona_miner.errors import DataValidationError
 from persona_miner.metrics import metric_table, write_metrics_csv
-from persona_miner.personas import DEFAULT_PROFILES, load_profiles, write_personas_csv
+from persona_miner.personas import load_profiles, write_personas_csv
 from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
 from persona_miner.report import write_labels_csv
 from persona_miner.simgen import generate
 
 from conftest import csv_slugs, interaction_sets
 
+PROFILES = load_profiles()
 TIMESTAMP_KEYS = {"started_at", "finished_at"}
 
 EXPECTED_FILES = {
@@ -110,9 +111,9 @@ def test_manifest_config_hash_digests_every_setting_but_output_dir(
 
 def test_cluster_and_label_small_population():
     # two rows clamp k_max to 1, below k_min: the same error as any empty k range
-    vectors, _ = generate(DEFAULT_PROFILES[:2], count=1, noise_sd=0.0, seed=0)
+    vectors, _ = generate(PROFILES[:2], count=1, noise_sd=0.0, seed=0)
     with pytest.raises(DataValidationError, match=r"empty k range \[2, 1\]"):
-        cluster_and_label(vectors, DEFAULT_PROFILES, feature_matrix(vectors))
+        cluster_and_label(feature_matrix(vectors), PROFILES)
 
 
 # each call passes one sequence a row shorter or longer than the vectors
@@ -128,7 +129,7 @@ def test_cluster_and_label_small_population():
 ], ids=["labels-subclusters", "labels-individuals", "personas-pairs",
         "personas-vectors", "personas-subclusters", "personas-clusters"])
 def test_row_writers_refuse_unequal_lengths(tmp_path, write):
-    vectors, _ = generate(DEFAULT_PROFILES, count=1, noise_sd=0.0, seed=0)
+    vectors, _ = generate(PROFILES, count=1, noise_sd=0.0, seed=0)
     with pytest.raises(ValueError, match=r"^zip\(\) argument \d is (shorter|longer)"):
         write(vectors, tmp_path / "out.csv")
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary
@@ -146,9 +147,8 @@ def test_pipeline_import_loads_no_fetch_layer():
 
 
 def test_cluster_and_label_synthetic_recovery():
-    vectors, truth = generate(DEFAULT_PROFILES, count=25, noise_sd=1.0, seed=3)
-    _initial, _sub, personas, diag = cluster_and_label(vectors, DEFAULT_PROFILES,
-                                                       feature_matrix(vectors))
+    vectors, truth = generate(PROFILES, count=25, noise_sd=1.0, seed=3)
+    _initial, _sub, personas, diag = cluster_and_label(feature_matrix(vectors), PROFILES)
     hits = sum(name == t for (name, _dist), t in zip(personas, truth))
     assert hits / len(truth) >= 0.9
     assert diag["initial_k"] >= 2
@@ -161,9 +161,9 @@ def test_cluster_and_label_synthetic_recovery():
 @pytest.mark.parametrize("noise_sd, initial_k, floor", [(1.5, 7, 0.98), (2.0, 6, 0.95)])
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_run_path_recovers_personas(seed, noise_sd, initial_k, floor):
-    vectors, truth = generate(DEFAULT_PROFILES, count=72, noise_sd=noise_sd, seed=seed)
-    _initial, _sub, personas, diag = cluster_and_label(vectors, load_profiles(None),
-                                                       feature_matrix(vectors))
+    vectors, truth = generate(PROFILES, count=72, noise_sd=noise_sd, seed=seed)
+    _initial, _sub, personas, diag = cluster_and_label(feature_matrix(vectors),
+                                                       load_profiles(None))
     assert diag["initial_k"] == initial_k
     hits = sum(name == t for (name, _dist), t in zip(personas, truth))
     assert hits / len(truth) >= floor

@@ -2,8 +2,10 @@ import pytest
 
 from persona_miner.errors import ConfigError
 from persona_miner.metrics import FEATURE_NAMES
-from persona_miner.personas import DEFAULT_PROFILES, PersonaProfile, assign_persona
+from persona_miner.personas import PersonaProfile, assign_persona, load_profiles
 from persona_miner.simgen import generate
+
+PROFILES = load_profiles()
 
 
 def _feature(v, name):
@@ -11,24 +13,24 @@ def _feature(v, name):
 
 
 def test_generate_covers_all_profiles():
-    vectors, truth = generate(DEFAULT_PROFILES, count=10, noise_sd=1.5, seed=0)
-    assert truth == [p.name for p in DEFAULT_PROFILES for _ in range(10)]
+    vectors, truth = generate(PROFILES, count=10, noise_sd=1.5, seed=0)
+    assert truth == [p.name for p in PROFILES for _ in range(10)]
     assert len(vectors) == len(truth)
 
 
 def test_zero_noise_reproduces_centroids_exactly():
-    vectors, truth = generate(DEFAULT_PROFILES, count=3, noise_sd=0.0, seed=0)
-    assert len(vectors) == 3 * len(DEFAULT_PROFILES)
-    by_name = {p.name: p.centroid for p in DEFAULT_PROFILES}
+    vectors, truth = generate(PROFILES, count=3, noise_sd=0.0, seed=0)
+    assert len(vectors) == 3 * len(PROFILES)
+    by_name = {p.name: p.centroid for p in PROFILES}
     for v, name in zip(vectors, truth):
         assert v.features[:6] == tuple(by_name[name])
 
 
 def test_determinism_per_seed():
-    a, ta = generate(DEFAULT_PROFILES, count=20, noise_sd=2.0, seed=99)
-    b, tb = generate(DEFAULT_PROFILES, count=20, noise_sd=2.0, seed=99)
+    a, ta = generate(PROFILES, count=20, noise_sd=2.0, seed=99)
+    b, tb = generate(PROFILES, count=20, noise_sd=2.0, seed=99)
     assert a == b and ta == tb
-    c, _ = generate(DEFAULT_PROFILES, count=20, noise_sd=2.0, seed=100)
+    c, _ = generate(PROFILES, count=20, noise_sd=2.0, seed=100)
     assert a != c
 
 
@@ -45,24 +47,24 @@ def test_values_clamped_and_consistent():
 
 
 def test_direct_labeling_recovers_at_least_99_percent():
-    vectors, truth = generate(DEFAULT_PROFILES, count=200, noise_sd=2.0, seed=0)
-    hits = sum(assign_persona(v)[0] == name
+    vectors, truth = generate(PROFILES, count=200, noise_sd=2.0, seed=0)
+    hits = sum(assign_persona(v, PROFILES)[0] == name
                for v, name in zip(vectors, truth))
     assert hits / len(vectors) >= 0.99
 
 
 def test_recovery_degrades_with_noise():
     def recovery(sd):
-        vectors, truth = generate(DEFAULT_PROFILES, count=100, noise_sd=sd,
+        vectors, truth = generate(PROFILES, count=100, noise_sd=sd,
                                   seed=5)
-        return sum(assign_persona(v)[0] == t
+        return sum(assign_persona(v, PROFILES)[0] == t
                    for v, t in zip(vectors, truth)) / len(vectors)
 
     assert recovery(0.5) >= recovery(10.0) >= recovery(40.0)
 
 
 def test_unique_logins():
-    vectors, _ = generate(DEFAULT_PROFILES, count=50, noise_sd=1.0, seed=2)
+    vectors, _ = generate(PROFILES, count=50, noise_sd=1.0, seed=2)
     logins = [v.login for v in vectors]
     assert len(set(logins)) == len(logins)
 
@@ -70,4 +72,4 @@ def test_unique_logins():
 def test_spec_validation():
     for count, noise_sd in ((5, -1.0), (5, float("nan")), (-1, 1.0)):
         with pytest.raises(ConfigError):
-            generate(DEFAULT_PROFILES, count=count, noise_sd=noise_sd, seed=0)
+            generate(PROFILES, count=count, noise_sd=noise_sd, seed=0)
