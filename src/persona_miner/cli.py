@@ -131,7 +131,7 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
 def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str):
     """Apply the seven inclusion criteria and seeded sub-sampling."""
     decisions = screen_summaries(summaries_path)
-    eligible = [d.slug for d in decisions if d.eligible]
+    eligible = [slug for slug, failed in decisions if not failed]
     picked = subsample(eligible, fraction, seed)
     write_eligibility_report(decisions, output_path)
     click.echo(f"{len(eligible)} eligible; sampled {len(picked)}")

@@ -1,47 +1,31 @@
 """Commit classification by message keywords, size, and changed-file types.
 
-Three independent classifiers, each total and deterministic:
+Three independent classifiers, each total and deterministic, each returning
+the string that classification.csv holds:
 - development type from the first word of the commit message, matched
   against verb-stem prefixes;
-- size class from the number of changed files, with the fixed bounds
-  TINY_MAX, SMALL_MAX and MEDIUM_MAX;
+- size class from the number of changed files, by the bounds of SIZE_CLASSES;
 - activity type from ordered pattern rules over changed paths.
 
-The stem and pattern tables are shipped as data files.
+The stem and pattern tables are shipped as data files, which own the names
+of the development types and activity categories.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
-from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DataValidationError, write_csv
 from .models import CommitPayload, InteractionKind, InteractionSet
 
-
-class DevelopmentType(str, Enum):
-    FORWARD_ENGINEERING = "ForwardEngineering"
-    REENGINEERING = "Reengineering"
-    CORRECTIVE_ENGINEERING = "CorrectiveEngineering"
-    MANAGEMENT = "Management"
-    UNCLASSIFIED = "Unclassified"
-
-
-class SizeClass(str, Enum):
-    TINY = "Tiny"
-    SMALL = "Small"
-    MEDIUM = "Medium"
-    LARGE = "Large"
-
-
-# inclusive upper bounds on the changed-file count; above MEDIUM_MAX is Large
-TINY_MAX = 5
-SMALL_MAX = 25
-MEDIUM_MAX = 125
+UNCLASSIFIED = "Unclassified"
+# (size class, inclusive upper bound on the changed-file count) in order
+SIZE_CLASSES = (("Tiny", 5), ("Small", 25), ("Medium", 125), ("Large", math.inf))
 
 
 def _data(name: str) -> dict:
@@ -50,9 +34,8 @@ def _data(name: str) -> dict:
 
 
 # (dev_type, stems) in file order
-KEYWORD_STEMS = tuple(
-    (DevelopmentType(name), tuple(words))
-    for name, words in _data("commit_keywords.json")["stems"].items())
+KEYWORD_STEMS = tuple((name, tuple(stems)) for name, stems
+                      in _data("commit_keywords.json")["stems"].items())
 _activity = _data("activity_rules.json")
 # (category, pattern) in file order; a rule's patterns become one alternation
 ACTIVITY_RULES = tuple((rule["category"], re.compile(
@@ -61,35 +44,29 @@ ACTIVITY_RULES = tuple((rule["category"], re.compile(
 ACTIVITY_FALLBACK = _activity["fallback"]
 
 
-def classify_message(message: str) -> DevelopmentType:
+def classify_message(message: str) -> str:
     """Match the first word of the lowercased message against stems in table order."""
     text = message.strip().lower()
     if not text:
-        return DevelopmentType.UNCLASSIFIED
+        return UNCLASSIFIED
     first_word = text.split()[0]
     for dev_type, stems in KEYWORD_STEMS:
         if first_word.startswith(stems):
             return dev_type
-    return DevelopmentType.UNCLASSIFIED
+    return UNCLASSIFIED
 
 
-def classify_size(n_files: int) -> SizeClass:
+def classify_size(n_files: int) -> str:
     """Bucket a commit by number of changed files."""
     if n_files < 1:
         raise DataValidationError(
             "a commit with a payload must list at least one file; "
             "payload-absent commits skip size classification"
         )
-    if n_files <= TINY_MAX:
-        return SizeClass.TINY
-    if n_files <= SMALL_MAX:
-        return SizeClass.SMALL
-    if n_files <= MEDIUM_MAX:
-        return SizeClass.MEDIUM
-    return SizeClass.LARGE
+    return next(name for name, bound in SIZE_CLASSES if n_files <= bound)
 
 
-def classify_files(paths: list[str]) -> str:
+def classify_files(paths: Sequence[str]) -> str:
     """First rule (in declared order) matched by ANY path wins; else fallback."""
     for category, pattern in ACTIVITY_RULES:
         if any(pattern.search(p) for p in paths):
@@ -97,14 +74,12 @@ def classify_files(paths: list[str]) -> str:
     return ACTIVITY_FALLBACK
 
 
-def classify_commit(payload: Optional[CommitPayload],
-                    ) -> tuple[DevelopmentType, Optional[SizeClass], str]:
-    """(dev_type, size_class, activity_type); size_class is None when the
-    payload lacks a file list."""
-    message = payload.message if payload else ""
-    files = list(payload.changed_files) if payload else []
+def classify_commit(payload: Optional[CommitPayload]) -> tuple[str, str, str]:
+    """(dev_type, size_class, activity_type); size_class is "payload-absent"
+    when the payload lacks a file list."""
+    message, files = (payload.message, payload.changed_files) if payload else ("", ())
     return (classify_message(message),
-            classify_size(len(files)) if files else None,
+            classify_size(len(files)) if files else "payload-absent",
             classify_files(files))
 
 
@@ -121,6 +96,4 @@ def classify_archive(sets: Iterable[InteractionSet]) -> list[tuple]:
 
 def write_classification_csv(rows: Iterable[tuple], path: Union[str, Path]) -> None:
     """Rows are classify_archive's tuples."""
-    write_csv(path, ["sha", "repo", "dev_type", "size_class", "activity_type"], (
-        [sha, repo, dev_type.value, size.value if size else "payload-absent", activity]
-        for sha, repo, dev_type, size, activity in rows))
+    write_csv(path, ["sha", "repo", "dev_type", "size_class", "activity_type"], rows)

@@ -134,7 +134,7 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     # the config hash digests every setting but the output directory
     settings = {"archive_path": archive_path, "seed": seed, "k_min": k_min,
                 "k_max": k_max, "persona_profile_path": persona_profile_path,
-                "exclude_bots": exclude_bots, "bot_deny_list": bot_deny_list}
+                "exclude_bots": exclude_bots, "bot_deny_list": sorted(set(bot_deny_list))}
     persona_counts = Counter(name for name, _dist in personas)
 
     manifest = {

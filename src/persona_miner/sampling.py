@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -23,14 +22,9 @@ ALLOWED_LICENSES = ("MIT", "BSD-2-Clause", "BSD-3-Clause", "Apache-2.0", "ISC")
 ALLOWED_LANGUAGES = ("Python", "R", "C", "C++", "Java", "JavaScript", "MATLAB",
                      "Shell", "Fortran", "Ruby")
 
-@dataclass(frozen=True)
-class EligibilityDecision:
-    slug: RepoSlug
-    failed_criteria: tuple[tuple[str, str], ...]  # (criterion id, reason)
-
-    @property
-    def eligible(self) -> bool:
-        return not self.failed_criteria
+# a repo's (slug, failed_criteria), each failure a (criterion id, reason); the
+# repo is eligible when failed_criteria is empty
+Decision = tuple[RepoSlug, tuple[tuple[str, str], ...]]
 
 
 def _count(summary: dict, field: str) -> int:
@@ -42,7 +36,7 @@ def _count(summary: dict, field: str) -> int:
     return value
 
 
-def apply_inclusion_criteria(summary: dict) -> EligibilityDecision:
+def apply_inclusion_criteria(summary: dict) -> Decision:
     """Judge one summaries-file entry; only ``repo`` is required. Each field is
     checked as it is read, and every criterion is evaluated (no short-circuit)
     so the failure list is complete."""
@@ -85,12 +79,13 @@ def apply_inclusion_criteria(summary: dict) -> EligibilityDecision:
     if age_days < MIN_AGE_DAYS:
         failed.append(("age", f"{age_days} days old < {MIN_AGE_DAYS}"))
 
-    return EligibilityDecision(slug=slug, failed_criteria=tuple(failed))
+    return slug, tuple(failed)
 
 
-def screen_summaries(path: Union[str, Path]) -> list[EligibilityDecision]:
+def screen_summaries(path: Union[str, Path]) -> list[Decision]:
     """One decision per entry of a JSON list of repo summaries. A file or entry
-    that cannot be read is a DataValidationError naming it."""
+    that cannot be read, or a second entry for one repo, is a
+    DataValidationError naming it."""
     try:
         raw = json.loads(Path(path).read_text("utf-8"))
     except ValueError as exc:
@@ -98,6 +93,7 @@ def screen_summaries(path: Union[str, Path]) -> list[EligibilityDecision]:
     if not isinstance(raw, list):
         raise DataValidationError(f"{path}: expected a JSON list of repo summaries")
     decisions = []
+    first_entries: dict[RepoSlug, int] = {}  # every repo's first entry
     for i, summary in enumerate(raw):
         try:
             decisions.append(apply_inclusion_criteria(summary))
@@ -105,27 +101,31 @@ def screen_summaries(path: Union[str, Path]) -> list[EligibilityDecision]:
                 DataValidationError) as exc:
             raise DataValidationError(f"{path}: summary entry {i}: "
                                       f"{type(exc).__name__}: {exc}") from exc
+        slug = decisions[-1][0]
+        if first_entries.setdefault(slug, i) != i:
+            raise DataValidationError(f"{path}: summary entry {i}: repo {slug} is listed "
+                                      f"again; its first entry is {first_entries[slug]}")
     return decisions
 
 
 def subsample(eligible: list[RepoSlug], fraction: float, seed: int) -> list[RepoSlug]:
     """Pick floor(fraction * n) slugs uniformly without replacement.
 
-    Uses Python's Mersenne Twister (random.Random) so a given seed reproduces
-    across platforms. Output is sorted by slug for determinism.
+    Uses Python's Mersenne Twister (random.Random) on the slugs in slug order,
+    so the picks depend only on the set of slugs and the seed, and a given
+    seed reproduces across platforms. Output is sorted by slug.
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], not {fraction!r}")
     n_pick = math.floor(fraction * len(eligible))
-    rng = random.Random(seed)
-    picked = rng.sample(eligible, n_pick)
+    picked = random.Random(seed).sample(sorted(eligible, key=str), n_pick)
     return sorted(picked, key=str)
 
 
-def write_eligibility_report(decisions: list[EligibilityDecision],
+def write_eligibility_report(decisions: list[Decision],
                              path: Union[str, Path]) -> None:
     """Emit one CSV row per repo with a semicolon-joined failed-criteria column."""
     write_csv(path, ["repo", "eligible", "failed_criteria"], (
-        [str(d.slug), "true" if d.eligible else "false",
-         ";".join(f"{cid}: {reason}" for cid, reason in d.failed_criteria)]
-        for d in decisions))
+        [str(slug), "false" if failed else "true",
+         ";".join(f"{cid}: {reason}" for cid, reason in failed)]
+        for slug, failed in decisions))

@@ -13,8 +13,6 @@ from persona_miner.commit_classify import (
     ACTIVITY_FALLBACK,
     ACTIVITY_RULES,
     KEYWORD_STEMS,
-    DevelopmentType,
-    SizeClass,
     classify_archive,
     classify_commit,
     classify_files,
@@ -31,51 +29,55 @@ from persona_miner.models import (
     RepoSlug,
 )
 
-D = DevelopmentType
-
-
-# every category the shipped rules can return
+# every development type and category the shipped tables can return
+DEV_TYPES = {dev_type for dev_type, _ in KEYWORD_STEMS} | {"Unclassified"}
 CATEGORIES = {category for category, _ in ACTIVITY_RULES} | {ACTIVITY_FALLBACK}
 
 
 def test_empty_message_unclassified():
-    assert classify_message("") is D.UNCLASSIFIED
-    assert classify_message("   ") is D.UNCLASSIFIED
+    assert classify_message("") == "Unclassified"
+    assert classify_message("   ") == "Unclassified"
 
 
 def test_fix_is_corrective():
-    assert classify_message("fix crash in parser") is D.CORRECTIVE_ENGINEERING
-    assert classify_message("Fixed the flaky test") is D.CORRECTIVE_ENGINEERING
+    assert classify_message("fix crash in parser") == "CorrectiveEngineering"
+    assert classify_message("Fixed the flaky test") == "CorrectiveEngineering"
 
 
 def test_add_is_forward():
-    assert classify_message("add initial feature skeleton") is D.FORWARD_ENGINEERING
+    assert classify_message("add initial feature skeleton") == "ForwardEngineering"
 
 
 def test_first_word_only():
     # "fix" appears later but the first word decides
-    assert classify_message("docs: fix typo") is D.UNCLASSIFIED
+    assert classify_message("docs: fix typo") == "Unclassified"
 
 
 def test_case_insensitive():
-    assert classify_message("ADD widgets") is D.FORWARD_ENGINEERING
+    assert classify_message("ADD widgets") == "ForwardEngineering"
 
 
 def test_no_match_unclassified():
-    assert classify_message("zzzunknownverb everything") is D.UNCLASSIFIED
+    assert classify_message("zzzunknownverb everything") == "Unclassified"
 
 
 def test_message_totality_property():
     for msg in ["", "x", "Merge branch 'main'", "1.0.0", "\n\nfix\n", "日本語"]:
-        assert classify_message(msg) in set(D)
+        assert classify_message(msg) in DEV_TYPES
+
+
+def test_shipped_development_types():
+    # the paper's four development types, in the order their stems are matched
+    assert [dev_type for dev_type, _ in KEYWORD_STEMS] == [
+        "ForwardEngineering", "Reengineering", "CorrectiveEngineering", "Management"]
 
 
 def test_duplicate_stem_rejected():
     # a stem under two development types would be matched under the first only
-    seen: dict[str, DevelopmentType] = {}
+    seen: dict[str, str] = {}
     for dev_type, stems in KEYWORD_STEMS:
         for stem in stems:
-            assert seen.setdefault(stem, dev_type) is dev_type, stem
+            assert seen.setdefault(stem, dev_type) == dev_type, stem
     assert seen
 
 
@@ -84,17 +86,17 @@ def test_shipped_stems_are_single_lowercase_tokens():
     for _dev_type, stems in KEYWORD_STEMS:
         for stem in stems:
             assert stem.split() == [stem.lower()], stem
-    assert classify_message("code review fixes") is D.UNCLASSIFIED
+    assert classify_message("code review fixes") == "Unclassified"
 
 
 def test_size_boundaries():
-    assert classify_size(1) is SizeClass.TINY
-    assert classify_size(5) is SizeClass.TINY
-    assert classify_size(6) is SizeClass.SMALL
-    assert classify_size(25) is SizeClass.SMALL
-    assert classify_size(26) is SizeClass.MEDIUM
-    assert classify_size(125) is SizeClass.MEDIUM
-    assert classify_size(126) is SizeClass.LARGE
+    assert classify_size(1) == "Tiny"
+    assert classify_size(5) == "Tiny"
+    assert classify_size(6) == "Small"
+    assert classify_size(25) == "Small"
+    assert classify_size(26) == "Medium"
+    assert classify_size(125) == "Medium"
+    assert classify_size(126) == "Large"
 
 
 def test_size_zero_rejected():
@@ -137,25 +139,25 @@ def test_files_totality_over_samples():
 
 def test_custom_keyword_table_load(monkeypatch):
     monkeypatch.setattr(commit_classify, "KEYWORD_STEMS",
-                        ((D.FORWARD_ENGINEERING, ("implement",)),))
-    assert classify_message("Implemented this") is D.FORWARD_ENGINEERING
+                        (("ForwardEngineering", ("implement",)),))
+    assert classify_message("Implemented this") == "ForwardEngineering"
     # only the first word is matched, and only against the table's stems
-    assert classify_message("please implement this") is D.UNCLASSIFIED
-    assert classify_message("fix this") is D.UNCLASSIFIED
+    assert classify_message("please implement this") == "Unclassified"
+    assert classify_message("fix this") == "Unclassified"
 
 
 def test_classify_commit_payload_absent():
     dev_type, size_class, activity_type = classify_commit(None)
-    assert dev_type is D.UNCLASSIFIED
-    assert size_class is None
+    assert dev_type == "Unclassified"
+    assert size_class == "payload-absent"
     assert activity_type == "unknown"
 
 
 def test_classify_commit_full_payload():
     payload = CommitPayload(message="fix bug", changed_files=("src/a.py",))
     dev_type, size_class, activity_type = classify_commit(payload)
-    assert dev_type is D.CORRECTIVE_ENGINEERING
-    assert size_class is SizeClass.TINY
+    assert dev_type == "CorrectiveEngineering"
+    assert size_class == "Tiny"
     assert activity_type == "code"
 
 
@@ -163,8 +165,8 @@ def test_classify_commit_full_payload():
        paths=st.lists(st.text(min_size=1, max_size=30), max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_determinism_and_totality_property(message, paths):
-    assert classify_message(message) is classify_message(message)
-    assert classify_message(message) in set(D)
+    assert classify_message(message) == classify_message(message)
+    assert classify_message(message) in DEV_TYPES
     first = classify_files(paths)
     assert first == classify_files(paths)
     assert first in CATEGORIES

@@ -85,7 +85,8 @@ def test_exclude_bots_shrinks_population(fixture_archive_path, tmp_path):
 def test_manifest_config_hash_digests_every_setting_but_output_dir(
         fixture_archive_path, tmp_path):
     # the hash is the sha256 of the sorted-key JSON of these seven settings;
-    # the archive and profiles are named by the path as given
+    # the archive and profiles are named by the path as given, and the deny
+    # list as a sorted set
     archive_copy = tmp_path / "copy.jsonl"
     shutil.copyfile(fixture_archive_path, archive_copy)
     profiles = str(Path(persona_miner.__file__).parent / "data" / "personas.json")
@@ -107,6 +108,9 @@ def test_manifest_config_hash_digests_every_setting_but_output_dir(
                        ("exclude_bots", True), ("bot_deny_list", ("ada",))):
         changed = {**base, key: value}
         assert manifest_hash(key, changed) == digest(changed) != digest(base), key
+    deny = {**base, "bot_deny_list": ("ada", "bob")}
+    for name, logins in (("bob-ada", ("bob", "ada")), ("bob-ada-ada", ("bob", "ada", "ada"))):
+        assert manifest_hash(name, {**base, "bot_deny_list": logins}) == digest(deny), name
 
 
 def test_cluster_and_label_small_population():

@@ -1,12 +1,16 @@
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persona_miner.errors import DataValidationError
 from persona_miner.models import RepoSlug
 from persona_miner.sampling import (
     apply_inclusion_criteria,
+    screen_summaries,
     subsample,
     write_eligibility_report,
 )
@@ -27,35 +31,33 @@ def _summary(**over):
 
 
 def test_all_criteria_pass():
-    decision = apply_inclusion_criteria(_summary())
-    assert decision.eligible
-    assert decision.failed_criteria == ()
+    # an eligible repo is one with no failed criteria
+    assert apply_inclusion_criteria(_summary()) == (RepoSlug("org", "repo"), ())
 
 
 def test_below_min_committers():
-    decision = apply_inclusion_criteria(_summary(unique_committers=5))
-    assert not decision.eligible
-    assert [cid for cid, _ in decision.failed_criteria] == ["min_committers"]
+    _slug, failed = apply_inclusion_criteria(_summary(unique_committers=5))
+    assert [cid for cid, _ in failed] == ["min_committers"]
 
 
 def test_fork_fails_criterion():
-    decision = apply_inclusion_criteria(_summary(is_fork=True))
-    assert [cid for cid, _ in decision.failed_criteria] == ["fork"]
+    _slug, failed = apply_inclusion_criteria(_summary(is_fork=True))
+    assert [cid for cid, _ in failed] == ["fork"]
 
 
 def test_unknown_license_reason():
-    decision = apply_inclusion_criteria(_summary(license_id="GPL-3.0"))
-    assert decision.failed_criteria[0][0] == "license"
-    assert "unrecognized" in decision.failed_criteria[0][1]
+    _slug, failed = apply_inclusion_criteria(_summary(license_id="GPL-3.0"))
+    assert failed[0][0] == "license"
+    assert "unrecognized" in failed[0][1]
 
 
 def test_language_passes_if_any_matches():
-    decision = apply_inclusion_criteria(_summary(languages=["Haskell", "Python"]))
-    assert decision.eligible
+    _slug, failed = apply_inclusion_criteria(_summary(languages=["Haskell", "Python"]))
+    assert failed == ()
 
 
 def test_no_short_circuit_collects_all_failures():
-    decision = apply_inclusion_criteria(_summary(
+    _slug, failed = apply_inclusion_criteria(_summary(
         visibility="private",
         unique_committers=500,
         license_id=None,
@@ -63,7 +65,7 @@ def test_no_short_circuit_collects_all_failures():
         is_fork=True,
         age_days=10,
     ))
-    failed_ids = [cid for cid, _ in decision.failed_criteria]
+    failed_ids = [cid for cid, _ in failed]
     assert failed_ids == ["public", "max_committers", "license", "language",
                           "fork", "age"]
 
@@ -71,7 +73,7 @@ def test_no_short_circuit_collects_all_failures():
 def test_seven_way_failure_fixture():
     # committers below min AND a private fork with everything else wrong:
     # six distinct criteria fire at once (min/max are mutually exclusive)
-    decision = apply_inclusion_criteria(_summary(
+    _slug, failed = apply_inclusion_criteria(_summary(
         visibility="missing",
         unique_committers=0,
         license_id=None,
@@ -79,7 +81,7 @@ def test_seven_way_failure_fixture():
         is_fork=True,
         age_days=0,
     ))
-    failed_ids = {cid for cid, _ in decision.failed_criteria}
+    failed_ids = {cid for cid, _ in failed}
     assert failed_ids == {"public", "min_committers", "license", "language",
                           "fork", "age"}
 
@@ -87,6 +89,15 @@ def test_seven_way_failure_fixture():
 def test_purity():
     summary = _summary()
     assert apply_inclusion_criteria(summary) == apply_inclusion_criteria(summary)
+
+
+def test_repeated_repo_rejected(tmp_path):
+    summaries = tmp_path / "summaries.json"
+    summaries.write_text(json.dumps([_summary(repo="org/x"), _summary(repo="org/x"),
+                                     _summary(repo="org/y")]))
+    with pytest.raises(DataValidationError, match=r"summary entry 1: repo org/x is "
+                       r"listed again; its first entry is 0$"):
+        screen_summaries(summaries)
 
 
 # -- subsample -------------------------------------------------------------
@@ -103,6 +114,15 @@ def test_identity_fraction_returns_all_sorted():
 def test_determinism_same_seed():
     slugs = _slugs(100)
     assert subsample(slugs, 0.45, seed=7) == subsample(slugs, 0.45, seed=7)
+
+
+def test_picks_do_not_depend_on_input_order():
+    slugs = _slugs(10)
+    shuffled = slugs[:]
+    random.Random(0).shuffle(shuffled)
+    picks = subsample(slugs, 0.5, seed=3)
+    assert subsample(slugs[::-1], 0.5, seed=3) == picks
+    assert subsample(shuffled, 0.5, seed=3) == picks
 
 
 def test_study_scale_floor():
