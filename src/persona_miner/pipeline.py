@@ -105,8 +105,8 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     # every result is computed before the output directory is made, so that an
     # input the pipeline rejects, or a failing stage, leaves no output behind
     sets = load_archive(archive_path)
-    individuals, vectors = metric_table(sets, exclude_bots=exclude_bots,
-                                        bot_deny_list=frozenset(bot_deny_list))
+    deny = frozenset(bot_deny_list)
+    individuals, vectors = metric_table(sets, exclude_bots=exclude_bots, bot_deny_list=deny)
     profiles = load_profiles(persona_profile_path)
     rows = feature_matrix(vectors)
     initial, sub_labels, personas, diagnostics = cluster_and_label(
@@ -134,7 +134,7 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     # the config hash digests every setting but the output directory
     settings = {"archive_path": archive_path, "seed": seed, "k_min": k_min,
                 "k_max": k_max, "persona_profile_path": persona_profile_path,
-                "exclude_bots": exclude_bots, "bot_deny_list": sorted(set(bot_deny_list))}
+                "exclude_bots": exclude_bots, "bot_deny_list": sorted(deny)}
     persona_counts = Counter(name for name, _dist in personas)
 
     manifest = {

@@ -538,27 +538,36 @@ def test_filter_bad_fraction_writes_nothing(runner, tmp_path):
 def test_filter_bad_summaries_exit_4(runner, tmp_path):
     summaries = tmp_path / "summaries.json"
     good = {"repo": "org/good", "unique_committers": 50, "age_days": 2000}
+    other = {**good, "repo": "org/other"}  # a repo of its own for entry 1
     cases = [("{not", "not JSON"),
              (json.dumps(good), "expected a JSON list"),
              (json.dumps([good, "org/bad"]), "summary entry 1: TypeError"),
-             (json.dumps([{"unique_committers": 5}]), "summary entry 0: KeyError: 'repo'")]
-    for field, value in (("visibility", "weird"), ("unique_committers", "many"),
-                         ("age_days", None), ("age_days", -1)):
-        cases.append((json.dumps([good, {**good, field: value}]), "summary entry 1: "))
-    # the counts are JSON integers: no string, float or bool stands in for one
-    for field, value in (("unique_committers", "12"), ("age_days", 1000.9),
+             (json.dumps([{"unique_committers": 5}]), "summary entry 0: KeyError: 'repo'"),
+             (json.dumps([good, {**other, "visibility": "weird"}]),
+              "summary entry 1: ValueError: visibility must be public, private or "
+              "missing, not 'weird'"),
+             (json.dumps([good, {**other, "age_days": -1}]),
+              "summary entry 1: ValueError: age_days must be >= 0"),
+             (json.dumps([good, {**other, "unique_committers": -3}]),
+              "summary entry 1: ValueError: unique_committers must be >= 0"),
+             # a second entry for one repo
+             (json.dumps([good, good]),
+              "summary entry 1: repo org/good is listed again; its first entry is 0"),
+             (json.dumps([other, other, good]),
+              "summary entry 1: repo org/other is listed again; its first entry is 0")]
+    # the counts are JSON integers: no string, float, null or bool stands in for one
+    for field, value in (("unique_committers", "12"), ("unique_committers", "many"),
+                         ("age_days", 1000.9), ("age_days", None),
                          ("unique_committers", True)):
-        cases.append((json.dumps([good, {**good, field: value}]),
+        cases.append((json.dumps([good, {**other, field: value}]),
                       f"summary entry 1: TypeError: {field} must be an integer, "
                       f"not {value!r}"))
-    cases.append((json.dumps([good, {**good, "unique_committers": -3}]),
-                  "summary entry 1: ValueError: unique_committers must be >= 0"))
     for field, value, rule in (("is_fork", "false", "must be true or false"),
                                ("languages", "Python", "must be a list of strings"),
                                ("languages", ["Python", 3], "must be a list of strings"),
                                ("license_id", 5, "must be a string or null"),
                                ("license_id", ["MIT"], "must be a string or null")):
-        cases.append((json.dumps([good, {**good, field: value}]),
+        cases.append((json.dumps([good, {**other, field: value}]),
                       f"summary entry 1: TypeError: {field} {rule}, not {value!r}"))
     for text, message in cases:
         summaries.write_text(text)

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -6,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persona_miner.errors import DataValidationError
 from persona_miner.models import RepoSlug
 from persona_miner.sampling import (
     apply_inclusion_criteria,
-    screen_summaries,
     subsample,
     write_eligibility_report,
 )
@@ -89,15 +86,6 @@ def test_seven_way_failure_fixture():
 def test_purity():
     summary = _summary()
     assert apply_inclusion_criteria(summary) == apply_inclusion_criteria(summary)
-
-
-def test_repeated_repo_rejected(tmp_path):
-    summaries = tmp_path / "summaries.json"
-    summaries.write_text(json.dumps([_summary(repo="org/x"), _summary(repo="org/x"),
-                                     _summary(repo="org/y")]))
-    with pytest.raises(DataValidationError, match=r"summary entry 1: repo org/x is "
-                       r"listed again; its first entry is 0$"):
-        screen_summaries(summaries)
 
 
 # -- subsample -------------------------------------------------------------
