@@ -5,7 +5,8 @@ Format: JSON Lines. The first line is a header object
 either a repo marker or an event. A marker's events are the event lines that
 follow it up to the next marker: each must carry the marker's ``"repo"``
 string, and their number must equal the marker's ``n_events``. Each repo has
-one marker. Round-trips are exact field-for-field.
+one marker, and two slugs that differ only in case are one repo. Round-trips
+are exact field-for-field.
 
 An event line spelled exactly as :func:`save_archive` writes it, with no
 escape in its strings, is read by one pattern; a line spelled any other way,
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -26,11 +26,11 @@ from typing import Union
 
 from .errors import ArchiveFormatError, DataValidationError, open_utf8, write_utf8
 from .models import (
+    ALL_KINDS,
     CommitPayload,
     InteractionEvent,
-    InteractionKind,
     InteractionSet,
-    RepoSlug,
+    check_slug,
     isoformat_utc,
     parse_utc,
 )
@@ -41,7 +41,6 @@ ARCHIVE_VERSION = 1
 _raw_decode = json.JSONDecoder().raw_decode
 _fromisoformat = datetime.fromisoformat
 _JSON_WHITESPACE = " \t\n\r"
-_KINDS = {kind.value: kind for kind in InteractionKind}
 # a character a JSON string holds as itself: no quote, backslash or control character
 _CHAR = r'[^"\\\x00-\x1f]'
 _FIELD, _NON_EMPTY = f'"({_CHAR}*)"', f'"({_CHAR}+)"'
@@ -52,7 +51,7 @@ _TIMESTAMP = r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]
 # holds the changed_files items
 _EVENT_LINE = (
     rf'\{{"type": "event", "repo": {_FIELD}, "actor": {_NON_EMPTY}, '
-    rf'"kind": "({"|".join(_KINDS)})", "timestamp": {_TIMESTAMP}, '
+    rf'"kind": "({"|".join(ALL_KINDS)})", "timestamp": {_TIMESTAMP}, '
     rf'"subject_id": {_NON_EMPTY}(?:, "payload": \{{"message": {_FIELD}, '
     rf'"changed_files": \[((?:"{_CHAR}*"(?:, "{_CHAR}*")*)?)\]\}})?\}}'
 )
@@ -63,7 +62,7 @@ def _event_to_obj(repo: str, ev: InteractionEvent) -> dict:
         "type": "event",
         "repo": repo,
         "actor": ev.actor,
-        "kind": ev.kind.value,
+        "kind": ev.kind,
         "timestamp": isoformat_utc(ev.timestamp),
         "subject_id": ev.subject_id,
     }
@@ -77,18 +76,19 @@ def _event_to_obj(repo: str, ev: InteractionEvent) -> dict:
 
 def save_archive(sets: list[InteractionSet], path: Union[str, Path]) -> None:
     """Write interaction sets to ``path`` as a versioned JSON Lines archive,
-    replacing it whole; a repo listed twice, which :func:`load_archive`
-    rejects, raises first."""
-    repeated = [repo for repo, n in Counter(str(s.repo) for s in sets).items() if n > 1]
-    if repeated:
-        raise DataValidationError(f"repo {repeated[0]} is listed again")
+    replacing it whole; a repo listed twice, in any letter case, which
+    :func:`load_archive` rejects, raises first."""
+    first_sets: dict[str, int] = {}  # every repo's first set
+    for i, iset in enumerate(sets):
+        if first_sets.setdefault(iset.repo.lower(), i) != i:
+            raise DataValidationError(f"repo {iset.repo} is listed again")
     with write_utf8(path) as fh:
         fh.write(json.dumps({"format": ARCHIVE_FORMAT, "version": ARCHIVE_VERSION}))
         fh.write("\n")
         for iset in sets:
             marker = {
                 "type": "repo",
-                "repo": str(iset.repo),
+                "repo": iset.repo,
                 "fetched_at": isoformat_utc(iset.fetched_at),
                 "incomplete": iset.incomplete,
                 "n_events": len(iset.events),
@@ -107,7 +107,7 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
     the ``path:line`` at fault on a malformed line (a field of the wrong type,
     or a string holding an unpaired surrogate, among them), a byte that is not
     UTF-8, an event whose repo is not its marker's, a repo whose event count is
-    not its ``n_events``, or a second marker for one repo.
+    not its ``n_events``, or a second marker for one repo, in any letter case.
     """
     path = Path(path)
     event_line = re.compile(_EVENT_LINE).fullmatch  # not at import: re caches it
@@ -129,7 +129,7 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
         sets: list[InteractionSet] = []
         head: InteractionSet | None = None  # the open repo's set, without events
         marker_at, repo, n_events = 0, "", 0  # its marker's line and fields
-        marker_lines: dict[str, int] = {}  # every repo's marker line
+        marker_lines: dict[str, int] = {}  # every repo's marker line, by slug.lower()
         events: list[InteractionEvent] = []
 
         def close_repo():
@@ -169,13 +169,14 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                     if type(incomplete) is not bool:
                         raise DataValidationError(
                             f"incomplete must be true or false, not {incomplete!r}")
-                    if marker_lines.setdefault(repo, lineno) != lineno:
+                    first_at = marker_lines.setdefault(check_slug(repo).lower(), lineno)
+                    if first_at != lineno:
                         raise ArchiveFormatError(
                             f"{path}:{lineno}: repo {repo} is listed again; its first "
-                            f"marker is at line {marker_lines[repo]}")
+                            f"marker is at line {first_at}")
                     events = []
                     head = InteractionSet(
-                        repo=RepoSlug.parse(repo),
+                        repo=repo,
                         events=(),
                         fetched_at=parse_utc(obj["fetched_at"]),
                         incomplete=incomplete,
@@ -186,13 +187,13 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                             f"{path}:{lineno}: event before any repo marker"
                         )
                     if match is not None:
-                        (ev_repo, actor, value, timestamp, subject, message,
+                        (ev_repo, actor, kind, timestamp, subject, message,
                          files) = match.groups()
                     else:
                         ev_repo, payload = obj["repo"], obj.get("payload")
                         if payload is not None:
                             message, files = payload["message"], payload["changed_files"]
-                        actor, value, timestamp, subject = (
+                        actor, kind, timestamp, subject = (
                             obj["actor"], obj["kind"], obj["timestamp"], obj["subject_id"])
                     if ev_repo != repo:
                         raise ArchiveFormatError(
@@ -208,7 +209,7 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                             files = files[1:-1].split('", "') if files else ()
                             payload = CommitPayload(message, tuple(files))
                         events.append(tuple.__new__(InteractionEvent, (
-                            actor, _KINDS[value],
+                            actor, kind,
                             _fromisoformat(timestamp.replace("Z", "+00:00")),
                             subject, payload)))
                         continue
@@ -221,10 +222,8 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                             raise DataValidationError(
                                 f"changed_files must be a list of strings, not {files!r}")
                         payload = CommitPayload(message, tuple(files))
-                    try:
-                        kind = _KINDS[value]
-                    except (KeyError, TypeError):
-                        kind = InteractionKind(value)  # raises the enum's ValueError
+                    if kind not in ALL_KINDS:
+                        raise ValueError(f"unknown interaction kind {kind!r}")
                     events.append(InteractionEvent(actor, kind, parse_utc(timestamp),
                                                    subject, payload))
                 else:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .github import GitHubClient
 from .metrics import metric_table, read_metrics_csv, write_metrics_csv
-from .models import RepoSlug
+from .models import check_slug
 from .personas import assign_persona, load_profiles, write_personas_csv
 from .pipeline import check_k_range, feature_matrix, run_pipeline
 from .report import read_labels_csv, write_labels_csv, write_reports
@@ -102,12 +102,16 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
     transport = _live_transport()
     client = GitHubClient(transport=transport)
     if repos:
-        slugs = [RepoSlug.parse(r.strip()) for r in repos.split(",") if r.strip()]
+        slugs = [check_slug(r.strip()) for r in repos.split(",") if r.strip()]
     else:
         slugs = discover_github_slugs(transport, page_limit)
-    # Zenodo often holds one record per release of the same repository;
-    # fetch and archive each repository once, at its first occurrence
-    slugs = list(dict.fromkeys(slugs))
+    # Zenodo often holds one record per release of the same repository; fetch
+    # and archive each repository once, under its first spelling (slugs that
+    # differ only in case name one repository)
+    first_slugs: dict[str, str] = {}
+    for slug in slugs:
+        first_slugs.setdefault(slug.lower(), slug)
+    slugs = list(first_slugs.values())
     sets = []
     try:
         for slug in slugs:
@@ -115,9 +119,10 @@ def fetch(page_limit: int, repos: str | None, output_path: str):
     except RateBudgetError as exc:
         # the repositories fetched in full before the budget ran out are kept
         save_archive(sets, output_path)
+        reset = (f"; the rate limit resets at Unix time {exc.reset_at}"
+                 if exc.reset_at else "")
         raise RateBudgetError(f"{exc}; archived {len(sets)} of {len(slugs)} repositories "
-                              f"to {output_path}; the rate limit resets at Unix time "
-                              f"{exc.reset_at}", exc.reset_at) from exc
+                              f"to {output_path}{reset}", exc.reset_at) from exc
     save_archive(sets, output_path)
     click.echo(f"archived {len(sets)} repositories to {output_path}")
 
@@ -136,7 +141,7 @@ def filter_cmd(summaries_path: str, fraction: float, seed: int, output_path: str
     write_eligibility_report(decisions, output_path)
     click.echo(f"{len(eligible)} eligible; sampled {len(picked)}")
     for slug in picked:
-        click.echo(str(slug))
+        click.echo(slug)
 
 
 @main.command()

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DataValidationError, write_csv
-from .models import CommitPayload, InteractionKind, InteractionSet
+from .models import CommitPayload, InteractionSet
 
 UNCLASSIFIED = "Unclassified"
 # (size class, inclusive upper bound on the changed-file count) in order
@@ -87,10 +87,10 @@ def classify_archive(sets: Iterable[InteractionSet]) -> list[tuple]:
     """(sha, repo, dev_type, size_class, activity_type) of every created
     commit, repo by repo in repo order."""
     return [
-        (ev.subject_id, str(iset.repo), *classify_commit(ev.payload))
-        for iset in sorted(sets, key=lambda s: str(s.repo))
+        (ev.subject_id, iset.repo, *classify_commit(ev.payload))
+        for iset in sorted(sets, key=lambda s: s.repo)
         for ev in iset.events
-        if ev.kind == InteractionKind.COMMIT_CREATED
+        if ev.kind == "CommitCreated"
     ]
 
 

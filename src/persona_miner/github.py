@@ -21,9 +21,7 @@ from .errors import RetryableFetchError
 from .models import (
     CommitPayload,
     InteractionEvent,
-    InteractionKind,
     InteractionSet,
-    RepoSlug,
     parse_utc,
 )
 from .transport import Transport
@@ -71,12 +69,12 @@ class GitHubClient:
                 return
             page += 1
 
-    def _repo_url(self, slug: RepoSlug, *parts: str) -> str:
-        return "/".join([GITHUB_API, "repos", slug.owner, slug.name, *parts])
+    def _repo_url(self, slug: str, *parts: str) -> str:
+        return "/".join([GITHUB_API, "repos", slug, *parts])
 
     # -- interactions -----------------------------------------------------
 
-    def fetch_interactions(self, slug: RepoSlug,
+    def fetch_interactions(self, slug: str,
                            now: Optional[datetime] = None) -> InteractionSet:
         """Fetch all six event kinds for a public repository.
 
@@ -99,7 +97,7 @@ class GitHubClient:
             incomplete=incomplete,
         )
 
-    def _commit_events(self, slug: RepoSlug) -> Iterator[InteractionEvent]:
+    def _commit_events(self, slug: str) -> Iterator[InteractionEvent]:
         for commit in self._paginate(self._repo_url(slug, "commits")):
             actor = commit_identity(commit)
             if actor is None:
@@ -115,13 +113,13 @@ class GitHubClient:
                 changed = tuple(p for p in dict.fromkeys(names) if p)
             yield InteractionEvent(
                 actor=actor,
-                kind=InteractionKind.COMMIT_CREATED,
+                kind="CommitCreated",
                 timestamp=parse_utc(commit["commit"]["author"]["date"]),
                 subject_id=sha,
                 payload=CommitPayload(message=message, changed_files=changed),
             )
 
-    def _issue_events(self, slug: RepoSlug) -> Iterator[InteractionEvent]:
+    def _issue_events(self, slug: str) -> Iterator[InteractionEvent]:
         for issue in self._paginate(self._repo_url(slug, "issues"),
                                     {"state": "all"}):
             if "pull_request" in issue:
@@ -131,7 +129,7 @@ class GitHubClient:
             if user:
                 yield InteractionEvent(
                     actor=user,
-                    kind=InteractionKind.ISSUE_CREATED,
+                    kind="IssueCreated",
                     timestamp=parse_utc(issue["created_at"]),
                     subject_id=number,
                 )
@@ -145,7 +143,7 @@ class GitHubClient:
                         assigned_pairs.add(assignee)
                         yield InteractionEvent(
                             actor=assignee,
-                            kind=InteractionKind.ISSUE_ASSIGNED,
+                            kind="IssueAssigned",
                             timestamp=parse_utc(ev["created_at"]),
                             subject_id=number,
                         )
@@ -155,19 +153,19 @@ class GitHubClient:
                         closed_emitted = True
                         yield InteractionEvent(
                             actor=closer,
-                            kind=InteractionKind.ISSUE_CLOSED,
+                            kind="IssueClosed",
                             timestamp=parse_utc(ev["created_at"]),
                             subject_id=number,
                         )
 
-    def _pr_events(self, slug: RepoSlug) -> Iterator[InteractionEvent]:
+    def _pr_events(self, slug: str) -> Iterator[InteractionEvent]:
         for pr in self._paginate(self._repo_url(slug, "pulls"), {"state": "all"}):
             number = str(pr["number"])
             user = (pr.get("user") or {}).get("login")
             if user:
                 yield InteractionEvent(
                     actor=user,
-                    kind=InteractionKind.PR_CREATED,
+                    kind="PRCreated",
                     timestamp=parse_utc(pr["created_at"]),
                     subject_id=number,
                 )
@@ -176,12 +174,12 @@ class GitHubClient:
                 if closer:
                     yield InteractionEvent(
                         actor=closer,
-                        kind=InteractionKind.PR_CLOSED,
+                        kind="PRClosed",
                         timestamp=parse_utc(pr["closed_at"]),
                         subject_id=number,
                     )
 
-    def _pr_closer(self, slug: RepoSlug, pr: dict, number: str) -> Optional[str]:
+    def _pr_closer(self, slug: str, pr: dict, number: str) -> Optional[str]:
         if pr.get("merged_at"):
             detail = self.transport.get(self._repo_url(slug, "pulls", number))
             if detail.status < 400 and detail.body:

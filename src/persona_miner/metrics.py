@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .errors import DataValidationError, open_utf8, write_csv
-from .models import ALL_KINDS, InteractionKind, InteractionSet, RepoSlug
+from .models import ALL_KINDS, InteractionSet, check_slug
 
 FEATURE_NAMES: tuple[str, ...] = (
     "rc_commits_created",
@@ -41,9 +41,9 @@ def _is_bot_login(login: str, deny_list: frozenset[str]) -> bool:
 
 @dataclass(frozen=True)
 class RepoIndividual:
-    repo: RepoSlug
+    repo: str
     login: str
-    counts: dict[InteractionKind, int]
+    counts: dict[str, int]
     active_dates: frozenset[date]
     is_bot_flagged: bool = False
 
@@ -71,7 +71,7 @@ class MetricVector:
 
     features: tuple[float, ...]
     uit: int
-    repo: RepoSlug
+    repo: str
     login: str
     is_bot_flagged: bool = False
 
@@ -83,7 +83,7 @@ class MetricVector:
 
     @classmethod
     def from_rcs(cls, rcs: tuple[float, ...], share_of_interactions: float,
-                 share_of_days: float, uit: int, repo: RepoSlug, login: str,
+                 share_of_days: float, uit: int, repo: str, login: str,
                  is_bot_flagged: bool = False) -> "MetricVector":
         """The row whose MRC and net created-minus-closed issues derive from
         ``rcs``, the six RCs in ALL_KINDS order; a negative net is a net closer."""
@@ -100,7 +100,7 @@ def build_repo_individuals(
     Active dates are UTC calendar dates with at least one event. Individuals
     are returned sorted by login for deterministic downstream output.
     """
-    counts: dict[str, dict[InteractionKind, int]] = {}
+    counts: dict[str, dict[str, int]] = {}
     dates: dict[str, set[date]] = {}
     for ev in iset.events:
         actor_counts = counts.get(ev.actor)
@@ -167,7 +167,7 @@ def metric_table(
     """
     individuals: list[RepoIndividual] = []
     vectors: list[MetricVector] = []
-    for iset in sorted(sets, key=lambda s: str(s.repo)):
+    for iset in sorted(sets, key=lambda s: s.repo):
         repo_individuals = build_repo_individuals(iset, bot_deny_list)
         if exclude_bots:
             repo_individuals = [i for i in repo_individuals if not i.is_bot_flagged]
@@ -181,7 +181,7 @@ METRICS_CSV_COLUMNS: tuple[str, ...] = FEATURE_NAMES + ("repo", "login", "uit", 
 
 def write_metrics_csv(vectors: list[MetricVector], path: Union[str, Path]) -> None:
     write_csv(path, METRICS_CSV_COLUMNS, (
-        [*map(repr, v.features), str(v.repo), v.login, v.uit,
+        [*map(repr, v.features), v.repo, v.login, v.uit,
          "true" if v.is_bot_flagged else "false"] for v in vectors))
 
 
@@ -211,11 +211,10 @@ def read_metrics_csv(path: Union[str, Path]) -> list[MetricVector]:
                 if is_bot not in ("true", "false"):
                     raise ValueError(f"is_bot must be true or false, not {is_bot!r}")
                 vectors.append(MetricVector(tuple(map(float, features)), int(uit),
-                                            RepoSlug.parse(repo), login,
+                                            check_slug(repo), login,
                                             is_bot == "true"))
             except (ValueError, DataValidationError) as exc:
                 raise DataValidationError(
                     f"{path}:{reader.line_num}: malformed metrics row ({exc})") from exc
-            check_row_once(first_lines, (str(vectors[-1].repo), login), path,
-                           reader.line_num)
+            check_row_once(first_lines, (repo, login), path, reader.line_num)
     return vectors

@@ -9,46 +9,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import DataValidationError
 
 
-class InteractionKind(str, Enum):
-    """The six interaction types counted per repo-individual."""
-
-    COMMIT_CREATED = "CommitCreated"
-    ISSUE_CREATED = "IssueCreated"
-    ISSUE_CLOSED = "IssueClosed"
-    ISSUE_ASSIGNED = "IssueAssigned"
-    PR_CREATED = "PRCreated"
-    PR_CLOSED = "PRClosed"
+# the six interaction types counted per repo-individual, as the archive spells
+# them; this order is the order of the RC features
+ALL_KINDS: tuple[str, ...] = ("CommitCreated", "IssueCreated", "IssueClosed",
+                              "IssueAssigned", "PRCreated", "PRClosed")
 
 
-ALL_KINDS: tuple[InteractionKind, ...] = tuple(InteractionKind)
-
-
-@dataclass(frozen=True)
-class RepoSlug:
-    """An owner/name pair identifying one GitHub repository."""
-
-    owner: str
-    name: str
-
-    def __post_init__(self):
-        if not self.owner or not self.name:
-            raise DataValidationError("repo slug parts must be non-empty")
-        if "/" in self.owner or "/" in self.name:
-            raise DataValidationError("repo slug parts must not contain '/'")
-
-    def __str__(self) -> str:
-        return f"{self.owner}/{self.name}"
-
-    @classmethod
-    def parse(cls, text: str) -> "RepoSlug":
-        owner, _, name = text.partition("/")
-        return cls(owner, name)
+def check_slug(text: str) -> str:
+    """``text`` if it names a GitHub repository as ``owner/name``: both parts
+    non-empty, and no ``/`` in the name. Two slugs equal after ``lower()`` name
+    one repository, as owner/name pairs are case-insensitive on GitHub."""
+    owner, _, name = text.partition("/")
+    if not owner or not name:
+        raise DataValidationError("repo slug parts must be non-empty")
+    if "/" in name:
+        raise DataValidationError("repo slug parts must not contain '/'")
+    return text
 
 
 # a typing.NamedTuple may not define its own __new__, so each check runs in a subclass
@@ -66,7 +47,7 @@ class CommitPayload(NamedTuple("CommitPayload", [("message", str),
 
 
 class InteractionEvent(NamedTuple("InteractionEvent", [
-        ("actor", str), ("kind", InteractionKind), ("timestamp", datetime),
+        ("actor", str), ("kind", str), ("timestamp", datetime),
         ("subject_id", str), ("payload", Optional[CommitPayload])])):
     """One timestamped actor interaction of one of the six kinds; its
     repository is the enclosing :class:`InteractionSet`'s."""
@@ -74,7 +55,7 @@ class InteractionEvent(NamedTuple("InteractionEvent", [
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, actor: str, kind: InteractionKind, timestamp: datetime,
+    def __new__(cls, actor: str, kind: str, timestamp: datetime,
                 subject_id: str, payload: Optional[CommitPayload] = None):
         if not isinstance(actor, str) or not actor:
             raise DataValidationError(f"actor must be a non-empty string, not {actor!r}")
@@ -90,7 +71,7 @@ class InteractionEvent(NamedTuple("InteractionEvent", [
 class InteractionSet:
     """All events fetched for one repository."""
 
-    repo: RepoSlug
+    repo: str
     events: tuple[InteractionEvent, ...]
     fetched_at: datetime
     incomplete: bool = False

@@ -117,6 +117,6 @@ def write_personas_csv(vectors: Sequence[MetricVector], personas: Sequence[tuple
     them both cells are empty. Sequences of unequal length are a ValueError."""
     clusters, subclusters = columns or (("",) * len(vectors),) * 2
     write_csv(path, ["repo", "login", "persona", "distance", "cluster", "subcluster"], (
-        [str(v.repo), v.login, name, repr(dist), cluster, sub]
+        [v.repo, v.login, name, repr(dist), cluster, sub]
         for v, (name, dist), cluster, sub
         in zip(vectors, personas, clusters, subclusters, strict=True)))

@@ -13,12 +13,12 @@ from typing import Sequence, Union
 from .cluster import ClusterLabels
 from .errors import DataValidationError, open_utf8, write_csv, write_json
 from .metrics import RepoIndividual, check_row_once
-from .models import ALL_KINDS, InteractionKind, RepoSlug
+from .models import ALL_KINDS
 
 
 def interaction_totals(
     individuals: Sequence[RepoIndividual],
-) -> dict[InteractionKind, tuple[int, float]]:
+) -> dict[str, tuple[int, float]]:
     """Per-kind counts and their percentage of all interactions."""
     totals = {k: 0 for k in ALL_KINDS}
     for ind in individuals:
@@ -33,34 +33,34 @@ def interaction_totals(
 
 def upset_counts(individuals: Sequence[RepoIndividual]) -> dict[tuple[str, ...], int]:
     """Count individuals per exact combination of nonzero interaction kinds,
-    keyed by the kinds' values in ALL_KINDS order; the counts sum to the
+    keyed by the kinds in ALL_KINDS order; the counts sum to the
     individual count."""
     counts: dict[tuple[str, ...], int] = {}
     for ind in individuals:
-        combo = tuple(k.value for k in ALL_KINDS if ind.counts[k] > 0)
+        combo = tuple(k for k in ALL_KINDS if ind.counts[k] > 0)
         counts[combo] = counts.get(combo, 0) + 1
     return counts
 
 
 def composition(individuals: Sequence[RepoIndividual], labels: Sequence[int],
-                ) -> list[tuple[RepoSlug, dict[int, int]]]:
+                ) -> list[tuple[str, dict[int, int]]]:
     """(repo, {cluster: count of individuals}) pairs in repo order, clusters
     ascending; ``labels`` holds each individual's cluster."""
-    per_repo: dict[RepoSlug, dict[int, int]] = {}
+    per_repo: dict[str, dict[int, int]] = {}
     for ind, label in zip(individuals, labels):
         clusters = per_repo.setdefault(ind.repo, {})
         clusters[label] = clusters.get(label, 0) + 1
     return [(repo, dict(sorted(clusters.items())))
-            for repo, clusters in sorted(per_repo.items(), key=lambda kv: str(kv[0]))]
+            for repo, clusters in sorted(per_repo.items())]
 
 
 # -- file emission --------------------------------------------------------
 
 
-def write_totals_csv(totals: dict[InteractionKind, tuple[int, float]],
+def write_totals_csv(totals: dict[str, tuple[int, float]],
                      path: Union[str, Path]) -> None:
     write_csv(path, ["interaction_type", "count", "percentage"],
-              ([kind.value, totals[kind][0], repr(totals[kind][1])] for kind in ALL_KINDS))
+              ([kind, totals[kind][0], repr(totals[kind][1])] for kind in ALL_KINDS))
 
 
 def write_upset_json(counts: dict[tuple[str, ...], int],
@@ -73,13 +73,13 @@ def write_upset_json(counts: dict[tuple[str, ...], int],
                       "combinations": entries})
 
 
-def write_composition_csv(rows: Sequence[tuple[RepoSlug, dict[int, int]]],
+def write_composition_csv(rows: Sequence[tuple[str, dict[int, int]]],
                           path: Union[str, Path]) -> None:
     """One row per (repo, {cluster: count}) pair; the first row also carries
     the fraction of repos with two or more clusters."""
     n_mixed = sum(len(clusters) >= 2 for _, clusters in rows)
     write_csv(path, ["repo", "clusters_present", "counts_per_cluster", "mixed_fraction"], (
-        [str(repo), ";".join(map(str, clusters)),
+        [repo, ";".join(map(str, clusters)),
          ";".join(f"{c}:{n}" for c, n in clusters.items()),
          repr(n_mixed / len(rows)) if i == 0 else ""]
         for i, (repo, clusters) in enumerate(rows)))
@@ -91,7 +91,7 @@ def write_labels_csv(individuals: Sequence, clusters: Sequence[int],
     ``login``), clusters[i] and subclusters[i]. Sequences of unequal length
     are a ValueError."""
     write_csv(path, ["repo", "login", "cluster", "subcluster"], (
-        [str(ind.repo), ind.login, cluster, sub]
+        [ind.repo, ind.login, cluster, sub]
         for ind, cluster, sub in zip(individuals, clusters, subclusters, strict=True)))
 
 
@@ -101,7 +101,7 @@ def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLab
     individual, a second row for one (repo, login), a row without four columns,
     a cluster or subcluster that is not a non-negative integer, a byte that is
     not UTF-8, or ids that do not run 0..k-1 is an error."""
-    wanted = {(str(ind.repo), ind.login) for ind in individuals}
+    wanted = {(ind.repo, ind.login) for ind in individuals}
     with open_utf8(path, DataValidationError, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
@@ -123,7 +123,7 @@ def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLab
                                           f"individual of the input")
             labels[key] = int(row["cluster"])
     try:
-        ids = tuple(labels[(str(ind.repo), ind.login)] for ind in individuals)
+        ids = tuple(labels[(ind.repo, ind.login)] for ind in individuals)
         return ClusterLabels(labels=ids, k=max(ids, default=-1) + 1)
     except KeyError as exc:
         raise DataValidationError(f"no cluster label for individual {exc}") from exc

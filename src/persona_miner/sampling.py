@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ConfigError, DataValidationError, write_csv
-from .models import RepoSlug
+from .models import check_slug
 
 
 # the seven inclusion criteria: public, MIN_COMMITTERS <= committers <
@@ -24,7 +24,7 @@ ALLOWED_LANGUAGES = ("Python", "R", "C", "C++", "Java", "JavaScript", "MATLAB",
 
 # a repo's (slug, failed_criteria), each failure a (criterion id, reason); the
 # repo is eligible when failed_criteria is empty
-Decision = tuple[RepoSlug, tuple[tuple[str, str], ...]]
+Decision = tuple[str, tuple[tuple[str, str], ...]]
 
 
 def _count(summary: dict, field: str) -> int:
@@ -42,7 +42,7 @@ def apply_inclusion_criteria(summary: dict) -> Decision:
     so the failure list is complete."""
     if not isinstance(summary, dict):
         raise TypeError(f"expected an object, not {type(summary).__name__}")
-    slug = RepoSlug.parse(summary["repo"])
+    slug = check_slug(summary["repo"])
     failed: list[tuple[str, str]] = []
 
     visibility = summary.get("visibility", "public")
@@ -84,8 +84,8 @@ def apply_inclusion_criteria(summary: dict) -> Decision:
 
 def screen_summaries(path: Union[str, Path]) -> list[Decision]:
     """One decision per entry of a JSON list of repo summaries. A file or entry
-    that cannot be read, or a second entry for one repo, is a
-    DataValidationError naming it."""
+    that cannot be read, or a second entry for one repo in any letter case, is
+    a DataValidationError naming it."""
     try:
         raw = json.loads(Path(path).read_text("utf-8"))
     except ValueError as exc:
@@ -93,7 +93,7 @@ def screen_summaries(path: Union[str, Path]) -> list[Decision]:
     if not isinstance(raw, list):
         raise DataValidationError(f"{path}: expected a JSON list of repo summaries")
     decisions = []
-    first_entries: dict[RepoSlug, int] = {}  # every repo's first entry
+    first_entries: dict[str, int] = {}  # every repo's first entry, by slug.lower()
     for i, summary in enumerate(raw):
         try:
             decisions.append(apply_inclusion_criteria(summary))
@@ -102,13 +102,14 @@ def screen_summaries(path: Union[str, Path]) -> list[Decision]:
             raise DataValidationError(f"{path}: summary entry {i}: "
                                       f"{type(exc).__name__}: {exc}") from exc
         slug = decisions[-1][0]
-        if first_entries.setdefault(slug, i) != i:
+        first = first_entries.setdefault(slug.lower(), i)
+        if first != i:
             raise DataValidationError(f"{path}: summary entry {i}: repo {slug} is listed "
-                                      f"again; its first entry is {first_entries[slug]}")
+                                      f"again; its first entry is {first}")
     return decisions
 
 
-def subsample(eligible: list[RepoSlug], fraction: float, seed: int) -> list[RepoSlug]:
+def subsample(eligible: list[str], fraction: float, seed: int) -> list[str]:
     """Pick floor(fraction * n) slugs uniformly without replacement.
 
     Uses Python's Mersenne Twister (random.Random) on the slugs in slug order,
@@ -118,14 +119,14 @@ def subsample(eligible: list[RepoSlug], fraction: float, seed: int) -> list[Repo
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], not {fraction!r}")
     n_pick = math.floor(fraction * len(eligible))
-    picked = random.Random(seed).sample(sorted(eligible, key=str), n_pick)
-    return sorted(picked, key=str)
+    picked = random.Random(seed).sample(sorted(eligible), n_pick)
+    return sorted(picked)
 
 
 def write_eligibility_report(decisions: list[Decision],
                              path: Union[str, Path]) -> None:
     """Emit one CSV row per repo with a semicolon-joined failed-criteria column."""
     write_csv(path, ["repo", "eligible", "failed_criteria"], (
-        [str(slug), "false" if failed else "true",
+        [slug, "false" if failed else "true",
          ";".join(f"{cid}: {reason}" for cid, reason in failed)]
         for slug, failed in decisions))

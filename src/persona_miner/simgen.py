@@ -12,7 +12,6 @@ from typing import Sequence
 
 from .errors import ConfigError
 from .metrics import MetricVector, compute_mrc
-from .models import RepoSlug
 from .personas import PersonaProfile
 
 
@@ -35,12 +34,11 @@ def generate(profiles: Sequence[PersonaProfile], count: int, noise_sd: float,
     centroids = np.repeat([p.centroid for p in profiles], count, axis=0)
     rcs = np.clip(centroids + rng.normal(0.0, noise_sd, size=centroids.shape),
                   0.0, 100.0)
-    repo = RepoSlug("simgen", "synthetic")
     vectors: list[MetricVector] = []
     for serial, row in enumerate(rcs):
         six = tuple(float(x) for x in row)
         mrc = compute_mrc(six)
         uit = sum(1 for v in six if v > 0) or 1
-        vectors.append(MetricVector.from_rcs(six, mrc, mrc, uit, repo,
+        vectors.append(MetricVector.from_rcs(six, mrc, mrc, uit, "simgen/synthetic",
                                              f"sim-{serial:05d}"))
     return vectors, [p.name for p in profiles for _ in range(count)]

@@ -57,17 +57,16 @@ class TokenBucket:
 
 
 def _retry_after(value: Optional[str], backoff: float) -> float:
-    """Seconds a Retry-After header asks to wait: a number of seconds, or an
-    HTTP date to wait until; without the header, or with neither, ``backoff``."""
-    try:
-        return max(0.0, float(value))
-    except (TypeError, ValueError):
-        pass
+    """Seconds a Retry-After header asks to wait: RFC 9110's delay-seconds (a
+    run of ASCII digits), or an HTTP date to wait until; without the header, or
+    with neither, ``backoff``."""
+    if value is not None and value.isascii() and value.isdigit():
+        return float(value)
     from email.utils import parsedate_to_datetime
 
     try:
         until = parsedate_to_datetime(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a year past C long
         return backoff
     if until.tzinfo is None:  # a "-0000" zone: UTC by convention
         until = until.replace(tzinfo=timezone.utc)
@@ -93,7 +92,11 @@ class RequestsTransport:
         last_error: object = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:  # only a try that follows a failed one waits
-                self.sleep(wait)
+                try:
+                    self.sleep(wait)
+                except (OverflowError, OSError) as exc:  # a wait the platform cannot sleep
+                    raise RateBudgetError(f"cannot wait {wait} s to retry {url}: "
+                                          f"{exc}") from exc
             if self.bucket is not None:
                 self.bucket.acquire()
             wait = BACKOFF_BASE * 2**attempt  # unless a Retry-After says otherwise

@@ -7,7 +7,6 @@ import re
 from typing import Optional
 
 from .errors import RetryableFetchError
-from .models import RepoSlug
 from .transport import Transport
 
 logger = logging.getLogger(__name__)
@@ -26,7 +25,7 @@ _GITHUB_URL_RE = re.compile(
 )
 
 
-def _github_slug(hit: dict) -> Optional[RepoSlug]:
+def _github_slug(hit: dict) -> Optional[str]:
     """The first related URL of a hit parseable as github.com/owner/name, or
     None when no URL matches; this is not an error."""
     for rel in hit.get("metadata", {}).get("related_identifiers", []):
@@ -34,18 +33,18 @@ def _github_slug(hit: dict) -> Optional[RepoSlug]:
         if m:
             owner, name = m.group(1), m.group(2).removesuffix(".git")
             if name:
-                return RepoSlug(owner, name)
+                return f"{owner}/{name}"
     return None
 
 
-def discover_github_slugs(transport: Transport, page_limit: int) -> list[RepoSlug]:
+def discover_github_slugs(transport: Transport, page_limit: int) -> list[str]:
     """Page through at most ``page_limit`` pages of the Zenodo search and
     return the GitHub repository of each hit that names one, in hit order.
 
     Malformed hits are logged and skipped; the batch never aborts on a single
     bad record. Transport failures propagate as retryable errors.
     """
-    slugs: list[RepoSlug] = []
+    slugs: list[str] = []
     for page in range(1, page_limit + 1):
         resp = transport.get(
             ZENODO_API, params={"q": QUERY, "size": PAGE_SIZE, "page": page}

@@ -9,9 +9,7 @@ from persona_miner.models import (
     ALL_KINDS,
     CommitPayload,
     InteractionEvent,
-    InteractionKind,
     InteractionSet,
-    RepoSlug,
 )
 from persona_miner.transport import Response
 
@@ -59,15 +57,14 @@ def paged(items, page_size=100):
 # -- hypothesis strategies -------------------------------------------------
 
 _logins = st.sampled_from(["ada", "bob", "carol", "dmitri", "elena", "bot[bot]"])
-_slugs = st.sampled_from([RepoSlug("org", "alpha"), RepoSlug("org", "beta")])
+_slugs = st.sampled_from(["org/alpha", "org/beta"])
 
 # any text a CSV cell may hold: commas, quotes, line breaks, non-ASCII
 _slug_parts = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="/"),
                       min_size=1, max_size=8)
-csv_slugs = st.builds(RepoSlug, _slug_parts, _slug_parts)
+csv_slugs = st.tuples(_slug_parts, _slug_parts).map("/".join)
 csv_logins = st.text(max_size=12)
-csv_keys = st.lists(st.tuples(csv_slugs, csv_logins), max_size=12,
-                    unique_by=lambda key: (str(key[0]), key[1]))
+csv_keys = st.lists(st.tuples(csv_slugs, csv_logins), max_size=12, unique=True)
 
 
 @st.composite
@@ -77,7 +74,7 @@ def interaction_events(draw):
         hours=draw(st.integers(min_value=0, max_value=24 * 600))
     )
     payload = None
-    if kind == InteractionKind.COMMIT_CREATED:
+    if kind == "CommitCreated":
         payload = CommitPayload(
             message=draw(st.text(max_size=40)),
             changed_files=tuple(

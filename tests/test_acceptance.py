@@ -33,9 +33,7 @@ from persona_miner.metrics import (
 )
 from persona_miner.models import (
     InteractionEvent,
-    InteractionKind,
     InteractionSet,
-    RepoSlug,
 )
 from persona_miner.personas import assign_persona, label_subcluster, load_profiles
 from persona_miner.pipeline import cluster_and_label, feature_matrix, run_pipeline
@@ -137,7 +135,7 @@ def test_criterion_3_pca_orthonormality_oracle_and_rank1():
 # -- criterion 4: metrics invariants on 1,000 generated repos --------------
 
 def _generated_repo(rng: random.Random, idx: int) -> InteractionSet:
-    repo = RepoSlug("gen", f"repo{idx:04d}")
+    repo = f"gen/repo{idx:04d}"
     t0 = datetime(2023, 1, 1, tzinfo=timezone.utc)
     events = []
     serial = 0
@@ -152,7 +150,7 @@ def _generated_repo(rng: random.Random, idx: int) -> InteractionSet:
                 ))
     if not events:
         events.append(InteractionEvent(
-            actor="user0", kind=InteractionKind.COMMIT_CREATED,
+            actor="user0", kind="CommitCreated",
             timestamp=t0, subject_id="s0",
         ))
     return InteractionSet(repo=repo, events=tuple(events),
@@ -231,7 +229,7 @@ def test_criterion_7_classification_totality_and_order(fixture_archive_path, mon
     n_commits = 0
     for iset in load_archive(fixture_archive_path):
         for ev in iset.events:
-            if ev.kind == InteractionKind.COMMIT_CREATED:
+            if ev.kind == "CommitCreated":
                 n_commits += 1
                 dev_type, _size_class, activity_type = classify_commit(ev.payload)
                 assert dev_type in dev_types
@@ -279,11 +277,11 @@ def test_criterion_9_sampling_properties():
         n = rng.randint(0, 400)
         fraction = rng.uniform(0.01, 1.0)
         seed = rng.randint(0, 2**32 - 1)
-        slugs = [RepoSlug("org", f"r{i:04d}") for i in range(n)]
+        slugs = [f"org/r{i:04d}" for i in range(n)]
         picked = subsample(slugs, fraction, seed)
         assert len(picked) == math.floor(fraction * n)
         assert picked == subsample(slugs, fraction, seed)  # seed reproduces
-        assert set(map(str, picked)) <= set(map(str, slugs))
+        assert set(picked) <= set(slugs)
 
     failing = dict(
         repo="org/repo", visibility="private",

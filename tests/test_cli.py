@@ -554,7 +554,10 @@ def test_filter_bad_summaries_exit_4(runner, tmp_path):
              (json.dumps([good, good]),
               "summary entry 1: repo org/good is listed again; its first entry is 0"),
              (json.dumps([other, other, good]),
-              "summary entry 1: repo org/other is listed again; its first entry is 0")]
+              "summary entry 1: repo org/other is listed again; its first entry is 0"),
+             # slugs that differ only in case name one repo
+             (json.dumps([{**good, "repo": "org/x"}, other, {**good, "repo": "Org/X"}]),
+              "summary entry 2: repo Org/X is listed again; its first entry is 0")]
     # the counts are JSON integers: no string, float, null or bool stands in for one
     for field, value in (("unique_committers", "12"), ("unique_committers", "many"),
                          ("age_days", 1000.9), ("age_days", None),
@@ -877,13 +880,17 @@ def test_report_repo_listed_twice_writes_nothing(runner, fixture_archive_path, t
     lines = fixture_archive_path.read_text().splitlines()
     marker_at = max(i for i, line in enumerate(lines) if '"type": "repo"' in line)
     twice = tmp_path / "twice.jsonl"
-    twice.write_text("\n".join([*lines, *lines[marker_at:]]) + "\n")
     out = tmp_path / "report"
-    result = runner.invoke(main, ["report", "--archive", str(twice),
-                                  "--output-dir", str(out)])
-    assert result.exit_code == 4
-    assert "is listed again" in result.output
-    assert not out.exists()
+    # the second time as written, then re-spelled in another case: the same repo
+    for slug in ("bio-team/seqkit", "Bio-Team/SeqKit"):
+        block = [line.replace('"bio-team/seqkit"', f'"{slug}"') for line in lines[marker_at:]]
+        twice.write_text("\n".join([*lines, *block]) + "\n")
+        result = runner.invoke(main, ["report", "--archive", str(twice),
+                                      "--output-dir", str(out)])
+        assert result.exit_code == 4
+        assert f"{twice}:{len(lines) + 1}: repo {slug} is listed again; its first " \
+            f"marker is at line {marker_at + 1}" in result.output
+        assert not out.exists()
 
 
 def test_output_path_not_a_regular_file_exit_2(runner, fixture_archive_path, tmp_path):

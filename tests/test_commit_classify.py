@@ -24,9 +24,7 @@ from persona_miner.errors import DataValidationError
 from persona_miner.models import (
     CommitPayload,
     InteractionEvent,
-    InteractionKind,
     InteractionSet,
-    RepoSlug,
 )
 
 # every development type and category the shipped tables can return
@@ -238,19 +236,17 @@ def test_classify_archive_takes_commits_in_repo_order():
     t = datetime(2023, 1, 1, tzinfo=timezone.utc)
 
     def repo_set(name, events):
-        return InteractionSet(repo=RepoSlug("org", name), fetched_at=t, events=tuple(
+        return InteractionSet(repo=f"org/{name}", fetched_at=t, events=tuple(
             InteractionEvent(actor="ada", kind=kind, timestamp=t,
                              subject_id=sid,
                              payload=CommitPayload(message="fix x", changed_files=("a.py",))
-                             if kind is InteractionKind.COMMIT_CREATED else None)
+                             if kind == "CommitCreated" else None)
             for sid, kind in events))
 
     sets = [
-        repo_set("zeta", [("z1", InteractionKind.COMMIT_CREATED),
-                          ("7", InteractionKind.ISSUE_CREATED)]),
-        repo_set("alpha", [("a2", InteractionKind.COMMIT_CREATED),
-                           ("pr1", InteractionKind.PR_CREATED),
-                           ("a1", InteractionKind.COMMIT_CREATED)]),
+        repo_set("zeta", [("z1", "CommitCreated"), ("7", "IssueCreated")]),
+        repo_set("alpha", [("a2", "CommitCreated"), ("pr1", "PRCreated"),
+                           ("a1", "CommitCreated")]),
     ]
     rows = classify_archive(sets)
     assert [(repo, sha) for sha, repo, *_classes in rows] == [

@@ -1,12 +1,12 @@
 from datetime import datetime, timezone
 
 from persona_miner.github import GitHubClient
-from persona_miner.models import CommitPayload, InteractionKind, RepoSlug
+from persona_miner.models import CommitPayload
 
 from conftest import FakeTransport, paged
 
-SLUG = RepoSlug("octo", "proj")
-BASE = f"https://api.github.com/repos/{SLUG.owner}/{SLUG.name}"
+SLUG = "octo/proj"
+BASE = f"https://api.github.com/repos/{SLUG}"
 NOW = datetime(2024, 6, 1, tzinfo=timezone.utc)
 
 
@@ -47,10 +47,9 @@ def test_fetch_interactions_commit_and_issue_lifecycle():
     iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
     assert len(iset.events) == 4
     kinds = {e.kind for e in iset.events if e.actor == "ada"}
-    assert kinds == {InteractionKind.COMMIT_CREATED, InteractionKind.ISSUE_CREATED,
-                     InteractionKind.ISSUE_CLOSED}
+    assert kinds == {"CommitCreated", "IssueCreated", "IssueClosed"}
     commits = [e.payload for e in iset.events
-               if e.kind == InteractionKind.COMMIT_CREATED]
+               if e.kind == "CommitCreated"]
     assert commits == [CommitPayload("msg", ("src/a.py", "README.md")),
                        CommitPayload("wip", ())]
     assert not iset.incomplete
@@ -82,7 +81,7 @@ def test_two_assignees_give_two_assignment_events():
         f"{BASE}/pulls": paged([]),
     })
     iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
-    assigned = [e for e in iset.events if e.kind == InteractionKind.ISSUE_ASSIGNED]
+    assigned = [e for e in iset.events if e.kind == "IssueAssigned"]
     assert {(e.subject_id, e.actor) for e in assigned} == {("3", "bob"), ("3", "carol")}
     assert len(assigned) == 2
 
@@ -111,9 +110,9 @@ def test_merged_pr_attributed_to_merger():
         f"{BASE}/pulls/5": {"merged_by": {"login": "maintainer"}},
     })
     iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
-    closed = next(e for e in iset.events if e.kind == InteractionKind.PR_CLOSED)
+    closed = next(e for e in iset.events if e.kind == "PRClosed")
     assert closed.actor == "maintainer"
-    created = next(e for e in iset.events if e.kind == InteractionKind.PR_CREATED)
+    created = next(e for e in iset.events if e.kind == "PRCreated")
     assert created.actor == "ada"
 
 
@@ -152,6 +151,31 @@ def test_only_six_kinds_ever_produced(fixture_archive_path):
         assert all(e.kind in ALL_KINDS for e in iset.events)
 
 
+def test_all_six_kinds_round_trip_through_the_archive(tmp_path):
+    # each kind the client writes is one the archive reads back
+    from persona_miner.archive import load_archive, save_archive
+    from persona_miner.models import ALL_KINDS
+
+    transport = FakeTransport({
+        f"{BASE}/commits": paged([_commit("abc1", login="ada")]),
+        f"{BASE}/commits/abc1": {"files": [{"filename": "a.py"}]},
+        f"{BASE}/issues": paged([_issue(7, "bob")]),
+        f"{BASE}/issues/7/events": paged([
+            {"event": "assigned", "assignee": {"login": "carol"},
+             "created_at": "2023-01-03T00:00:00Z"},
+            {"event": "closed", "actor": {"login": "carol"},
+             "created_at": "2023-01-05T00:00:00Z"},
+        ]),
+        f"{BASE}/pulls": paged([_pr(5, "ada", state="closed",
+                                    closed_at="2023-03-08T00:00:00Z")]),
+        f"{BASE}/issues/5/events": paged([{"event": "closed", "actor": {"login": "bob"}}]),
+    })
+    iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
+    assert sorted(e.kind for e in iset.events) == sorted(ALL_KINDS)
+    save_archive([iset], tmp_path / "archive.jsonl")
+    assert load_archive(tmp_path / "archive.jsonl") == [iset]
+
+
 def _pr(number, login, **fields):
     return {"number": number, "user": {"login": login}, "state": "open",
             "created_at": "2023-03-01T00:00:00Z", **fields}
@@ -164,7 +188,7 @@ def test_second_page_is_fetched_when_the_first_is_full():
         f"{BASE}/pulls": paged([_pr(n, "ada") for n in range(1, 151)]),
     })
     iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
-    assert [e.kind for e in iset.events] == [InteractionKind.PR_CREATED] * 150
+    assert [e.kind for e in iset.events] == ["PRCreated"] * 150
     assert [e.subject_id for e in iset.events] == [str(n) for n in range(1, 151)]
     assert [params["page"] for url, params in transport.calls
             if url == f"{BASE}/pulls"] == [1, 2]
@@ -191,7 +215,7 @@ def test_pr_closer_falls_back_to_the_issue_events_closer():
     })
     iset = GitHubClient(transport=transport).fetch_interactions(SLUG, now=NOW)
     closers = {e.subject_id: e.actor for e in iset.events
-               if e.kind == InteractionKind.PR_CLOSED}
+               if e.kind == "PRClosed"}
     assert closers == {"1": "carol", "2": "elena", "3": "ada"}
 
 

@@ -22,15 +22,12 @@ from persona_miner.metrics import (
 from persona_miner.models import (
     ALL_KINDS,
     InteractionEvent,
-    InteractionKind,
     InteractionSet,
-    RepoSlug,
 )
 
 from conftest import csv_keys
 
-K = InteractionKind
-REPO = RepoSlug("org", "proj")
+REPO = "org/proj"
 T0 = datetime(2023, 1, 1, tzinfo=timezone.utc)
 FETCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -52,19 +49,19 @@ def test_empty_set():
 
 
 def test_single_commit_individual():
-    individuals = build_repo_individuals(_set([_ev("ada", K.COMMIT_CREATED)]))
+    individuals = build_repo_individuals(_set([_ev("ada", "CommitCreated")]))
     assert len(individuals) == 1
     ind = individuals[0]
-    assert ind.counts[K.COMMIT_CREATED] == 1
-    assert all(ind.counts[k] == 0 for k in ALL_KINDS if k != K.COMMIT_CREATED)
+    assert ind.counts["CommitCreated"] == 1
+    assert all(ind.counts[k] == 0 for k in ALL_KINDS if k != "CommitCreated")
     assert ind.n_interaction_days == 1
     assert sum(i.n_interactions for i in individuals) == 1
 
 
 def test_same_login_two_repos_two_individuals():
-    r1, r2 = RepoSlug("org", "r1"), RepoSlug("org", "r2")
-    s1 = _set([_ev("ada", K.COMMIT_CREATED, subject="a")], repo=r1)
-    s2 = _set([_ev("ada", K.COMMIT_CREATED, subject="b")], repo=r2)
+    r1, r2 = "org/r1", "org/r2"
+    s1 = _set([_ev("ada", "CommitCreated", subject="a")], repo=r1)
+    s2 = _set([_ev("ada", "CommitCreated", subject="b")], repo=r2)
     i1 = build_repo_individuals(s1)
     i2 = build_repo_individuals(s2)
     assert i1[0].repo != i2[0].repo
@@ -72,15 +69,15 @@ def test_same_login_two_repos_two_individuals():
 
 
 def test_same_utc_date_dedup():
-    events = [_ev("ada", K.COMMIT_CREATED, hours=5, subject="a"),
-              _ev("ada", K.COMMIT_CREATED, hours=23, subject="b")]
+    events = [_ev("ada", "CommitCreated", hours=5, subject="a"),
+              _ev("ada", "CommitCreated", hours=23, subject="b")]
     individuals = build_repo_individuals(_set(events))
     assert individuals[0].n_interaction_days == 1
 
 
 def test_bot_flagging():
     individuals = build_repo_individuals(
-        _set([_ev("dependabot[bot]", K.PR_CREATED)])
+        _set([_ev("dependabot[bot]", "PRCreated")])
     )
     assert individuals[0].is_bot_flagged
 
@@ -92,8 +89,8 @@ def _rows(spec):
 
 
 def test_compute_rc_cases():
-    rows = _rows([("ada", K.COMMIT_CREATED, 0)] * 5 + [("bob", K.COMMIT_CREATED, 0)] * 15
-                 + [("ada", K.ISSUE_CREATED, 0)] * 7)
+    rows = _rows([("ada", "CommitCreated", 0)] * 5 + [("bob", "CommitCreated", 0)] * 15
+                 + [("ada", "IssueCreated", 0)] * 7)
     assert _feature(rows["ada"], "rc_commits_created") == 25.0  # 5 of 20
     assert _feature(rows["ada"], "rc_issues_created") == 100.0  # 7 of 7
     assert _feature(rows["bob"], "rc_issues_created") == 0.0
@@ -111,16 +108,16 @@ def test_compute_mrc_cases():
 
 def test_compute_uit_cases():
     rows = _rows([("full", k, 0) for k in ALL_KINDS]
-                 + [("only_commits", K.COMMIT_CREATED, 0)] * 3
-                 + [("three", K.COMMIT_CREATED, 0), ("three", K.ISSUE_CREATED, 0),
-                    ("three", K.ISSUE_CREATED, 1), ("three", K.PR_CREATED, 2)])
+                 + [("only_commits", "CommitCreated", 0)] * 3
+                 + [("three", "CommitCreated", 0), ("three", "IssueCreated", 0),
+                    ("three", "IssueCreated", 1), ("three", "PRCreated", 2)])
     assert {login: v.uit for login, v in rows.items()} == {
         "full": 6, "only_commits": 1, "three": 3}
 
 
 def test_pct_interaction_days_cases():
-    rows = _rows([("ada", K.COMMIT_CREATED, day) for day in (0, 3)]
-                 + [("bob", K.ISSUE_CREATED, day) for day in range(6)])
+    rows = _rows([("ada", "CommitCreated", day) for day in (0, 3)]
+                 + [("bob", "IssueCreated", day) for day in range(6)])
     assert _feature(rows["ada"], "pct_interaction_days") == 25.0  # 2 of 8
     assert _feature(rows["bob"], "pct_interaction_days") == 75.0
 
@@ -132,7 +129,7 @@ def _feature(v, name):
 def test_net_created_closed_cases():
     def net(created, closed):
         v = MetricVector.from_rcs((0.0, created, closed, 0.0, 0.0, 0.0), 0.0, 0.0,
-                                  uit=1, repo=RepoSlug("org", "repo"), login="ada")
+                                  uit=1, repo="org/repo", login="ada")
         return _feature(v, "pct_created_minus_closed_issues")
 
     assert net(10.0, 30.0) == -20.0
@@ -141,7 +138,7 @@ def test_net_created_closed_cases():
 
 
 def test_metric_vector_needs_ten_finite_floats():
-    repo = RepoSlug("org", "repo")
+    repo = "org/repo"
     assert MetricVector((1.0,) * 10, 1, repo, "ada").features == (1.0,) * 10
     for features in ((1.0,) * 9, (1.0,) * 11, (1.0,) * 9 + (math.nan,),
                      (1.0,) * 9 + (math.inf,), (1.0,) * 9 + (1,), (1.0,) * 9 + ("1",)):
@@ -167,7 +164,7 @@ def test_three_contributor_columns_sum_to_100():
     for actor, n_commits in [("ada", 5), ("bob", 3), ("carol", 2)]:
         for _ in range(n_commits):
             subject += 1
-            events.append(_ev(actor, K.COMMIT_CREATED, hours=subject,
+            events.append(_ev(actor, "CommitCreated", hours=subject,
                               subject=f"s{subject}"))
     vectors = assemble_metric_vectors(build_repo_individuals(_set(events)))
     for name in ("rc_commits_created", "pct_sum_n_interactions", "pct_interaction_days"):
@@ -175,9 +172,9 @@ def test_three_contributor_columns_sum_to_100():
 
 
 def test_ten_percent_share():
-    events = [_ev("ada", K.ISSUE_CREATED, hours=i, subject=f"i{i}")
+    events = [_ev("ada", "IssueCreated", hours=i, subject=f"i{i}")
               for i in range(10)]
-    events += [_ev("bob", K.ISSUE_CREATED, hours=100 + i, subject=f"j{i}")
+    events += [_ev("bob", "IssueCreated", hours=100 + i, subject=f"j{i}")
                for i in range(90)]
     vectors = assemble_metric_vectors(build_repo_individuals(_set(events)))
     ada = next(v for v in vectors if v.login == "ada")
@@ -185,7 +182,7 @@ def test_ten_percent_share():
 
 
 def make_random_repo(rng: random.Random, repo_idx: int) -> InteractionSet:
-    repo = RepoSlug("gen", f"repo{repo_idx:04d}")
+    repo = f"gen/repo{repo_idx:04d}"
     events = []
     subject = 0
     for actor_idx in range(rng.randint(1, 8)):
@@ -199,7 +196,7 @@ def make_random_repo(rng: random.Random, repo_idx: int) -> InteractionSet:
                     subject_id=f"s{subject}",
                 ))
     if not events:
-        events.append(InteractionEvent(actor="user0", kind=K.COMMIT_CREATED,
+        events.append(InteractionEvent(actor="user0", kind="CommitCreated",
                                        timestamp=T0, subject_id="s0"))
     return InteractionSet(repo=repo, events=tuple(events), fetched_at=FETCH)
 
@@ -227,7 +224,7 @@ def test_invariants_over_generated_repos():
 
 def test_metrics_csv_round_trip(tmp_path, fixture_archive_path):
     vectors = []
-    for iset in sorted(load_archive(fixture_archive_path), key=lambda s: str(s.repo)):
+    for iset in sorted(load_archive(fixture_archive_path), key=lambda s: s.repo):
         vectors.extend(assemble_metric_vectors(build_repo_individuals(iset)))
     path = tmp_path / "metrics.csv"
     write_metrics_csv(vectors, path)
@@ -294,7 +291,7 @@ def _events(spec):
 def _bot_filtered_route(sets, deny):
     """Reference: re-tally each repo from its events minus the bots' events."""
     individuals, vectors = [], []
-    for iset in sorted(sets, key=lambda s: str(s.repo)):
+    for iset in sorted(sets, key=lambda s: s.repo):
         first = build_repo_individuals(iset, deny)
         bots = {i.login for i in first if i.is_bot_flagged}
         kept = _set([ev for ev in iset.events if ev.actor not in bots], repo=iset.repo)
@@ -305,23 +302,22 @@ def _bot_filtered_route(sets, deny):
 
 
 def test_metric_table_matches_bot_filtered_route():
-    mixed, all_bots, denied = (RepoSlug("org", "mixed"), RepoSlug("org", "allbots"),
-                               RepoSlug("org", "denied"))
+    mixed, all_bots, denied = "org/mixed", "org/allbots", "org/denied"
     sets = [
-        _set(_events([("ada", K.COMMIT_CREATED, 0), ("ada", K.PR_CREATED, 1),
-                      ("bob", K.COMMIT_CREATED, 1), ("bob", K.ISSUE_CLOSED, 2),
-                      ("dependabot[bot]", K.PR_CREATED, 0),
-                      ("dependabot[bot]", K.COMMIT_CREATED, 3)]), repo=mixed),
-        _set(_events([("ci[bot]", K.COMMIT_CREATED, 0),
-                      ("renovate[bot]", K.PR_CREATED, 2)]), repo=all_bots),
-        _set(_events([("cy", K.ISSUE_CREATED, 0), ("cy", K.ISSUE_ASSIGNED, 4),
-                      ("releaser", K.PR_CLOSED, 0),
-                      ("releaser", K.ISSUE_CLOSED, 5)]), repo=denied),
+        _set(_events([("ada", "CommitCreated", 0), ("ada", "PRCreated", 1),
+                      ("bob", "CommitCreated", 1), ("bob", "IssueClosed", 2),
+                      ("dependabot[bot]", "PRCreated", 0),
+                      ("dependabot[bot]", "CommitCreated", 3)]), repo=mixed),
+        _set(_events([("ci[bot]", "CommitCreated", 0),
+                      ("renovate[bot]", "PRCreated", 2)]), repo=all_bots),
+        _set(_events([("cy", "IssueCreated", 0), ("cy", "IssueAssigned", 4),
+                      ("releaser", "PRClosed", 0),
+                      ("releaser", "IssueClosed", 5)]), repo=denied),
     ]
     deny = frozenset({"releaser"})
     individuals, vectors = metric_table(sets, exclude_bots=True, bot_deny_list=deny)
     assert (individuals, vectors) == _bot_filtered_route(sets, deny)
-    assert [(str(v.repo), v.login) for v in vectors] == [
+    assert [(v.repo, v.login) for v in vectors] == [
         ("org/denied", "cy"), ("org/mixed", "ada"), ("org/mixed", "bob")]
     # a repo of bots only leaves no rows
     assert metric_table(sets[1:2], exclude_bots=True) == ([], [])

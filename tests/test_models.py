@@ -7,39 +7,35 @@ from persona_miner.models import (
     ALL_KINDS,
     CommitPayload,
     InteractionEvent,
-    InteractionKind,
-    RepoSlug,
+    check_slug,
     isoformat_utc,
     parse_utc,
 )
 
 
-def test_repo_slug_parse_and_str():
-    slug = RepoSlug.parse("octo/project")
-    assert slug == RepoSlug("octo", "project")
-    assert str(slug) == "octo/project"
+def test_check_slug_returns_owner_name_unchanged():
+    for good in ("a/b", "octo/project", "Octo/Project"):
+        assert check_slug(good) is good
 
 
-def test_repo_slug_rejects_bad_forms():
-    for bad in ("no-slash", "a/b/c", "/x", "x/", ""):
-        with pytest.raises(DataValidationError):
-            RepoSlug.parse(bad)
-    with pytest.raises(DataValidationError):
-        RepoSlug("has/slash", "x")
+def test_check_slug_refuses_bad_forms():
+    for bad, message in (("", "must be non-empty"), ("a", "must be non-empty"),
+                         ("/b", "must be non-empty"), ("a/", "must be non-empty"),
+                         ("a/b/c", "must not contain '/'")):
+        with pytest.raises(DataValidationError, match=message):
+            check_slug(bad)
 
 
 def test_six_interaction_kinds():
-    assert [k.value for k in ALL_KINDS] == [
-        "CommitCreated", "IssueCreated", "IssueClosed", "IssueAssigned",
-        "PRCreated", "PRClosed",
-    ]
+    assert ALL_KINDS == ("CommitCreated", "IssueCreated", "IssueClosed", "IssueAssigned",
+                         "PRCreated", "PRClosed")
 
 
 def test_event_requires_tz_aware_timestamp():
     with pytest.raises(DataValidationError):
         InteractionEvent(
             actor="ada",
-            kind=InteractionKind.COMMIT_CREATED,
+            kind="CommitCreated",
             timestamp=datetime(2023, 1, 1),  # naive
             subject_id="sha",
         )
@@ -49,7 +45,7 @@ def test_event_requires_subject():
     with pytest.raises(DataValidationError):
         InteractionEvent(
             actor="ada",
-            kind=InteractionKind.COMMIT_CREATED,
+            kind="CommitCreated",
             timestamp=datetime(2023, 1, 1, tzinfo=timezone.utc),
             subject_id="",
         )
@@ -68,7 +64,7 @@ def test_parse_utc_round_trip():
 
 
 def test_make_and_replace_run_the_checks():
-    ev = InteractionEvent("ada", InteractionKind.COMMIT_CREATED,
+    ev = InteractionEvent("ada", "CommitCreated",
                           datetime(2023, 1, 1, tzinfo=timezone.utc), "sha",
                           CommitPayload("m", ("a.py",)))
     assert ev._replace(actor="bob") == ev._make(("bob",) + ev[1:])

@@ -5,7 +5,6 @@ import pytest
 
 from persona_miner.errors import ConfigError, DataValidationError
 from persona_miner.metrics import MetricVector
-from persona_miner.models import RepoSlug
 from persona_miner.personas import (
     UNMATCHED,
     PersonaProfile,
@@ -25,7 +24,7 @@ def _vector(rcs, login="ada"):
     return MetricVector.from_rcs(
         tuple(rcs), mrc, mrc,
         uit=max(1, sum(1 for r in rcs if r > 0)),
-        repo=RepoSlug("org", "repo"), login=login, is_bot_flagged=False,
+        repo="org/repo", login=login, is_bot_flagged=False,
     )
 
 

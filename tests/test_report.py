@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from persona_miner.cluster import ClusterLabels
 from persona_miner.errors import DataValidationError
 from persona_miner.metrics import RepoIndividual
-from persona_miner.models import ALL_KINDS, InteractionKind, RepoSlug
+from persona_miner.models import ALL_KINDS
 from persona_miner.report import (
     composition,
     interaction_totals,
@@ -23,29 +23,26 @@ from persona_miner.report import (
 
 from conftest import csv_keys
 
-K = InteractionKind
 
 
 def _individual(login, repo="org/repo", **kind_counts):
     counts = {k: 0 for k in ALL_KINDS}
-    for name, n in kind_counts.items():
-        counts[K[name.upper()]] = n
-    owner, name_ = repo.split("/")
+    counts.update(kind_counts)
     return RepoIndividual(
-        repo=RepoSlug(owner, name_), login=login, counts=counts,
+        repo=repo, login=login, counts=counts,
         active_dates=frozenset({date(2023, 1, 1)}),
     )
 
 
 def test_interaction_totals_counts_and_percentages():
     inds = [
-        _individual("ada", commit_created=6, issue_created=2),
-        _individual("bob", commit_created=2),
+        _individual("ada", CommitCreated=6, IssueCreated=2),
+        _individual("bob", CommitCreated=2),
     ]
     totals = interaction_totals(inds)
-    assert totals[K.COMMIT_CREATED] == (8, 80.0)
-    assert totals[K.ISSUE_CREATED] == (2, 20.0)
-    assert totals[K.PR_CLOSED] == (0, 0.0)
+    assert totals["CommitCreated"] == (8, 80.0)
+    assert totals["IssueCreated"] == (2, 20.0)
+    assert totals["PRClosed"] == (0, 0.0)
 
 
 def test_interaction_totals_empty():
@@ -55,9 +52,9 @@ def test_interaction_totals_empty():
 
 def test_upset_exact_combinations():
     inds = [
-        _individual("a", commit_created=1),
-        _individual("b", commit_created=3),
-        _individual("c", commit_created=1, issue_created=1),
+        _individual("a", CommitCreated=1),
+        _individual("b", CommitCreated=3),
+        _individual("c", CommitCreated=1, IssueCreated=1),
     ]
     counts = upset_counts(inds)
     assert counts == {
@@ -76,12 +73,12 @@ def test_upset_empty_combination_forbidden():
 
 def test_composition_rows_and_mixed_fraction(tmp_path):
     inds = [
-        _individual("a", repo="org/x", commit_created=1),
-        _individual("b", repo="org/x", commit_created=1),
-        _individual("c", repo="org/y", commit_created=1),
+        _individual("a", repo="org/x", CommitCreated=1),
+        _individual("b", repo="org/x", CommitCreated=1),
+        _individual("c", repo="org/y", CommitCreated=1),
     ]
     rows = composition(inds, [0, 1, 2])
-    assert rows == [(RepoSlug("org", "x"), {0: 1, 1: 1}), (RepoSlug("org", "y"), {2: 1})]
+    assert rows == [("org/x", {0: 1, 1: 1}), ("org/y", {2: 1})]
     out = tmp_path / "comp.csv"
     write_composition_csv(rows, out)
     assert [line.split(",")[-1] for line in out.read_text().splitlines()[1:]] == ["0.5", ""]
@@ -96,7 +93,7 @@ def test_composition_empty(tmp_path):
 
 
 def test_totals_csv(tmp_path):
-    totals = interaction_totals([_individual("a", commit_created=4)])
+    totals = interaction_totals([_individual("a", CommitCreated=4)])
     out = tmp_path / "totals.csv"
     write_totals_csv(totals, out)
     lines = out.read_text().splitlines()
@@ -106,9 +103,9 @@ def test_totals_csv(tmp_path):
 
 
 def test_upset_json(tmp_path):
-    counts = upset_counts([_individual("a", commit_created=1),
-                           _individual("b", commit_created=1),
-                           _individual("c", issue_created=1)])
+    counts = upset_counts([_individual("a", CommitCreated=1),
+                           _individual("b", CommitCreated=1),
+                           _individual("c", IssueCreated=1)])
     out = tmp_path / "upset.json"
     write_upset_json(counts, out)
     obj = json.loads(out.read_text())
@@ -118,7 +115,7 @@ def test_upset_json(tmp_path):
 
 
 def test_composition_csv(tmp_path):
-    inds = [_individual("a", commit_created=1), _individual("b", commit_created=1)]
+    inds = [_individual("a", CommitCreated=1), _individual("b", CommitCreated=1)]
     out = tmp_path / "comp.csv"
     write_composition_csv(composition(inds, [0, 1]), out)
     lines = out.read_text().splitlines()
@@ -128,14 +125,14 @@ def test_composition_csv(tmp_path):
 
 def test_labels_csv(tmp_path):
     out = tmp_path / "labels.csv"
-    ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
+    ada, bob = (_individual(login, "org/x", CommitCreated=1) for login in ("ada", "bob"))
     write_labels_csv([ada, bob], (1, 0), (0, 1), out)
     lines = out.read_text().splitlines()
     assert lines == ["repo,login,cluster,subcluster", "org/x,ada,1,0", "org/x,bob,0,1"]
     assert read_labels_csv(out, [bob, ada]) == ClusterLabels(labels=(0, 1), k=2)
     with pytest.raises(DataValidationError,
                        match=r"no cluster label for individual \('org/y', 'ada'\)"):
-        read_labels_csv(out, [ada, bob, _individual("ada", "org/y", commit_created=1)])
+        read_labels_csv(out, [ada, bob, _individual("ada", "org/y", CommitCreated=1)])
     with pytest.raises(DataValidationError, match=re.escape(
             f"{out}:2: ('org/x', 'ada') is not an individual of the input")):
         read_labels_csv(out, [bob])
@@ -159,10 +156,10 @@ def _labelled_keys(draw):
 def test_labels_csv_round_trip_property(tmp_path_factory, labelled, data):
     keys, clusters, subclusters, k = labelled
     path = tmp_path_factory.mktemp("labels") / "labels.csv"
-    write_labels_csv([_individual(login, str(repo), commit_created=1) for repo, login in keys],
+    write_labels_csv([_individual(login, repo, CommitCreated=1) for repo, login in keys],
                      clusters, subclusters, path)
     order = data.draw(st.permutations(range(len(keys))))
-    individuals = [_individual(keys[i][1], str(keys[i][0]), commit_created=1)
+    individuals = [_individual(keys[i][1], keys[i][0], CommitCreated=1)
                    for i in order]
     assert read_labels_csv(path, individuals) == \
         ClusterLabels(labels=tuple(clusters[i] for i in order), k=k)
@@ -179,7 +176,7 @@ def test_read_labels_csv_rejects_repeated_row(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("repo,login,cluster,subcluster\norg/x,ada,0,0\norg/x,bob,1,0\n"
                     "org/x,ada,1,0\n", "utf-8")
-    ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
+    ada, bob = (_individual(login, "org/x", CommitCreated=1) for login in ("ada", "bob"))
     with pytest.raises(DataValidationError, match=re.escape(
             f"{path}:4: repeated row for ('org/x', 'ada'); the first is at line 2")):
         read_labels_csv(path, [ada, bob])
@@ -189,14 +186,14 @@ def test_read_labels_csv_names_the_line_of_a_non_utf8_byte(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_bytes(b"repo,login,cluster,subcluster\r\norg/x,ada,0,0\r\n"
                      b"org/x,bob,1,0\r\norg/x,\xff,1,0\r\n")
-    ada, bob = (_individual(login, "org/x", commit_created=1) for login in ("ada", "bob"))
+    ada, bob = (_individual(login, "org/x", CommitCreated=1) for login in ("ada", "bob"))
     with pytest.raises(DataValidationError, match=re.escape(f"{path}:4: not UTF-8 (")):
         read_labels_csv(path, [ada, bob])
 
 
 def test_emission_is_byte_stable(tmp_path):
-    inds = [_individual("a", commit_created=1, pr_closed=2),
-            _individual("b", issue_closed=3)]
+    inds = [_individual("a", CommitCreated=1, PRClosed=2),
+            _individual("b", IssueClosed=3)]
     for name in ("x1", "x2"):
         write_upset_json(upset_counts(inds), tmp_path / f"{name}.json")
         write_totals_csv(interaction_totals(inds), tmp_path / f"{name}.csv")

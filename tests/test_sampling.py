@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persona_miner.models import RepoSlug
 from persona_miner.sampling import (
     apply_inclusion_criteria,
     subsample,
@@ -29,7 +28,7 @@ def _summary(**over):
 
 def test_all_criteria_pass():
     # an eligible repo is one with no failed criteria
-    assert apply_inclusion_criteria(_summary()) == (RepoSlug("org", "repo"), ())
+    assert apply_inclusion_criteria(_summary()) == ("org/repo", ())
 
 
 def test_below_min_committers():
@@ -91,12 +90,12 @@ def test_purity():
 # -- subsample -------------------------------------------------------------
 
 def _slugs(n):
-    return [RepoSlug("org", f"repo{i:04d}") for i in range(n)]
+    return [f"org/repo{i:04d}" for i in range(n)]
 
 
 def test_identity_fraction_returns_all_sorted():
     slugs = _slugs(10)[::-1]
-    assert subsample(slugs, 1.0, seed=1) == sorted(slugs, key=str)
+    assert subsample(slugs, 1.0, seed=1) == sorted(slugs)
 
 
 def test_determinism_same_seed():

@@ -108,6 +108,10 @@ def test_secondary_limit_honours_retry_after():
     ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # an HTTP date already past
     ("Wed, 21 Oct 2015 07:28:00 -0000", 0.0),  # the same, its zone unstated
     ("soon", 1.0),  # neither seconds nor a date: the first backoff wait
+    # only a run of ASCII digits is delay-seconds; the rest are not dates either
+    ("inf", 1.0), ("nan", 1.0), ("-5", 1.0), ("1.5", 1.0), ("\uff17", 1.0),
+    ("Fri, 31 Dec 999999999999999999999 23:59:59 GMT", 1.0),  # a year past C long
+    ("99999999999999999999", 1e20),  # asked for, but too long for time.sleep
 ])
 def test_secondary_limit_retry_after_date_or_garbage(retry_after, wait):
     sleeps = []
@@ -118,6 +122,20 @@ def test_secondary_limit_retry_after_date_or_garbage(retry_after, wait):
         response = transport.get("https://api.example/x")
     assert response.status == 200
     assert sleeps == [wait]
+
+
+@pytest.mark.parametrize("retry_after", [
+    "99999999999999999999", "10000000000", "Fri, 31 Dec 9999 23:59:59 GMT"])
+def test_a_wait_too_long_to_sleep_is_a_budget_stop(retry_after):
+    # the real time.sleep refuses these waits, before it sleeps at all
+    transport = RequestsTransport()
+    with mock.patch("requests.get", return_value=_resp(429, headers={
+            "Retry-After": retry_after})) as getter:
+        with pytest.raises(RateBudgetError, match="^cannot wait .* s to retry "
+                           "https://api.example/x: ") as excinfo:
+            transport.get("https://api.example/x")
+    assert getter.call_count == 1
+    assert excinfo.value.reset_at is None
 
 
 def test_connection_error_retried():

@@ -1,11 +1,12 @@
+from unittest import mock
+
 import pytest
 from click.testing import CliRunner
 
 from persona_miner import cli
 from persona_miner.archive import load_archive
 from persona_miner.errors import RateBudgetError, RetryableFetchError
-from persona_miner.models import RepoSlug
-from persona_miner.transport import Response
+from persona_miner.transport import RequestsTransport, Response
 from persona_miner.zenodo import discover_github_slugs
 
 from conftest import FakeTransport
@@ -27,7 +28,7 @@ def _hit(record_id, urls):
 def _slugs(*hits):
     """The slugs discovered in one page holding ``hits``."""
     transport = FakeTransport({API: {"hits": {"hits": list(hits)}}})
-    return [str(s) for s in discover_github_slugs(transport, page_limit=1)]
+    return discover_github_slugs(transport, page_limit=1)
 
 
 def test_empty_response_page():
@@ -60,7 +61,7 @@ def test_pagination_consumes_all_pages():
     for page_limit, pages, n_slugs in ((10, [1, 2, 3], 205), (2, [1, 2], 200)):
         transport = FakeTransport({API: _paged_hits(hits)})
         slugs = discover_github_slugs(transport, page_limit=page_limit)
-        assert slugs == [RepoSlug("o", f"r{i}") for i in range(n_slugs)]
+        assert slugs == [f"o/r{i}" for i in range(n_slugs)]
         assert [p["page"] for _url, p in transport.calls] == pages
 
 
@@ -114,7 +115,7 @@ def _fetch(monkeypatch, tmp_path, routes, *args, exit_code=0):
     result = CliRunner().invoke(cli.main, ["fetch", "--output", str(out), *args],
                                 catch_exceptions=False)
     assert result.exit_code == exit_code, result.output
-    slugs = [str(s.repo) for s in load_archive(out)] if out.exists() else None
+    slugs = [s.repo for s in load_archive(out)] if out.exists() else None
     return transport, result, slugs
 
 
@@ -139,11 +140,13 @@ def test_fetch_discovers_github_slugs_across_pages(monkeypatch, tmp_path, caplog
 
 
 def test_fetch_archives_each_repo_once(monkeypatch, tmp_path):
+    # owner/name pairs are case-insensitive, and the first spelling is kept
     hits = [_hit(1, ["https://github.com/a/b/releases/tag/v1"]),
             _hit(2, ["https://github.com/c/d"]),
-            _hit(3, ["https://github.com/a/b/releases/tag/v2"])]
+            _hit(3, ["https://github.com/a/b/releases/tag/v2"]),
+            _hit(4, ["https://github.com/A/B"])]
     for routes, args in (({API: {"hits": {"hits": hits}}}, []),
-                         ({}, ["--repos", "a/b, c/d,a/b"])):
+                         ({}, ["--repos", "a/b, c/d,a/b,A/B"])):
         transport, _result, slugs = _fetch(monkeypatch, tmp_path, routes, *args)
         assert slugs == ["a/b", "c/d"]
         github_calls = [url for url, _params in transport.calls if url != API]
@@ -163,6 +166,27 @@ def test_fetch_keeps_finished_repos_when_rate_budget_runs_out(monkeypatch, tmp_p
     assert result.output == (
         f"error: rate limit exhausted; archived 1 of 3 repositories to "
         f"{tmp_path}/archive.jsonl; the rate limit resets at Unix time 1717200000\n")
+
+
+def test_fetch_keeps_finished_repos_when_a_retry_wait_cannot_be_slept(monkeypatch,
+                                                                     tmp_path):
+    # a Retry-After too long for the real time.sleep stops the fetch as a spent
+    # budget does, and no reset time is known
+    def get(url, **_kwargs):
+        limited = url.startswith("https://api.github.com/repos/c/d/")
+        return mock.Mock(status_code=429 if limited else 200, content=b"",
+                         headers={"Retry-After": "99999999999999999999"} if limited else {})
+
+    monkeypatch.setattr(cli, "_live_transport", RequestsTransport)
+    out = tmp_path / "archive.jsonl"
+    with mock.patch("requests.get", side_effect=get):
+        result = CliRunner().invoke(cli.main, ["fetch", "--output", str(out),
+                                               "--repos", "a/b,c/d,e/f"])
+    assert result.exit_code == 3, result.output
+    assert [s.repo for s in load_archive(out)] == ["a/b"]
+    assert result.output.startswith("error: cannot wait 1e+20 s to retry "
+                                    "https://api.github.com/repos/c/d/commits: ")
+    assert result.output.endswith(f"; archived 1 of 3 repositories to {out}\n")
 
 
 def test_fetch_writes_nothing_when_discovery_runs_out_of_budget(monkeypatch, tmp_path):
