@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -209,7 +210,7 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                             files = files[1:-1].split('", "') if files else ()
                             payload = CommitPayload(message, tuple(files))
                         events.append(tuple.__new__(InteractionEvent, (
-                            actor, kind,
+                            actor, sys.intern(kind),
                             _fromisoformat(timestamp.replace("Z", "+00:00")),
                             subject, payload)))
                         continue
@@ -224,8 +225,8 @@ def load_archive(path: Union[str, Path]) -> list[InteractionSet]:
                         payload = CommitPayload(message, tuple(files))
                     if kind not in ALL_KINDS:
                         raise ValueError(f"unknown interaction kind {kind!r}")
-                    events.append(InteractionEvent(actor, kind, parse_utc(timestamp),
-                                                   subject, payload))
+                    events.append(InteractionEvent(actor, sys.intern(kind),
+                                                   parse_utc(timestamp), subject, payload))
                 else:
                     raise ArchiveFormatError(
                         f"{path}:{lineno}: unknown line type {line_type!r}"

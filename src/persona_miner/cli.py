@@ -16,7 +16,7 @@ import sys
 import click
 
 from .archive import load_archive, save_archive
-from .cluster import agglomerate, cut, select_k
+from .cluster import agglomerate, cut, members, select_k
 from .commit_classify import classify_archive, write_classification_csv
 from .errors import (
     ConfigError,
@@ -182,8 +182,7 @@ def cluster(metrics_path: str, k_min: int, k_max: int, labels_output: str,
     rows = feature_matrix(vectors)
     k_best, _scores = select_k(rows, k_min=k_min, k_max=k_max)
     dendro = agglomerate(rows)
-    labels = cut(dendro, k_best)
-    write_labels_csv(vectors, labels.labels, (0,) * len(vectors), labels_output)
+    write_labels_csv(vectors, cut(dendro, k_best), (0,) * len(vectors), labels_output)
     if dendrogram_output:
         dendro.save_json(dendrogram_output)
     click.echo(f"k={k_best} clusters over {len(vectors)} rows")
@@ -197,7 +196,7 @@ def analyze(metrics_path: str, labels_path: str, output_path: str):
     """Validate a clustering: PCA, feature importance, per-feature ANOVA/Tukey."""
     vectors = read_metrics_csv(metrics_path)
     labels = read_labels_csv(labels_path, vectors)
-    write_stats_json(stats_block(feature_matrix(vectors), labels.members()), output_path)
+    write_stats_json(stats_block(feature_matrix(vectors), members(labels)), output_path)
     click.echo(f"analysis written to {output_path}")
 
 
@@ -225,7 +224,7 @@ def report(archive_path: str, labels_path: str | None, output_dir: str,
     check_makeable_dir(output_dir)
     individuals, _vectors = metric_table(load_archive(archive_path), exclude_bots,
                                          frozenset(bot_deny_list))
-    labels = read_labels_csv(labels_path, individuals).labels if labels_path else \
+    labels = read_labels_csv(labels_path, individuals) if labels_path else \
         (0,) * len(individuals)
     out = make_dir(output_dir)
     write_reports(individuals, labels, out)

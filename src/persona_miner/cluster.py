@@ -51,22 +51,13 @@ class Dendrogram:
         write_json(path, obj)
 
 
-@dataclass(frozen=True)
-class ClusterLabels:
-    labels: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        present = set(self.labels)
-        if present and (present != set(range(self.k))):
-            raise DataValidationError("labels must cover 0..k-1 with no empty cluster")
-
-    def members(self) -> list[list[int]]:
-        """Row indices of each cluster, indexed by cluster id."""
-        groups: list[list[int]] = [[] for _ in range(self.k)]
-        for idx, label in enumerate(self.labels):
-            groups[label].append(idx)
-        return groups
+def members(labels: tuple[int, ...]) -> list[list[int]]:
+    """Row indices of each cluster, indexed by cluster id; k is the largest
+    id plus one."""
+    groups: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for idx, label in enumerate(labels):
+        groups[label].append(idx)
+    return groups
 
 
 def _validate_rows(vectors) -> np.ndarray:
@@ -180,8 +171,8 @@ def agglomerate(vectors) -> Dendrogram:
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 
 
-def cut(dendrogram: Dendrogram, k: int) -> ClusterLabels:
-    """Undo the last k-1 merges; clusters labeled by ascending smallest leaf id."""
+def cut(dendrogram: Dendrogram, k: int) -> tuple[int, ...]:
+    """Undo the last k-1 merges; each leaf's cluster id, by ascending smallest leaf id."""
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise DataValidationError(f"k={k} out of range [1, {n}]")
@@ -204,8 +195,7 @@ def cut(dendrogram: Dendrogram, k: int) -> ClusterLabels:
         root = find(leaf)
         if root not in roots:
             roots[root] = len(roots)  # ascending smallest-member order
-    labels = tuple(roots[find(leaf)] for leaf in range(n))
-    return ClusterLabels(labels=labels, k=k)
+    return tuple(roots[find(leaf)] for leaf in range(n))
 
 
 def select_k(vectors, k_min: int = 2, k_max: int = 10,
@@ -235,11 +225,11 @@ def select_k(vectors, k_min: int = 2, k_max: int = 10,
     return best, scores
 
 
-def subcluster(rows, k_min: int = 2, k_max: int = 10) -> ClusterLabels:
-    """Re-cluster the rows of one parent cluster. A parent of at most ``k_min``
-    rows stays one cluster: clamped to n - 1, its k range is empty."""
+def subcluster(rows, k_min: int = 2, k_max: int = 10) -> tuple[int, ...]:
+    """Each row's sub-cluster id within one parent cluster. A parent of at most
+    ``k_min`` rows stays one cluster: clamped to n - 1, its k range is empty."""
     n = len(rows)
     if n <= k_min:
-        return ClusterLabels(labels=(0,) * n, k=1)
+        return (0,) * n
     k_best, _scores = select_k(rows, k_min=k_min, k_max=k_max)
     return cut(agglomerate(rows), k_best)

@@ -44,24 +44,8 @@ class RepoIndividual:
     repo: str
     login: str
     counts: dict[str, int]
-    active_dates: frozenset[date]
+    n_days: int
     is_bot_flagged: bool = False
-
-    def __post_init__(self):
-        if set(self.counts) != set(ALL_KINDS):
-            raise DataValidationError("counts must have exactly the six kinds")
-        if not any(v > 0 for v in self.counts.values()):
-            raise DataValidationError("a repo-individual needs at least one interaction")
-        if not self.active_dates:
-            raise DataValidationError("active_dates must be non-empty")
-
-    @property
-    def n_interactions(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def n_interaction_days(self) -> int:
-        return len(self.active_dates)
 
 
 @dataclass(frozen=True)
@@ -97,7 +81,7 @@ def build_repo_individuals(
 ) -> list[RepoIndividual]:
     """Tally events into one RepoIndividual per distinct actor.
 
-    Active dates are UTC calendar dates with at least one event. Individuals
+    ``n_days`` counts UTC calendar dates with at least one event. Individuals
     are returned sorted by login for deterministic downstream output.
     """
     counts: dict[str, dict[str, int]] = {}
@@ -115,7 +99,7 @@ def build_repo_individuals(
             repo=iset.repo,
             login=login,
             counts=counts[login],
-            active_dates=frozenset(dates[login]),
+            n_days=len(dates[login]),
             is_bot_flagged=_is_bot_login(login, bot_deny_list),
         )
         for login in sorted(counts)
@@ -140,12 +124,12 @@ def assemble_metric_vectors(individuals: list[RepoIndividual]) -> list[MetricVec
     share is of the sums over ``individuals``."""
     totals = [sum(ind.counts[k] for ind in individuals) for k in ALL_KINDS]
     sum_interactions = sum(totals)
-    sum_days = sum(ind.n_interaction_days for ind in individuals)
+    sum_days = sum(ind.n_days for ind in individuals)
     return [
         MetricVector.from_rcs(
             tuple(_pct(ind.counts[k], total) for k, total in zip(ALL_KINDS, totals)),
-            _pct(ind.n_interactions, sum_interactions),
-            _pct(ind.n_interaction_days, sum_days),
+            _pct(sum(ind.counts.values()), sum_interactions),
+            _pct(ind.n_days, sum_days),
             uit=sum(1 for v in ind.counts.values() if v > 0),
             repo=ind.repo,
             login=ind.login,
@@ -187,10 +171,12 @@ def write_metrics_csv(vectors: list[MetricVector], path: Union[str, Path]) -> No
 
 def check_row_once(first_lines: dict, key: tuple[str, str], path, line: int) -> None:
     """Note ``line`` as the first of (repo, login) ``key`` in a CSV file, or
-    fail naming ``path:line`` and the first line: a key may have one row."""
-    if first_lines.setdefault(key, line) != line:
+    fail naming ``path:line`` and the first line: a key may have one row, and
+    repos that differ only in case name one repository."""
+    first = first_lines.setdefault((key[0].lower(), key[1]), line)
+    if first != line:
         raise DataValidationError(f"{path}:{line}: repeated row for {key}; the first "
-                                  f"is at line {first_lines[key]}")
+                                  f"is at line {first}")
 
 
 def read_metrics_csv(path: Union[str, Path]) -> list[MetricVector]:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from . import __version__
 from .archive import load_archive
-from .cluster import agglomerate, cut, select_k, subcluster
+from .cluster import agglomerate, cut, members, select_k, subcluster
 from .commit_classify import classify_archive, write_classification_csv
 from .errors import ConfigError, check_makeable_dir, make_dir, write_json
 from .metrics import FEATURE_NAMES, MetricVector, metric_table, write_metrics_csv
@@ -70,11 +70,11 @@ def cluster_and_label(
     sub_labels = [0] * len(rows)
     personas: list[tuple[str, float]] = [None] * len(rows)
     sub_k: dict[str, int] = {}
-    for parent, members in enumerate(initial.members()):
-        result = subcluster(rows[members], k_min=k_min, k_max=k_max)
-        sub_k[str(parent)] = result.k
-        for sub, local in enumerate(result.members()):
-            group = [members[j] for j in local]
+    for parent, rows_of_parent in enumerate(members(initial)):
+        groups = members(subcluster(rows[rows_of_parent], k_min=k_min, k_max=k_max))
+        sub_k[str(parent)] = len(groups)
+        for sub, local in enumerate(groups):
+            group = [rows_of_parent[j] for j in local]
             persona = label_subcluster(
                 tuple(float(x) for x in rows[group, :6].mean(axis=0)),
                 profiles, max_distance=UNMATCHED_DISTANCE)
@@ -111,25 +111,25 @@ def run_pipeline(archive_path: Union[str, Path], output_dir: Union[str, Path], *
     rows = feature_matrix(vectors)
     initial, sub_labels, personas, diagnostics = cluster_and_label(
         rows, profiles, k_min=k_min, k_max=k_max)
-    members = initial.members()
+    clusters = members(initial)
     classifications = classify_archive(sets)
     dendro = agglomerate(rows)
     mrc = FEATURE_NAMES.index("mrc")
     levels = order_clusters_by_interactivity(
-        {c: float(rows[m, mrc].mean()) for c, m in enumerate(members)},
-        {c: len(m) for c, m in enumerate(members)},
+        {c: float(rows[m, mrc].mean()) for c, m in enumerate(clusters)},
+        {c: len(m) for c, m in enumerate(clusters)},
     )
-    stats = stats_block(rows, members)
+    stats = stats_block(rows, clusters)
 
     out = make_dir(output_dir)
     write_metrics_csv(vectors, out / "metrics.csv")
     write_classification_csv(classifications, out / "classification.csv")
     dendro.save_json(out / "dendrogram.json")
-    write_labels_csv(vectors, initial.labels, sub_labels, out / "labels.csv")
-    write_personas_csv(vectors, personas, out / "personas.csv", (initial.labels, sub_labels))
+    write_labels_csv(vectors, initial, sub_labels, out / "labels.csv")
+    write_personas_csv(vectors, personas, out / "personas.csv", (initial, sub_labels))
     diagnostics["interactivity_levels"] = {str(k): v for k, v in (levels or {}).items()}
     write_stats_json(stats, out / "stats.json", diagnostics=diagnostics)
-    write_reports(individuals, initial.labels, out)
+    write_reports(individuals, initial, out)
 
     # the config hash digests every setting but the output directory
     settings = {"archive_path": archive_path, "seed": seed, "k_min": k_min,

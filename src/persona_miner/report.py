@@ -10,7 +10,6 @@ import csv
 from pathlib import Path
 from typing import Sequence, Union
 
-from .cluster import ClusterLabels
 from .errors import DataValidationError, open_utf8, write_csv, write_json
 from .metrics import RepoIndividual, check_row_once
 from .models import ALL_KINDS
@@ -95,13 +94,14 @@ def write_labels_csv(individuals: Sequence, clusters: Sequence[int],
         for ind, cluster, sub in zip(individuals, clusters, subclusters, strict=True)))
 
 
-def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLabels:
-    """The clusters a labels file gives ``individuals`` (anything with ``repo``
-    and ``login``), in their order. An individual with no row, a row for no
-    individual, a second row for one (repo, login), a row without four columns,
-    a cluster or subcluster that is not a non-negative integer, a byte that is
-    not UTF-8, or ids that do not run 0..k-1 is an error."""
-    wanted = {(ind.repo, ind.login) for ind in individuals}
+def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> tuple[int, ...]:
+    """The cluster a labels file gives each of ``individuals`` (anything with
+    ``repo`` and ``login``), in their order; repos that differ only in case
+    match. An individual with no row, a row for no individual, a second row for
+    one (repo, login), a row without four columns, a cluster or subcluster that
+    is not a non-negative integer, a byte that is not UTF-8, or ids that do not
+    run 0..k-1 is an error."""
+    wanted = {(ind.repo.lower(), ind.login) for ind in individuals}
     with open_utf8(path, DataValidationError, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["repo", "login", "cluster", "subcluster"]:
@@ -118,17 +118,18 @@ def read_labels_csv(path: Union[str, Path], individuals: Sequence) -> ClusterLab
                                           f"4 columns, not {4 + len(row[None])}")
             key = (row["repo"], row["login"])
             check_row_once(first_lines, key, path, reader.line_num)
-            if key not in wanted:
+            folded = (key[0].lower(), key[1])
+            if folded not in wanted:
                 raise DataValidationError(f"{path}:{reader.line_num}: {key} is not an "
                                           f"individual of the input")
-            labels[key] = int(row["cluster"])
-    try:
-        ids = tuple(labels[(ind.repo, ind.login)] for ind in individuals)
-        return ClusterLabels(labels=ids, k=max(ids, default=-1) + 1)
-    except KeyError as exc:
-        raise DataValidationError(f"no cluster label for individual {exc}") from exc
-    except DataValidationError as exc:
-        raise DataValidationError(f"{path}: {exc}") from exc
+            labels[folded] = int(row["cluster"])
+    ids = tuple(labels.get((ind.repo.lower(), ind.login)) for ind in individuals)
+    if None in ids:
+        ind = individuals[ids.index(None)]
+        raise DataValidationError(f"no cluster label for individual {(ind.repo, ind.login)}")
+    if set(ids) != set(range(max(ids, default=-1) + 1)):
+        raise DataValidationError(f"{path}: labels must cover 0..k-1 with no empty cluster")
+    return ids
 
 
 def write_reports(individuals: Sequence[RepoIndividual], labels: Sequence[int],

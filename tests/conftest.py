@@ -64,7 +64,9 @@ _slug_parts = st.text(st.characters(exclude_categories=("Cs",), exclude_characte
                       min_size=1, max_size=8)
 csv_slugs = st.tuples(_slug_parts, _slug_parts).map("/".join)
 csv_logins = st.text(max_size=12)
-csv_keys = st.lists(st.tuples(csv_slugs, csv_logins), max_size=12, unique=True)
+# unique as read: repos that differ only in case name one repository
+csv_keys = st.lists(st.tuples(csv_slugs, csv_logins), max_size=12,
+                    unique_by=lambda key: (key[0].lower(), key[1]))
 
 
 @st.composite

@@ -349,7 +349,11 @@ def test_every_spelling_of_the_fixture_loads_alike(fixture_archive_path, tmp_pat
     expected = repr(load_archive(fixture_archive_path))
     for name, text in _respellings(fixture_archive_path).items():
         path.write_text(text, "utf-8")
-        assert repr(load_archive(path)) == expected, name
+        loaded = load_archive(path)
+        assert repr(loaded) == expected, name
+        # each kind is one of the six ALL_KINDS strings, not a copy per event
+        assert all(any(ev.kind is kind for kind in ALL_KINDS)
+                   for s in loaded for ev in s.events), name
 
 
 @given(sets=_any_text_sets)

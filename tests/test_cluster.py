@@ -6,7 +6,6 @@ from scipy.cluster.hierarchy import fcluster, linkage
 
 from persona_miner import cluster as cluster_module
 from persona_miner.cluster import (
-    ClusterLabels,
     Dendrogram,
     agglomerate,
     cut,
@@ -101,17 +100,17 @@ def _reference_ward(rows):
     return tuple(merges)
 
 
-def ch_index(vectors, labels: ClusterLabels) -> float:
-    """Test-only oracle: Calinski-Harabasz from the clusters' centroids;
-    zero within-cluster scatter reports +inf."""
+def ch_index(vectors, labels: tuple[int, ...]) -> float:
+    """Test-only oracle: Calinski-Harabasz from the clusters' centroids, with k
+    the largest id plus one; zero within-cluster scatter reports +inf."""
     rows = np.asarray(vectors, dtype=float)
     n = rows.shape[0]
-    k = labels.k
+    k = max(labels) + 1
     if k < 2:
         raise DataValidationError("CH index needs k >= 2")
     if n <= k:
         raise DataValidationError("CH index needs n > k")
-    lab = np.asarray(labels.labels)
+    lab = np.asarray(labels)
     grand_mean = rows.mean(axis=0)
     between = 0.0
     within = 0.0
@@ -264,7 +263,7 @@ def test_matches_scipy_ward(n):
     np.testing.assert_allclose(heights, linked[:, 2], rtol=1e-9, atol=0.0)
     for k in range(2, 11):
         expected = _first_appearance(fcluster(linked, t=k, criterion="maxclust"))
-        assert cut(dendro, k).labels == expected
+        assert cut(dendro, k) == expected
 
 
 def test_subcluster_same_as_with_reference_ward(monkeypatch):
@@ -279,8 +278,8 @@ def test_subcluster_same_as_with_reference_ward(monkeypatch):
                                    merges=_reference_ward(vectors)),
     )
     slow, slow_scores = subcluster(parent_rows), select_k(parent_rows)[1]
-    assert fast.k >= 2 and slow.k >= 2  # split, not left whole
-    assert (fast.labels, fast.k, fast_scores) == (slow.labels, slow.k, slow_scores)
+    assert max(fast) >= 1 and max(slow) >= 1  # split, not left whole
+    assert (fast, fast_scores) == (slow, slow_scores)
 
 
 def test_heights_monotone_nondecreasing():
@@ -299,21 +298,24 @@ def test_nan_rejected():
 def test_cut_k1_and_kn():
     rows = [[0.0], [1.0], [10.0], [11.0]]
     dendro = agglomerate(rows)
-    assert cut(dendro, 1).labels == (0, 0, 0, 0)
-    assert cut(dendro, 4).labels == (0, 1, 2, 3)
+    assert cut(dendro, 1) == (0, 0, 0, 0)
+    assert cut(dendro, 4) == (0, 1, 2, 3)
 
 
 def test_cut_is_partition_with_expected_groups():
     rows = [[0.0], [1.0], [10.0], [11.0]]
-    labels = cut(agglomerate(rows), 2)
-    assert labels.labels == (0, 0, 1, 1)
+    assert cut(agglomerate(rows), 2) == (0, 0, 1, 1)
 
 
 def test_cut_labels_ordered_by_smallest_leaf():
     # clusters are numbered by their smallest member leaf id
     rows = [[100.0], [0.0], [100.5], [0.5]]
-    labels = cut(agglomerate(rows), 2)
-    assert labels.labels == (0, 1, 0, 1)
+    assert cut(agglomerate(rows), 2) == (0, 1, 0, 1)
+
+
+def test_members_lists_rows_by_cluster_id():
+    assert cluster_module.members((2, 0, 1, 0, 2)) == [[1, 3], [2], [0, 4]]
+    assert cluster_module.members(()) == []
 
 
 def test_cut_out_of_range():
@@ -326,23 +328,20 @@ def test_cut_out_of_range():
 
 def test_ch_fixture_exactly_200():
     rows = [[0.0], [1.0], [10.0], [11.0]]
-    labels = ClusterLabels(labels=(0, 0, 1, 1), k=2)
-    assert abs(ch_index(rows, labels) - 200.0) < 1e-9
+    assert abs(ch_index(rows, (0, 0, 1, 1)) - 200.0) < 1e-9
 
 
 def test_ch_infinite_on_zero_within_scatter():
     rows = [[0.0], [0.0], [5.0], [5.0]]
-    labels = ClusterLabels(labels=(0, 0, 1, 1), k=2)
-    assert ch_index(rows, labels) == math.inf
+    assert ch_index(rows, (0, 0, 1, 1)) == math.inf
 
 
 def test_ch_invariant_under_label_permutation():
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(20, 3))
-    labels = ClusterLabels(labels=tuple(int(x) for x in rng.integers(0, 3, 20)
-                                        ) or (0,), k=3)
-    swapped = ClusterLabels(labels=tuple({0: 2, 1: 0, 2: 1}[l]
-                                         for l in labels.labels), k=3)
+    labels = tuple(int(x) for x in rng.integers(0, 3, 20))
+    assert set(labels) == {0, 1, 2}
+    swapped = tuple({0: 2, 1: 0, 2: 1}[l] for l in labels)
     assert abs(ch_index(rows, labels) - ch_index(rows, swapped)) < 1e-9
 
 
@@ -353,9 +352,8 @@ def test_ch_invariant_under_row_reorder():
     if len(set(labels)) < 2:
         labels = (0,) * 7 + (1,) * 8
     perm = rng.permutation(15)
-    a = ch_index(rows, ClusterLabels(labels=labels, k=2))
-    b = ch_index(rows[perm], ClusterLabels(
-        labels=tuple(labels[i] for i in perm), k=2))
+    a = ch_index(rows, labels)
+    b = ch_index(rows[perm], tuple(labels[i] for i in perm))
     assert abs(a - b) < 1e-9
 
 
@@ -406,8 +404,7 @@ def test_select_k_repeated_rows_pick_k2(d):
     best, scores = select_k(rows, 2, 5)
     assert best == 2
     assert scores == {k: math.inf for k in range(2, 6)}
-    result = subcluster(np.array(rows))
-    assert (result.k, result.labels) == (2, (0, 0, 0, 1, 1, 1))
+    assert subcluster(np.array(rows)) == (0, 0, 0, 1, 1, 1)
 
 
 def _score_inputs(family, seed):
@@ -443,23 +440,18 @@ def test_select_k_scores_match_ch_oracle(family):
 def test_subcluster_splits_parent():
     rows = np.array([[0.0], [0.5], [10.0], [10.5], [100.0], [101.0],
                      [200.0], [201.0]])
-    result = subcluster(rows[:4], k_max=3)  # parent 0 of labels (0,0,0,0,1,1,1,1)
-    assert result.k == 2
-    assert result.labels == (0, 0, 1, 1)
+    # parent 0 of labels (0,0,0,0,1,1,1,1)
+    assert subcluster(rows[:4], k_max=3) == (0, 0, 1, 1)
 
 
 def test_subcluster_tiny_parent_unsplittable():
     rows = np.array([[0.0], [1.0], [50.0]])
-    result = subcluster(rows[2:])  # parent 1 of labels (0, 0, 1)
-    assert result.k == 1
-    assert result.labels == (0,)
+    assert subcluster(rows[2:]) == (0,)  # parent 1 of labels (0, 0, 1)
 
 
 def test_subcluster_parent_of_k_min_rows_stays_whole():
     # 3 rows clamp k_max to 2, below k_min = 3: no k to try, so one cluster
-    result = subcluster(np.array([[0.0], [1.0], [50.0]]), k_min=3)
-    assert result.k == 1
-    assert result.labels == (0, 0, 0)
+    assert subcluster(np.array([[0.0], [1.0], [50.0]]), k_min=3) == (0, 0, 0)
 
 
 def test_dendrogram_json_round_trip(tmp_path):

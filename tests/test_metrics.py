@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -54,8 +55,8 @@ def test_single_commit_individual():
     ind = individuals[0]
     assert ind.counts["CommitCreated"] == 1
     assert all(ind.counts[k] == 0 for k in ALL_KINDS if k != "CommitCreated")
-    assert ind.n_interaction_days == 1
-    assert sum(i.n_interactions for i in individuals) == 1
+    assert ind.n_days == 1
+    assert sum(sum(i.counts.values()) for i in individuals) == 1
 
 
 def test_same_login_two_repos_two_individuals():
@@ -72,7 +73,7 @@ def test_same_utc_date_dedup():
     events = [_ev("ada", "CommitCreated", hours=5, subject="a"),
               _ev("ada", "CommitCreated", hours=23, subject="b")]
     individuals = build_repo_individuals(_set(events))
-    assert individuals[0].n_interaction_days == 1
+    assert individuals[0].n_days == 1
 
 
 def test_bot_flagging():
@@ -207,6 +208,7 @@ def test_invariants_over_generated_repos():
         iset = make_random_repo(rng, repo_idx)
         individuals = build_repo_individuals(iset)
         vectors = assemble_metric_vectors(individuals)
+        assert all(i.n_days >= 1 for i in individuals)
         for kind_idx, kind in enumerate(ALL_KINDS):
             if sum(i.counts[kind] for i in individuals) > 0:
                 col = sum(v.features[kind_idx] for v in vectors)
@@ -217,7 +219,7 @@ def test_invariants_over_generated_repos():
             assert 1 <= v.uit <= 6
             assert _feature(v, "pct_created_minus_closed_issues") == \
                 _feature(v, "rc_issues_created") - _feature(v, "rc_issues_closed")
-        if sum(i.n_interaction_days for i in individuals) > 0:
+        if sum(i.n_days for i in individuals) > 0:
             assert abs(sum(_feature(v, "pct_interaction_days") for v in vectors)
                        - 100.0) < 1e-9
 
@@ -249,13 +251,15 @@ def test_metrics_csv_round_trip_property(tmp_path_factory, vectors):
 
 
 def test_read_metrics_csv_rejects_repeated_row(tmp_path, fixture_archive_path):
+    # a repo that differs only in case names the same repository
     _individuals, vectors = metric_table(load_archive(fixture_archive_path))
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(vectors + vectors[1:2], path)
-    with pytest.raises(DataValidationError, match=re.escape(
-            f"{path}:{len(vectors) + 2}: repeated row for ('astro-lab/spectra', 'bob'); "
-            f"the first is at line 3")):
-        read_metrics_csv(path)
+    for repo in ("astro-lab/spectra", "Astro-Lab/Spectra"):
+        write_metrics_csv(vectors + [replace(vectors[1], repo=repo)], path)
+        with pytest.raises(DataValidationError, match=re.escape(
+                f"{path}:{len(vectors) + 2}: repeated row for ('{repo}', 'bob'); "
+                f"the first is at line 3")):
+            read_metrics_csv(path)
 
 
 def test_read_metrics_csv_rejects_other_header(tmp_path, fixture_archive_path):
